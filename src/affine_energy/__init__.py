@@ -30,6 +30,7 @@ from .energy import (
     energy_bruteforce,
     energy_star,
     main_bound_report,
+    quotient_stats,
     scalar_energy_add,
     scalar_energy_mul,
 )
@@ -56,11 +57,11 @@ from .incidence3d import (
     build_plane,
     build_point,
     incidences,
-    incidences_by_plane,
     max_collinear_3d,
     pointplane_bound_report,
     q_c_incidence_table,
     q_c_via_incidence,
+    top_slice_reports,
 )
 from .plane import (
     PlaneLine,

@@ -8,6 +8,7 @@ g^{-1} = (1/g.a, -g.b/g.a).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -122,10 +123,7 @@ def product_set(A: AffineSet, B: AffineSet, mode: str = "AB") -> AffineSet:
 
 def max_on_vertical(A: AffineSet) -> int:
     """m: the largest fibre of the slope coordinate (largest U-coset meet)."""
-    counts: dict = {}
-    for g in A:
-        counts[g.a.value] = counts.get(g.a.value, 0) + 1
-    return max(counts.values(), default=0)
+    return max(Counter(g.a.value for g in A).values(), default=0)
 
 
 def max_on_line(A: AffineSet) -> int:

@@ -15,8 +15,16 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .affine import AffineSet, max_on_vertical
-from .energy import decompose_by_C, decompose_bruteforce, energy, energy_bruteforce, energy_star
-from .errors import ParseError
+from .energy import (
+    c_slice,
+    decompose_by_C,
+    decompose_bruteforce,
+    energy,
+    energy_bruteforce,
+    energy_star,
+    main_bound_report,
+    quotient_stats,
+)
 from .exactmath import render_fraction
 from .fields import Field, parse_field, parse_scalar
 from .files import read_affine_set, read_grid_instance, read_planar_set
@@ -29,11 +37,19 @@ from .generators import (
     parse_gen_spec,
     render_gen_spec,
 )
-from .incidence3d import IncidenceInstance, pointplane_bound_report, q_c_incidence_table, slice_planes, slice_points
-from .energy import c_slice
+from .incidence3d import (
+    IncidenceInstance,
+    beck_plane_classification,
+    pointplane_bound_report,
+    q_c_incidence_table,
+    slice_planes,
+    slice_points,
+    top_slice_reports,
+)
 from .plane import (
     PlaneLine,
     PlanePoint,
+    beck_point_stats,
     quadrangle_energy_correspondence,
     quadrangles,
     quadrangles_bruteforce,
@@ -68,35 +84,31 @@ def _resolve_field(args) -> Field:
     return parse_field(text)
 
 
-def _load_affine(args, field: Field) -> AffineSet:
+def _load(args, field: Field, read, random_spec):
+    """The object named by --input (parsed by `read`) or by --gen."""
     if bool(args.gen) == bool(args.input):
         raise ConfigError("exactly one of --gen and --input is required")
     if args.input:
-        file_field, A = read_affine_set(open(args.input).read())
+        with open(args.input) as fh:
+            file_field, obj = read(fh.read())
         if args.field and file_field != field:
             raise ConfigError("--field disagrees with the input file header")
-        return A
+        return obj
     spec = parse_gen_spec(args.gen)
-    if isinstance(spec, RandomAffSpec) and args.seed:
-        spec = RandomAffSpec(spec.n, spec.seed + args.seed)
-    obj, _ = generate_with_stats(spec, field)
+    if isinstance(spec, random_spec) and args.seed:
+        spec = random_spec(spec.n, spec.seed + args.seed)
+    return generate_with_stats(spec, field)[0]
+
+
+def _load_affine(args, field: Field) -> AffineSet:
+    obj = _load(args, field, read_affine_set, RandomAffSpec)
     if not isinstance(obj, AffineSet):
         raise ConfigError(f"generator {args.gen!r} does not produce an affine set")
     return obj
 
 
 def _load_planar(args, field: Field) -> set:
-    if bool(args.gen) == bool(args.input):
-        raise ConfigError("exactly one of --gen and --input is required")
-    if args.input:
-        file_field, pts = read_planar_set(open(args.input).read())
-        if args.field and file_field != field:
-            raise ConfigError("--field disagrees with the input file header")
-        return pts
-    spec = parse_gen_spec(args.gen)
-    if isinstance(spec, RandomPlanarSpec) and args.seed:
-        spec = RandomPlanarSpec(spec.n, spec.seed + args.seed)
-    obj, _ = generate_with_stats(spec, field)
+    obj = _load(args, field, read_planar_set, RandomPlanarSpec)
     if isinstance(obj, AffineSet):
         return {PlanePoint.affine(field, g.a.value, g.b.value) for g in obj}
     if isinstance(obj, set) and all(isinstance(p, PlanePoint) for p in obj):
@@ -126,8 +138,6 @@ def _parse_line_flag(text: str, field: Field) -> PlaneLine:
 def _cmd_energy(args) -> int:
     field = _resolve_field(args)
     A = _load_affine(args, field)
-    from .energy import main_bound_report
-
     rep = main_bound_report(A, include_decomposition=not args.no_decomposition)
     if args.format == "json":
         _emit(args, dump_json(reports.energy_report_jsonable(rep, field)))
@@ -139,29 +149,21 @@ def _cmd_energy(args) -> int:
 def _cmd_decompose(args) -> int:
     field = _resolve_field(args)
     A = _load_affine(args, field)
-    table = decompose_by_C(A)
-    E = energy(A)
-    n = len(A)
-    m = max_on_vertical(A)
-    per_c = {}
-    slice_total = 0
-    linf_ok = True
-    for C, q in table.items():
-        s = len(c_slice(A, C))
-        slice_total += s
-        linf_ok = linf_ok and s <= m * n
-        per_c[field.render(C.value)] = {"slice": s, "q": q}
+    E, _, table = quotient_stats(A)
+    n, m = len(A), max_on_vertical(A)
+    sizes = [s for s, _ in table.values()]
+    sum_q = sum(q for _, q in table.values())
     payload = {
         "schema": "decompose-report/1",
         "field": render_field(field),
         "size": n,
         "E": E,
-        "sum_q": sum(table.values()),
-        "sum_slices": slice_total,
-        "decomposition_identity_ok": sum(table.values()) == E,
-        "slice_l1_ok": slice_total == n * n,
-        "slice_linf_ok": linf_ok,
-        "per_c": per_c,
+        "sum_q": sum_q,
+        "sum_slices": sum(sizes),
+        "decomposition_identity_ok": sum_q == E,
+        "slice_l1_ok": sum(sizes) == n * n,
+        "slice_linf_ok": all(s <= m * n for s in sizes),
+        "per_c": {field.render(C.value): {"slice": s, "q": q} for C, (s, q) in table.items()},
     }
     _emit(args, dump_json(payload))
     if not (payload["decomposition_identity_ok"] and payload["slice_l1_ok"] and payload["slice_linf_ok"]):
@@ -205,9 +207,7 @@ def _cmd_incidence(args) -> int:
         "per_c": per_c,
     }
     if biggest is not None:
-        from .incidence3d import beck_plane_classification
-
-        _, sl, inst = biggest
+        inst = biggest[2]
         stats = beck_plane_classification(inst.points, inst.planes, cthresh=args.cthresh)
         payload["beck_planes_largest_slice"] = {
             "slice_c": field.render(biggest[0].value),
@@ -230,8 +230,6 @@ def _cmd_shadow(args) -> int:
     l2 = _parse_line_flag(args.l2, field) if args.l2 else PlaneLine.infinity(field)
     rep = shadow_incidence_check(pts, l1, l2)
     payload = reports.shadow_report_jsonable(rep)
-    from .plane import beck_point_stats
-
     theta = Fraction(args.theta)
     stats = beck_point_stats(pts, theta)
     payload["beck_points"] = {
@@ -257,7 +255,8 @@ def _cmd_quadrangles(args) -> int:
 def _cmd_richlines(args) -> int:
     field = _resolve_field(args)
     if args.input:
-        inst, rejected = read_grid_instance(open(args.input).read())
+        with open(args.input) as fh:
+            inst, rejected = read_grid_instance(fh.read())
     else:
         if not (args.gen and args.set_a and args.alpha):
             raise ConfigError("generated rich-line runs need --gen, --set-a and --alpha")
@@ -280,19 +279,12 @@ def _cmd_richlines(args) -> int:
 def _cmd_boundcheck(args) -> int:
     field = _resolve_field(args)
     A = _load_affine(args, field)
-    from .energy import main_bound_report
-
     rep = main_bound_report(A)
     payload = reports.energy_report_jsonable(rep, field)
     # Theorem 3.4 ratios on the largest slices
-    sizes = sorted(((s, C) for C, (s, _) in rep.per_c.items()), key=lambda t: (-t[0], field.sort_key(t[1].value)))
-    pp = []
-    for s, C in sizes[: args.top_slices]:
-        sl = c_slice(A, C)
-        inst = IncidenceInstance.of(slice_points(sl), slice_planes(sl))
-        r = pointplane_bound_report(inst, field.characteristic or None)
-        pp.append((field.render(C.value), reports.pointplane_report_jsonable(r)))
-    payload["pointplane"] = {c: r for c, r in pp}
+    payload["pointplane"] = {
+        field.render(C.value): reports.pointplane_report_jsonable(r) for C, r in top_slice_reports(A, rep.per_c, args.top_slices)
+    }
     if args.set_s and args.set_t:
         sv, _ = generate_with_stats(parse_gen_spec(args.set_s), field)
         tv, _ = generate_with_stats(parse_gen_spec(args.set_t), field)
@@ -309,11 +301,13 @@ def _cmd_oracle(args) -> int:
     cap = args.oracle_cap
     diffs = []
 
-    def check(name, fast, brute):
-        ok = fast == brute
-        if not ok:
+    def same(name, fast, brute):
+        if fast != brute:
             diffs.append(name)
-        return {"fast": fast, "oracle": brute, "equal": ok}
+        return {"equal": fast == brute}
+
+    def check(name, fast, brute):
+        return {"fast": fast, "oracle": brute, **same(name, fast, brute)}
 
     results = {
         "schema": "oracle-report/1",
@@ -324,22 +318,13 @@ def _cmd_oracle(args) -> int:
     }
     dec_fast = {field.render(k.value): v for k, v in decompose_by_C(A).items()}
     dec_brute = {field.render(k.value): v for k, v in decompose_bruteforce(A, cap).items()}
-    results["decompose"] = {"equal": dec_fast == dec_brute}
-    if dec_fast != dec_brute:
-        diffs.append("decompose")
+    results["decompose"] = same("decompose", dec_fast, dec_brute)
     inc = {field.render(k.value): v for k, v in q_c_incidence_table(A).items()}
-    results["incidence_route"] = {"equal": inc == dec_fast}
-    if inc != dec_fast:
-        diffs.append("incidence_route")
+    results["incidence_route"] = same("incidence_route", inc, dec_fast)
     pts = {PlanePoint.affine(field, g.a.value, g.b.value) for g in A}
     results["quadrangles"] = check("quadrangles", quadrangles(pts), quadrangles_bruteforce(pts, cap))
     if len(A) >= 2:
-        p_fast = max_concurrent_pencil(A)
-        p_brute = pencil_bruteforce(A)
-        ok = p_fast == p_brute
-        results["pencil"] = {"equal": ok}
-        if not ok:
-            diffs.append("pencil")
+        results["pencil"] = same("pencil", max_concurrent_pencil(A), pencil_bruteforce(A))
     results["all_equal"] = not diffs
     _emit(args, dump_json(results))
     if diffs:
@@ -354,15 +339,8 @@ def _sweep_row(template: str, n: int, field_text: str) -> List[str]:
     obj, _ = generate_with_stats(spec, field)
     if not isinstance(obj, AffineSet):
         raise ConfigError("sweep templates must generate affine sets")
-    from .energy import main_bound_report
-
     rep = main_bound_report(obj)
-    sizes = sorted(((s, C) for C, (s, _) in rep.per_c.items()), key=lambda t: (-t[0], field.sort_key(t[1].value)))
-    pp_ratio = Fraction(0)
-    for s, C in sizes[:3]:
-        sl = c_slice(obj, C)
-        inst = IncidenceInstance.of(slice_points(sl), slice_planes(sl))
-        pp_ratio = max(pp_ratio, pointplane_bound_report(inst, field.characteristic or None).ratio)
+    pp_ratio = max((r.ratio for _, r in top_slice_reports(obj, rep.per_c, 3)), default=Fraction(0))
     scalars = [field.reduce(v) for v in range(1, n + 1)]
     el = elekes_incidence_bound_check(scalars, scalars, obj, field)
     return [
@@ -506,7 +484,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParseError, FileNotFoundError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:  # every package error subclasses ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

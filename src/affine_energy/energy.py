@@ -1,9 +1,10 @@
 """Energy quantities of affine sets and their slice decomposition.
 
 E(A) counts quadruples (g,h,u,v) in A^4 with g^{-1} o h = u^{-1} o v; E*(A)
-counts g o h = u o v.  The fast paths square a hashed pair-representation
-table in O(|A|^2).  The brute-force oracles enumerate quadruples directly and
-share only the compose/inverse primitives with the fast paths.
+counts g o h = u o v.  The fast paths bucket raw (a, b) keys of all |A|^2
+pairs in one quotient pass and one product pass; Scalar and AffineMap appear
+only at the API edge.  The brute-force oracles enumerate quadruples directly
+through compose/quotient, which the fast paths never call.
 
 The C-decomposition splits E(A) by the invariant C = g1*v1 (= h1*u1 for every
 energy quadruple); slices C_C = {(g,v) : g1*v1 = C} carry the identities
@@ -12,55 +13,127 @@ sum_C |C_C| = |A|^2 and |C_C| <= m|A|.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Dict, Optional, Tuple
 
-from .affine import AffineSet, compose, max_on_line, max_on_vertical, product_set, quotient
+from .affine import AffineSet, compose, inverse, max_on_line, max_on_vertical, quotient
 from .errors import OracleCapExceeded, ZeroC
 from .exactmath import ratio, sqrt_floor_fraction
-from .fields import Scalar
+from .fields import Field, Scalar
 
 ORACLE_CAP_DEFAULT = 64
 
 
-def quotient_table(A: AffineSet, B: Optional[AffineSet] = None) -> Counter:
-    """r(t) = #{(g,h) in A x B : g^{-1} o h = t} keyed by AffineMap t."""
-    B = A if B is None else B
-    table: Counter = Counter()
-    for g in A:
-        for h in B:
-            table[quotient(g, h)] += 1
-    return table
+def _slope_classes(pairs) -> list:
+    """Raw (a, b) pairs grouped by slope: [(a, [b, ...]), ...]."""
+    classes: dict = defaultdict(list)
+    for a, b in pairs:
+        classes[a].append(b)
+    return list(classes.items())
 
 
-def product_table(A: AffineSet, B: Optional[AffineSet] = None) -> Counter:
-    """r(t) = #{(g,h) in A x B : g o h = t}."""
-    B = A if B is None else B
-    table: Counter = Counter()
-    for g in A:
-        for h in B:
-            table[compose(g, h)] += 1
-    return table
+def _quotient_pass(field: Field, G: list, H: list):
+    """Buckets of t = g^{-1} o h over the raw (a, b) pairs G x H.
+
+    The pairs are walked in blocks, one per slope class x of G and y of H.
+    The slope y/x of t is fixed on a block and gets one id.  The intercept
+    (b_h - b_g)/x becomes an exact integer key through a per-class factor:
+    1/x mod p over F_p; over Q, with intercepts cleared by their common
+    denominator, L/x for L the lcm of the slope numerators.  Each bucket
+    tallies its pairs by block (i, j).
+
+    Returns the slope classes of G and {t key: {(i, j): count}}.
+    """
+    p = field.characteristic
+    if not p:
+        D = lcm(*(b.denominator for _, b in G + H))
+        G, H = ([(a, b.numerator * (D // b.denominator)) for a, b in pairs] for pairs in (G, H))
+    rows, cols = _slope_classes(G), _slope_classes(H)
+    inverses = [field.inv(x) for x, _ in rows]
+    if p:
+        scales = inverses
+    else:
+        L = lcm(*(x.numerator for x, _ in rows))
+        scales = [L * x.denominator // x.numerator for x, _ in rows]
+    buckets: dict = {}
+    alpha_ids: dict = {}
+    for i, ((_, gs), ix, s) in enumerate(zip(rows, inverses, scales)):
+        for j, (y, hs) in enumerate(cols):
+            block = (i, j)
+            alpha = alpha_ids.setdefault(field.mul(ix, y), len(alpha_ids))
+            for bg in gs:
+                for bh in hs:
+                    beta = (bh - bg) * s
+                    key = (alpha, beta % p if p else beta)
+                    tally = buckets.get(key)
+                    if tally is None:
+                        buckets[key] = {block: 1}
+                    else:
+                        tally[block] = tally.get(block, 0) + 1
+    return rows, buckets
+
+
+def _product_pass(A: AffineSet) -> dict:
+    """Buckets of g o h over A x A: the quotient pass over A^{-1} x A."""
+    inverted = [(h.a.value, h.b.value) for h in map(inverse, A)]
+    return _quotient_pass(A.field, inverted, [g.key() for g in A])[1]
+
+
+def _energy(buckets: dict) -> int:
+    """sum_t r(t)^2, r(t) being a bucket's pair count."""
+    return sum(sum(tally.values()) ** 2 for tally in buckets.values())
+
+
+def _slice_table(field: Field, classes: list, buckets: dict) -> Dict[Scalar, Tuple[int, int]]:
+    """C -> (|C_C|, Q_C) for every realized C = x*y, in canonical order.
+
+    |C_C| = sum_{xy=C} cnt(x)*cnt(y) over the slope histogram.  A quadruple
+    ((g,h),(u,v)) of one bucket has C = g1*v1, so Q_C pairs the g-slope
+    class of each block of the bucket with the h-slope class of each.
+    """
+    c_ids: dict = {}
+    c_of = [[c_ids.setdefault(field.mul(x, y), len(c_ids)) for y, _ in classes] for x, _ in classes]
+    sizes = [0] * len(c_ids)
+    qs = [0] * len(c_ids)
+    for (_, gs), row in zip(classes, c_of):
+        for (_, vs), c in zip(classes, row):
+            sizes[c] += len(gs) * len(vs)
+    for tally in buckets.values():
+        for (i, _), n1 in tally.items():
+            row = c_of[i]
+            for (_, j), n2 in tally.items():
+                qs[row[j]] += n1 * n2
+    return {Scalar(field, v): (sizes[c_ids[v]], qs[c_ids[v]]) for v in sorted(c_ids, key=field.sort_key)}
+
+
+def quotient_stats(A: AffineSet, include_decomposition: bool = True) -> Tuple[int, int, Dict[Scalar, Tuple[int, int]]]:
+    """E(A), |A^{-1}A| and, unless skipped, C -> (|C_C|, Q_C), from one
+    quotient pass."""
+    raw = [g.key() for g in A]
+    classes, buckets = _quotient_pass(A.field, raw, raw)
+    per_c = _slice_table(A.field, classes, buckets) if include_decomposition else {}
+    return _energy(buckets), len(buckets), per_c
 
 
 def energy(A: AffineSet) -> int:
-    """E(A) = sum_t r(t)^2 over the quotient table."""
-    return sum(r * r for r in quotient_table(A).values())
+    """E(A) = sum_t r(t)^2 over the quotient buckets."""
+    return quotient_stats(A, include_decomposition=False)[0]
 
 
 def energy_star(A: AffineSet) -> int:
-    """E*(A), the product-table analogue."""
-    return sum(r * r for r in product_table(A).values())
+    """E*(A), the product-bucket analogue."""
+    return _energy(_product_pass(A))
 
 
 def energy_asym(A: AffineSet, B: AffineSet) -> int:
     """E(A,B) with g,u in A and h,v in B."""
     if A.field != B.field:
         raise ValueError("energy of sets over different fields")
-    return sum(r * r for r in quotient_table(A, B).values())
+    return _energy(_quotient_pass(A.field, [g.key() for g in A], [h.key() for h in B])[1])
 
 
 def _flat_key(pair_key, char: int):
@@ -114,48 +187,17 @@ def c_slice(A: AffineSet, C: Scalar) -> CSlice:
     """The slice set; raises ZeroC on C = 0."""
     if not C:
         raise ZeroC("slice parameter C must be nonzero")
-    field = A.field
-    by_slope: dict = defaultdict(list)
-    for g in A:
-        by_slope[g.a.value].append(g)
-    pairs = []
-    for x, gs in by_slope.items():
-        y = field.div(C.value, x)
-        vs = by_slope.get(y)
-        if vs:
-            pairs.extend((g, v) for g in gs for v in vs)
+    by_slope = dict(_slope_classes((g.a.value, g) for g in A))
+    pairs = [(g, v) for x, gs in by_slope.items() for v in by_slope.get(A.field.div(C.value, x), ()) for g in gs]
     return CSlice(C, frozenset(pairs))
-
-
-def realized_slice_values(A: AffineSet) -> list:
-    """All C = g1*v1 realized by pairs of A, in canonical order."""
-    field = A.field
-    slopes = sorted({g.a.value for g in A}, key=field.sort_key)
-    vals = {field.mul(x, y) for x in slopes for y in slopes}
-    return [Scalar(field, v) for v in sorted(vals, key=field.sort_key)]
 
 
 def decompose_by_C(A: AffineSet) -> Dict[Scalar, int]:
     """Q_C per realized C: energy quadruples with g1*v1 = C (= h1*u1).
 
-    Buckets ordered pairs by their quotient; within a bucket every ordered
-    pair of pairs ((g,h),(u,v)) is an energy quadruple and contributes to
-    C = g1 * v1.  Per-bucket slope multiplicities turn the tally into a
-    product of counters.  sum_C Q_C = E(A) exactly.
+    sum_C Q_C = E(A) exactly.
     """
-    field = A.field
-    buckets: dict = defaultdict(lambda: (Counter(), Counter()))
-    for g in A:
-        for h in A:
-            first, second = buckets[quotient(g, h).key()]
-            first[g.a.value] += 1
-            second[h.a.value] += 1
-    tally: Counter = Counter()
-    for first, second in buckets.values():
-        for x, cx in first.items():
-            for y, cy in second.items():
-                tally[field.mul(x, y)] += cx * cy
-    return {Scalar(field, v): q for v, q in sorted(tally.items(), key=lambda kv: field.sort_key(kv[0]))}
+    return {C: q for C, (_, q) in quotient_stats(A)[2].items()}
 
 
 def decompose_bruteforce(A: AffineSet, cap: int = ORACLE_CAP_DEFAULT) -> Dict[Scalar, int]:
@@ -182,16 +224,20 @@ def decompose_bruteforce(A: AffineSet, cap: int = ORACLE_CAP_DEFAULT) -> Dict[Sc
     return {Scalar(field, v): q for v, q in sorted(tally.items(), key=lambda kv: field.sort_key(kv[0]))}
 
 
+def _scalar_op(S, name: str):
+    """Field operation `name` of the Scalars in S; plain arithmetic for raw values."""
+    fields = {s.field for s in S if isinstance(s, Scalar)}
+    return getattr(fields.pop(), name) if fields else getattr(operator, name)
+
+
+def _table_energy(vals: list, op) -> int:
+    """sum_t r(t)^2 for r(t) = #{(x, y) in vals^2 : op(x, y) = t}."""
+    return sum(r * r for r in Counter(op(x, y) for x in vals for y in vals).values())
+
+
 def scalar_energy_add(S) -> int:
     """E+(S) = #{(a,b,c,d) in S^4 : a+b = c+d} via a sum-representation table."""
-    vals = [s.value if isinstance(s, Scalar) else s for s in S]
-    fields = {s.field for s in S if isinstance(s, Scalar)}
-    add = fields.pop().add if fields else (lambda x, y: x + y)
-    sums: Counter = Counter()
-    for x in vals:
-        for y in vals:
-            sums[add(x, y)] += 1
-    return sum(r * r for r in sums.values())
+    return _table_energy([s.value if isinstance(s, Scalar) else s for s in S], _scalar_op(S, "add"))
 
 
 def scalar_energy_mul(S, shift: Optional[Scalar] = None) -> int:
@@ -199,22 +245,14 @@ def scalar_energy_mul(S, shift: Optional[Scalar] = None) -> int:
 
     Use shifted_nonzero to recover how many elements the shift removed.
     """
-    vals, _ = shifted_nonzero(S, shift)
-    fields = {s.field for s in S if isinstance(s, Scalar)}
-    mul = fields.pop().mul if fields else (lambda x, y: x * y)
-    prods: Counter = Counter()
-    for x in vals:
-        for y in vals:
-            prods[mul(x, y)] += 1
-    return sum(r * r for r in prods.values())
+    return _table_energy(shifted_nonzero(S, shift)[0], _scalar_op(S, "mul"))
 
 
 def shifted_nonzero(S, shift: Optional[Scalar] = None) -> Tuple[list, int]:
     """Raw values of {x - shift} with zeros removed, plus the dropped count."""
     raw = [s.value if isinstance(s, Scalar) else s for s in S]
     if shift is not None:
-        fields = {s.field for s in S if isinstance(s, Scalar)}
-        sub = fields.pop().sub if fields else (lambda x, y: x - y)
+        sub = _scalar_op(S, "sub")
         raw = [sub(x, shift.value) for x in raw]
     kept = [x for x in raw if x != 0]
     return kept, len(raw) - len(kept)
@@ -240,7 +278,6 @@ class EnergyReport:
     shkredov_ok: bool  # E* <= E
     p_constraint_ok: Optional[bool] = None  # m|A| <= p^2, None over Q
     pp_correction: Optional[Fraction] = None  # m|A|^3 / p, None over Q
-    checks: dict = dc_field(default_factory=dict)
 
     def identities_hold(self) -> bool:
         n = self.size
@@ -260,16 +297,9 @@ def main_bound_report(A: AffineSet, include_decomposition: bool = True) -> Energ
     n = len(A)
     m = max_on_vertical(A)
     M = max_on_line(A)
-    E = energy(A)
-    E_star = energy_star(A)
-    AA = len(product_set(A, A, "AB"))
-    AinvA = len(product_set(A, A, "AinvB"))
-
-    per_c: Dict[Scalar, Tuple[int, int]] = {}
-    if include_decomposition:
-        qc = decompose_by_C(A)
-        for C, q in qc.items():
-            per_c[C] = (len(c_slice(A, C)), q)
+    E, AinvA, per_c = quotient_stats(A, include_decomposition)
+    products = _product_pass(A)
+    E_star, AA = _energy(products), len(products)
 
     rhs_main = isqrt(m * n**5) + M * n * n
     ratio_main = ratio(max(E, E_star), rhs_main)

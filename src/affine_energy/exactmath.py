@@ -21,12 +21,14 @@ def iroot(x: int, n: int) -> int:
         return x
     if n == 2:
         return isqrt(x)
-    r = int(round(x ** (1.0 / n)))
-    while r > 0 and r**n > x:
-        r -= 1
-    while (r + 1) ** n <= x:
-        r += 1
-    return r
+    # Integer Newton from 2^ceil(bits/n), which is above the root: the
+    # iterates fall strictly until the floor root is reached.
+    r = 1 << -(-x.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + x // r ** (n - 1)) // n
+        if s >= r:
+            return r
+        r = s
 
 
 def sqrt_floor_fraction(q: Fraction) -> Fraction:

@@ -13,7 +13,7 @@ Rational random draws use integer coordinates from the window [-50, 50]
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Set, Union
+from typing import List, Union
 
 from .affine import AffineSet, affine_map
 from .errors import CannotFill, InvalidSpec, ParseError, SlopeZero
@@ -119,10 +119,6 @@ def _progression_values(spec: Union[APSpec, GPSpec], field: Field) -> List:
             out.append(v)
             v = field.mul(v, ratio)
     return out
-
-
-def generate_scalars(spec: Union[APSpec, GPSpec], field: Field) -> Set[Scalar]:
-    return {Scalar(field, v) for v in _progression_values(spec, field)}
 
 
 def generate_with_stats(spec: GenSpec, field: Field):

@@ -15,12 +15,11 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
-from typing import Dict, Iterable, List, Optional, Sequence
+from math import gcd, isqrt, lcm
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .affine import AffineMap, AffineSet
 from .energy import CSlice, c_slice
-from .errors import ZeroC
 from .exactmath import ratio
 from .fields import Field, Scalar
 
@@ -38,16 +37,10 @@ def _canonical_coords(field: Field, coords: Sequence) -> tuple:
 def _int_coords(field: Field, coords: Sequence) -> tuple:
     """Denominator-cleared integer coordinates for hot loops (char 0)."""
     fracs = [Fraction(c) for c in coords]
-    lcm = 1
-    for f in fracs:
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    ints = [int(f * lcm) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
+    den = lcm(*(f.denominator for f in fracs))
+    ints = [int(f * den) for f in fracs]
+    g = gcd(*ints)
+    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
 
 
 @dataclass(frozen=True)
@@ -125,18 +118,6 @@ def incidences(P: Iterable[Point3], Pi: Iterable[Plane3]) -> int:
     return total
 
 
-def incidences_by_plane(P: Iterable[Point3], Pi: Iterable[Plane3]) -> Dict[Plane3, int]:
-    """Plane-major variant; per-plane tallies keyed by the canonical plane."""
-    planes = list(set(Pi))
-    points = [p.raw() for p in set(P)]
-    out: Dict[Plane3, int] = {}
-    for plane in planes:
-        praw = plane.raw()
-        char = plane.field.characteristic
-        out[plane] = sum(1 for pt in points if _incident_raw(char, pt, praw))
-    return out
-
-
 def _direction_key(char: int, p: tuple, q: tuple) -> tuple:
     """Canonical Pluecker line key for the join of two distinct points."""
     m = []
@@ -148,9 +129,7 @@ def _direction_key(char: int, p: tuple, q: tuple) -> tuple:
         pivot = next(v for v in m if v)
         inv = pow(pivot, -1, char)
         return tuple((v * inv) % char for v in m)
-    g = 0
-    for v in m:
-        g = gcd(g, v)
+    g = gcd(*m)
     m = [v // g for v in m]
     pivot = next(v for v in m if v)
     if pivot < 0:
@@ -205,16 +184,17 @@ def slice_planes(sl: CSlice) -> List[Plane3]:
     return [build_plane(u, h) for u, h in sl.pairs]
 
 
-def q_c_via_incidence(A: AffineSet, C: Scalar) -> int:
-    """Q_C through the point-plane reduction; must match decompose_by_C[C]."""
-    if not C:
-        raise ZeroC("slice parameter C must be nonzero")
-    sl = c_slice(A, C)
-    pts = slice_points(sl)
-    planes = slice_planes(sl)
+def _slice_incidences(sl: CSlice) -> int:
+    pts, planes = slice_points(sl), slice_planes(sl)
     if len(set(pts)) != len(sl) or len(set(planes)) != len(sl):
         raise AssertionError("slice-to-projective maps must be injective")
     return incidences(pts, planes)
+
+
+def q_c_via_incidence(A: AffineSet, C: Scalar) -> int:
+    """Q_C through the point-plane reduction; must match decompose_by_C[C].
+    Raises ZeroC on C = 0."""
+    return _slice_incidences(c_slice(A, C))
 
 
 def q_c_incidence_table(A: AffineSet) -> Dict[Scalar, int]:
@@ -223,21 +203,14 @@ def q_c_incidence_table(A: AffineSet) -> Dict[Scalar, int]:
     by_slope: dict = defaultdict(list)
     for g in A:
         by_slope[g.a.value].append(g)
-    slopes = sorted(by_slope, key=field.sort_key)
     pair_lists: dict = defaultdict(list)
-    for x in slopes:
-        gs = by_slope[x]
-        for y in slopes:
-            cval = field.mul(x, y)
-            pair_lists[cval].extend((g, v) for g in gs for v in by_slope[y])
+    for x, gs in by_slope.items():
+        for y, vs in by_slope.items():
+            pair_lists[field.mul(x, y)].extend((g, v) for g in gs for v in vs)
     out: Dict[Scalar, int] = {}
     for cval in sorted(pair_lists, key=field.sort_key):
-        sl = CSlice(Scalar(field, cval), frozenset(pair_lists[cval]))
-        pts = slice_points(sl)
-        planes = slice_planes(sl)
-        if len(set(pts)) != len(sl) or len(set(planes)) != len(sl):
-            raise AssertionError("slice-to-projective maps must be injective")
-        out[Scalar(field, cval)] = incidences(pts, planes)
+        C = Scalar(field, cval)
+        out[C] = _slice_incidences(CSlice(C, frozenset(pair_lists[cval])))
     return out
 
 
@@ -308,6 +281,22 @@ def pointplane_bound_report(inst: IncidenceInstance, char_p: Optional[int] = Non
         p_constraint_ok=p_ok,
         ratio_corrected=corrected,
     )
+
+
+def top_slice_reports(A: AffineSet, per_c: Dict[Scalar, Tuple[int, int]], top: int) -> List[Tuple[Scalar, PointPlaneReport]]:
+    """Point-plane reports on the `top` largest slices of A.
+
+    `per_c` maps C -> (|C_C|, Q_C) as in EnergyReport.per_c; equal sizes go
+    to the smaller C in the field's canonical order.
+    """
+    field = A.field
+    ranked = sorted(per_c, key=lambda C: (-per_c[C][0], field.sort_key(C.value)))
+    out = []
+    for C in ranked[:top]:
+        sl = c_slice(A, C)
+        inst = IncidenceInstance.of(slice_points(sl), slice_planes(sl))
+        out.append((C, pointplane_bound_report(inst, field.characteristic or None)))
+    return out
 
 
 @dataclass

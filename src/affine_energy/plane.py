@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, Iterable, Sequence, Set
 
 from .affine import AffineMap, AffineSet, quotient
@@ -55,10 +55,8 @@ def _int_triple(field: Field, coords: Sequence) -> tuple:
     if field.characteristic:
         return tuple(coords)
     fracs = [Fraction(c) for c in coords]
-    lcm = 1
-    for f in fracs:
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    return tuple(int(f * lcm) for f in fracs)
+    den = lcm(*(f.denominator for f in fracs))
+    return tuple(int(f * den) for f in fracs)
 
 
 def _canon_int(char: int, t: tuple) -> tuple:
@@ -72,9 +70,7 @@ def _canon_int(char: int, t: tuple) -> tuple:
                 break
         inv = pow(pivot, -1, char)
         return tuple((v * inv) % char for v in t)
-    g = 0
-    for v in t:
-        g = gcd(g, v)
+    g = gcd(*t)
     t = tuple(v // g for v in t)
     for v in reversed(t):
         if v:

@@ -18,19 +18,15 @@ from affine_energy import (
     AffProductSpec,
     GPSpec,
     GridSpec,
-    IncidenceInstance,
     ParabolaSpec,
     PrimeField,
     RATIONALS,
-    c_slice,
-    decompose_by_C,
     main_bound_report,
-    pointplane_bound_report,
     seeded_random,
     generate,
+    top_slice_reports,
 )
 from affine_energy.exactmath import render_fraction
-from affine_energy.incidence3d import slice_planes, slice_points
 from affine_energy.plane import plane_points_as_affine_set
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "ceilings.json"
@@ -61,20 +57,9 @@ def compute_ratios():
     main_ratios = {}
     pp_ratios = {}
     for label, A in suite_sets():
-        rep = main_bound_report(A, include_decomposition=False)
+        rep = main_bound_report(A)
         main_ratios[label] = rep.ratio_main
-        dec = decompose_by_C(A)
-        sizes = sorted(
-            ((len(c_slice(A, C)), C) for C in dec),
-            key=lambda t: (-t[0], str(t[1])),
-        )
-        best = Fraction(0)
-        for _, C in sizes[:3]:
-            sl = c_slice(A, C)
-            inst = IncidenceInstance.of(slice_points(sl), slice_planes(sl))
-            r = pointplane_bound_report(inst, A.field.characteristic or None)
-            best = max(best, r.ratio)
-        pp_ratios[label] = best
+        pp_ratios[label] = max((r.ratio for _, r in top_slice_reports(A, rep.per_c, 3)), default=Fraction(0))
     return main_ratios, pp_ratios
 
 

@@ -23,7 +23,7 @@ from affine_energy import (
     scalar_energy_mul,
     seeded_random,
 )
-from affine_energy.energy import quotient_table, shifted_nonzero
+from affine_energy.energy import shifted_nonzero
 from affine_energy.errors import OracleCapExceeded, ZeroC
 from affine_energy.generators import APSpec, AffProductSpec, GPSpec, GridSpec, generate
 
@@ -55,11 +55,35 @@ def test_energy_asym_examples():
     assert energy_asym(A8, B10) == energy_asym_bruteforce(A8, B10)
 
 
-def test_quotient_table_mass():
-    A = seeded_random(9, 5, PrimeField(101), "affine")
-    table = quotient_table(A)
-    assert sum(table.values()) == len(A) ** 2
-    assert all(r >= 1 for r in table.values())
+def test_kernel_matches_oracles():
+    """The two raw-key passes against the oracles, c_slice and product_set.
+
+    F_5 has few slopes, so buckets hold many blocks; the hand-made Q set has
+    fractional and negative slopes and intercepts.
+    """
+    frac_set = aset(
+        [(Fraction(a), Fraction(b)) for a in ("1/2", "-3/4", "2", "5/3") for b in ("0", "1/3", "-2/5", "7/2")]
+    )
+    cases = [frac_set]
+    for field in (PrimeField(5), PrimeField(101), Q):
+        cases += [seeded_random(n, seed, field, "affine") for n, seed in ((1, 0), (9, 1), (16, 2))]
+    for A in cases:
+        rep = main_bound_report(A)
+        assert rep.E == energy_bruteforce(A, "E")
+        assert rep.E_star == energy_bruteforce(A, "Estar")
+        assert rep.size_AA == len(product_set(A, A, "AB"))
+        assert rep.size_AinvA == len(product_set(A, A, "AinvB"))
+        dec = decompose_bruteforce(A)
+        assert list(rep.per_c) == list(dec)
+        assert rep.per_c == {C: (len(c_slice(A, C)), q) for C, q in dec.items()}
+    for field in (PrimeField(5), PrimeField(101), Q):
+        A = seeded_random(7, 3, field, "affine")
+        B = seeded_random(11, 4, field, "affine")
+        assert energy_asym(A, B) == energy_asym_bruteforce(A, B)
+        assert energy_asym(B, A) == energy_asym_bruteforce(B, A)
+    B = aset([(Fraction(-1, 3), Fraction(5, 7)), (3, Fraction(1, 2)), (Fraction(2, 9), -4)])
+    assert energy_asym(frac_set, B) == energy_asym_bruteforce(frac_set, B)
+    assert energy_asym(B, frac_set) == energy_asym_bruteforce(B, frac_set)
 
 
 def test_oracle_cap():

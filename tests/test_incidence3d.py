@@ -18,7 +18,6 @@ from affine_energy import (
     c_slice,
     decompose_by_C,
     incidences,
-    incidences_by_plane,
     max_collinear_3d,
     max_on_line,
     pointplane_bound_report,
@@ -57,8 +56,16 @@ def test_incidence_examples():
 def test_incidence_paths_agree(any_field):
     pts = [Point3.of(any_field, (x, y, (x * y) % 7, 1)) for x in range(1, 8) for y in range(1, 8)]
     planes = [Plane3.of(any_field, (a, b, -1, 1)) for a in range(1, 8) for b in range(1, 8)]
-    total = incidences(pts, planes)
-    assert total == sum(incidences_by_plane(pts, planes).values())
+    # canonical field coordinates against the raw integer path of incidences
+    field = any_field
+    direct = 0
+    for p in set(pts):
+        for c in set(planes):
+            dot = field.reduce(0)
+            for x, y in zip(p.coords, c.coeffs):
+                dot = field.add(dot, field.mul(x, y))
+            direct += dot == 0
+    assert incidences(pts, planes) == direct
 
 
 def test_build_point_injective_on_slices(any_field):

@@ -175,6 +175,39 @@ def test_cli_config_errors():
     assert run_cli("energy", "--gen", "grid:3")[0] == 2  # no field
     assert run_cli("energy", "--gen", "parabola:ap(1,1,5)", "--field", "Q")[0] == 2  # planar into affine op
     assert run_cli("sweep", "--gen", "grid:3", "--range", "N=1..2", "--field", "Q")[0] == 2  # no N in template
+    assert run_cli("energy", "--gen", "affprod:ap(0,1,3)xap(0,1,3)", "--field", "Q")[0] == 2  # SlopeZero
+    assert run_cli("shadow", "--gen", "randplanar:1:seed=1", "--field", "Q")[0] == 2  # TooFewPoints
+
+
+def run_cli_err(*argv):
+    """Run in-process; returns (exit_code, stderr_text)."""
+    import io
+    from contextlib import redirect_stderr
+
+    buf = io.StringIO()
+    with redirect_stderr(buf):
+        code = main(list(argv))
+    return code, buf.getvalue()
+
+
+def test_cli_invalid_spec_exits_2():
+    code, err = run_cli_err("energy", "--gen", "grid:0", "--field", "Q")
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
+
+def test_cli_cannot_fill_exits_2():
+    code, err = run_cli_err("energy", "--gen", "randaff:5000", "--field", "Fp:3")
+    assert code == 2 and err.startswith("error:")
+
+
+def test_cli_unreadable_input_exits_2(tmp_path):
+    code, err = run_cli_err("energy", "--input", str(tmp_path), "--field", "Q")
+    assert code == 2 and err.startswith("error:")
+
+
+def test_cli_bad_alpha_exits_2():
+    code, err = run_cli_err("richlines", "--gen", "grid:3", "--set-a", "ap(0,1,3)", "--alpha", "2", "--field", "Q")
+    assert code == 2 and "alpha" in err
 
 
 def test_cli_sweep_row_contract(tmp_path):
