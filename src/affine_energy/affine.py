@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Iterable, Iterator
 
 from .errors import SlopeZero
@@ -126,49 +127,52 @@ def max_on_vertical(A: AffineSet) -> int:
     return max(Counter(g.a.value for g in A).values(), default=0)
 
 
+_VERTICAL = (0, 1)
+
+
+def _anchor_directions(A: AffineSet) -> Iterator[Counter]:
+    """Per anchor point (a, b) of A, the later points tallied by the direction
+    of the line to the anchor; vertical lines have the key _VERTICAL.
+
+    Over Q the points are cleared of denominators once and a direction is the
+    primitive integer vector (dx, dy) with dx > 0, or _VERTICAL.  Over F_p it
+    is the slope dy/dx on raw residues, one inverse per pair.
+    """
+    char = A.field.characteristic
+    pts = [g.key() for g in A]
+    if not char:
+        den = lcm(*(v.denominator for pt in pts for v in pt))
+        pts = [(int(x * den), int(y * den)) for x, y in pts]
+    for i, (ax, ay) in enumerate(pts):
+        keys = []
+        for bx, by in pts[i + 1 :]:
+            dx, dy = bx - ax, by - ay
+            if char:
+                keys.append(dy * pow(dx, -1, char) % char if dx else _VERTICAL)
+            else:
+                g = gcd(dx, dy)
+                if dx < 0 or (not dx and dy < 0):
+                    g = -g
+                keys.append((dx // g, dy // g))
+        yield Counter(keys)
+
+
 def max_on_line(A: AffineSet) -> int:
     """M: the most maps collinear as points (a, b), vertical lines included.
 
-    Slope-bucketing per anchor, O(|A|^2) exact field divisions.
+    Direction-bucketing per anchor, O(|A|^2) with no field division.
     """
-    pts = [g.key() for g in A]
-    n = len(pts)
+    n = len(A)
     if n <= 2:
         return n
-    field = A.field
-    best = 2
-    for i in range(n):
-        ax, ay = pts[i]
-        buckets: dict = {}
-        for j in range(i + 1, n):
-            bx, by = pts[j]
-            if bx == ax:
-                d = ("v",)
-            else:
-                d = ("s", field.div(field.sub(by, ay), field.sub(bx, ax)))
-            buckets[d] = buckets.get(d, 0) + 1
-        if buckets:
-            best = max(best, 1 + max(buckets.values()))
-    return best
+    return max(1 + max(c.values(), default=1) for c in _anchor_directions(A))
 
 
 def max_on_nonvertical_line(A: AffineSet) -> int:
     """Max maps on a single finite-slope line (torus-coset meets only)."""
-    pts = [g.key() for g in A]
-    n = len(pts)
-    if n == 0:
-        return 0
-    field = A.field
-    best = 1
-    for i in range(n):
-        ax, ay = pts[i]
-        buckets: dict = {}
-        for j in range(i + 1, n):
-            bx, by = pts[j]
-            if bx == ax:
-                continue
-            s = field.div(field.sub(by, ay), field.sub(bx, ax))
-            buckets[s] = buckets.get(s, 0) + 1
-        if buckets:
-            best = max(best, 1 + max(buckets.values()))
+    best = min(len(A), 1)
+    for counts in _anchor_directions(A):
+        counts.pop(_VERTICAL, None)
+        if counts:
+            best = max(best, 1 + max(counts.values()))
     return best

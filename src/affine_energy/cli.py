@@ -25,6 +25,7 @@ from .energy import (
     main_bound_report,
     quotient_stats,
 )
+from .errors import InvariantViolation
 from .exactmath import render_fraction
 from .fields import Field, parse_field, parse_scalar
 from .files import read_affine_set, read_grid_instance, read_planar_set
@@ -176,25 +177,25 @@ def _cmd_incidence(args) -> int:
     field = _resolve_field(args)
     A = _load_affine(args, field)
     table = decompose_by_C(A)
-    inc_table = q_c_incidence_table(A)
     per_c = {}
     mismatches = 0
     ratios = []
     biggest = None
     for C, q in table.items():
-        via_incidence = inc_table.get(C)
         sl = c_slice(A, C)
         inst = IncidenceInstance.of(slice_points(sl), slice_planes(sl))
+        if not len(inst.points) == len(inst.planes) == len(sl):
+            raise InvariantViolation("slice-to-projective maps must be injective")
         if biggest is None or len(sl) > len(biggest[1]):
             biggest = (C, sl, inst)
         pp = pointplane_bound_report(inst, field.characteristic or None)
         ratios.append(pp.ratio)
-        if via_incidence != q:
+        if pp.incidence_count != q:
             mismatches += 1
         per_c[field.render(C.value)] = {
             "slice": len(sl),
             "q": q,
-            "q_via_incidence": via_incidence,
+            "q_via_incidence": pp.incidence_count,
             "k": pp.k,
             "theorem_ratio": reports.frac_pair(pp.ratio),
         }
@@ -484,9 +485,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:  # every package error subclasses ValueError
+    except (ConfigError, ValueError, OSError) as exc:  # every package input error subclasses ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except InvariantViolation as exc:
+        print(f"error: invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
 """Error types raised across the package.
 
-Every error subclasses ValueError so callers that do not care about the
-specific failure can catch one base class.
+Every error about input or configuration subclasses ValueError so callers
+that do not care about the specific failure can catch one base class.
+InvariantViolation is the exception: it reports a broken internal invariant,
+not bad input, and stays raised under `python -O`.
 """
 
 
@@ -59,3 +61,7 @@ class InvalidSpec(ValueError):
 
 class CannotFill(ValueError):
     """Field too small to hold the requested number of distinct elements."""
+
+
+class InvariantViolation(Exception):
+    """A computed quantity broke an identity or inequality the code relies on."""

@@ -20,6 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .affine import AffineMap, AffineSet
 from .energy import CSlice, c_slice
+from .errors import InvariantViolation
 from .exactmath import ratio
 from .fields import Field, Scalar
 
@@ -104,8 +105,57 @@ def _incident_raw(char: int, p: tuple, c: tuple) -> bool:
     return s % char == 0 if char else s == 0
 
 
+def _x2_buckets(points: Iterable[tuple]) -> Dict[tuple, set]:
+    """Raw points grouped by (x0, x1, x3), each group as its set of x2."""
+    buckets: Dict[tuple, set] = defaultdict(set)
+    for x0, x1, x2, x3 in points:
+        buckets[x0, x1, x3].add(x2)
+    return buckets
+
+
+def _on_plane(char: int, buckets: Dict[tuple, set], c: tuple) -> List[tuple]:
+    """The raw points of `buckets` that lie on the raw plane c.
+
+    With c2 != 0 the plane fixes x2 in each bucket, so one lookup decides the
+    bucket; with c2 = 0 a bucket lies on the plane whole or not at all.  Raw
+    forms are unique per projective point, so the x2 that solves the plane
+    equation exactly is the only candidate: over Q a non-integer solution
+    means no point.
+    """
+    c0, c1, c2, c3 = c
+    out = []
+    if not c2:
+        for (x0, x1, x3), zs in buckets.items():
+            s = c0 * x0 + c1 * x1 + c3 * x3
+            if (s % char if char else s) == 0:
+                out.extend((x0, x1, z, x3) for z in zs)
+    elif char:
+        m = -pow(c2, -1, char)
+        for (x0, x1, x3), zs in buckets.items():
+            z = (c0 * x0 + c1 * x1 + c3 * x3) * m % char
+            if z in zs:
+                out.append((x0, x1, z, x3))
+    else:
+        for (x0, x1, x3), zs in buckets.items():
+            z, r = divmod(-(c0 * x0 + c1 * x1 + c3 * x3), c2)
+            if not r and z in zs:
+                out.append((x0, x1, z, x3))
+    return out
+
+
 def incidences(P: Iterable[Point3], Pi: Iterable[Plane3]) -> int:
-    """Exact point-major incidence count (the brute force at desk scale)."""
+    """Exact incidence count: points bucketed by (x0, x1, x3), one test per
+    bucket and plane."""
+    pts = set(P)
+    if not pts:
+        return 0
+    char = next(iter(pts)).field.characteristic
+    buckets = _x2_buckets(p.raw() for p in pts)
+    return sum(len(_on_plane(char, buckets, c.raw())) for c in set(Pi))
+
+
+def incidences_bruteforce(P: Iterable[Point3], Pi: Iterable[Plane3]) -> int:
+    """Every point against every plane; oracle for incidences."""
     pts = set(P)
     points = [p.raw() for p in pts]
     planes = [c.raw() for c in set(Pi)]
@@ -137,21 +187,73 @@ def _direction_key(char: int, p: tuple, q: tuple) -> tuple:
     return tuple(m)
 
 
+def _line_keys(char: int, a: tuple, qs: Iterable[tuple]) -> List[tuple]:
+    """One key per raw point q of qs (each distinct from a) for the line
+    joining a and q: equal keys, same line.
+
+    For a3 != 0 the key is the line's one point on x3 = 0,
+    a3*q - q3*a, scaled so its first nonzero entry is 1 (F_p) or made
+    primitive with a positive first nonzero entry (Q).  Anchors with a3 = 0
+    fall back to the Pluecker key.
+    """
+    a0, a1, a2, a3 = a
+    if not a3:
+        return [_direction_key(char, a, q) for q in qs]
+    keys = []
+    if char:
+        inv = pow(a3, -1, char)
+        a0, a1, a2 = a0 * inv % char, a1 * inv % char, a2 * inv % char
+        for q0, q1, q2, q3 in qs:
+            v0 = (q0 - q3 * a0) % char
+            v1 = (q1 - q3 * a1) % char
+            v2 = (q2 - q3 * a2) % char
+            if v0:
+                inv = pow(v0, -1, char)
+                keys.append((1, v1 * inv % char, v2 * inv % char))
+            elif v1:
+                keys.append((0, 1, v2 * pow(v1, -1, char) % char))
+            else:
+                keys.append((0, 0, 1))
+        return keys
+    for q0, q1, q2, q3 in qs:
+        v0 = a3 * q0 - q3 * a0
+        v1 = a3 * q1 - q3 * a1
+        v2 = a3 * q2 - q3 * a2
+        g = gcd(v0, v1, v2)
+        if v0 < 0 or (not v0 and (v1 < 0 or (not v1 and v2 < 0))):
+            g = -g
+        keys.append((v0 // g, v1 // g, v2 // g))
+    return keys
+
+
 def max_collinear_3d(P: Iterable[Point3]) -> int:
     """k: the most points of P on one projective line; anchor bucketing."""
     pts = list(set(P))
-    if len(pts) <= 2:
-        return len(pts)
+    n = len(pts)
+    if n <= 2:
+        return n
     char = pts[0].field.characteristic
     raws = [p.raw() for p in pts]
     best = 2
-    for i, anchor in enumerate(raws):
-        buckets: Counter = Counter()
-        for j in range(i + 1, len(raws)):
-            buckets[_direction_key(char, anchor, raws[j])] += 1
-        if buckets:
-            best = max(best, 1 + max(buckets.values()))
+    for i in range(n - 1):
+        if n - i <= best:  # no line through a later anchor can beat best
+            break
+        counts = Counter(_line_keys(char, raws[i], raws[i + 1 :]))
+        best = max(best, 1 + max(counts.values()))
     return best
+
+
+def _collinear3(char: int, p: tuple, q: tuple, r: tuple) -> bool:
+    """Rank test: every 3x3 minor of the 3x4 matrix (p; q; r) vanishes."""
+    for c0, c1, c2 in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
+        det = (
+            p[c0] * (q[c1] * r[c2] - q[c2] * r[c1])
+            - p[c1] * (q[c0] * r[c2] - q[c2] * r[c0])
+            + p[c2] * (q[c0] * r[c1] - q[c1] * r[c0])
+        )
+        if (det % char if char else det) != 0:
+            return False
+    return True
 
 
 def collinear_bruteforce(P: Iterable[Point3]) -> int:
@@ -165,13 +267,7 @@ def collinear_bruteforce(P: Iterable[Point3]) -> int:
     best = 2
     for i in range(n):
         for j in range(i + 1, n):
-            key = _direction_key(char, pts[i], pts[j])
-            cnt = 2
-            for l in range(n):
-                if l in (i, j):
-                    continue
-                if _direction_key(char, pts[i], pts[l]) == key:
-                    cnt += 1
+            cnt = 2 + sum(1 for l in range(n) if l not in (i, j) and _collinear3(char, pts[i], pts[j], pts[l]))
             best = max(best, cnt)
     return best
 
@@ -187,7 +283,7 @@ def slice_planes(sl: CSlice) -> List[Plane3]:
 def _slice_incidences(sl: CSlice) -> int:
     pts, planes = slice_points(sl), slice_planes(sl)
     if len(set(pts)) != len(sl) or len(set(planes)) != len(sl):
-        raise AssertionError("slice-to-projective maps must be injective")
+        raise InvariantViolation("slice-to-projective maps must be injective")
     return incidences(pts, planes)
 
 
@@ -324,27 +420,34 @@ def beck_plane_classification(
     """
     if cthresh < 2:
         raise ValueError("cthresh must be at least 2")
-    points = list(set(P))
+    pts = set(P)
+    char = next(iter(pts)).field.characteristic if pts else 0
+    buckets = _x2_buckets(p.raw() for p in pts)
     out: List[PlaneStats] = []
     for plane in sorted(set(Pi), key=lambda c: str(c)):
-        praw = plane.raw()
-        char = plane.field.characteristic
-        on_plane = [p for p in points if _incident_raw(char, p.raw(), praw)]
-        t = len(on_plane)
+        raws = _on_plane(char, buckets, plane.raw())
+        t = len(raws)
         if t <= 1:
             continue
-        raws = [p.raw() for p in on_plane]
-        seen_lines = set()
-        for i in range(t):
-            for j in range(i + 1, t):
-                key = _direction_key(char, raws[i], raws[j])
-                full = frozenset(l for l in range(t) if l == i or l == j or _direction_key(char, raws[i], raws[l]) == key)
-                seen_lines.add(full)
+        # Each line is recorded once, from its first member i: the later
+        # points not yet on a recorded line with i, grouped by line key.
+        line_sizes = []
+        covered: List[set] = [set() for _ in range(t)]
+        for i in range(t - 1):
+            rest = [j for j in range(i + 1, t) if j not in covered[i]]
+            if not rest:
+                continue
+            lines: Dict[tuple, List[int]] = defaultdict(lambda: [i])
+            for j, key in zip(rest, _line_keys(char, raws[i], [raws[j] for j in rest])):
+                lines[key].append(j)
+            for members in lines.values():
+                line_sizes.append(len(members))
+                for m in members:
+                    covered[m].update(members)
         total_pairs = t * (t - 1)
         max_line = 0
         sparse_pairs = 0
-        for members in seen_lines:
-            s = len(members)
+        for s in line_sizes:
             pairs = s * (s - 1)
             max_line = max(max_line, pairs)
             if s < cthresh:

@@ -25,6 +25,7 @@ from typing import Dict, Iterable, Sequence, Set
 from .affine import AffineMap, AffineSet, quotient
 from .errors import (
     EqualLines,
+    InvariantViolation,
     LineMeetsP,
     OracleCapExceeded,
     PointOnYAxis,
@@ -447,7 +448,7 @@ def shadow_incidence_check(P: Iterable[PlanePoint], l1: PlaneLine, l2: PlaneLine
     ly = PlaneLine.y_axis(field)
     for p in img:
         if incident(p, linf) or incident(p, ly):
-            raise AssertionError("normalized points must avoid both special lines")
+            raise InvariantViolation("normalized points must avoid both special lines")
 
     lines = span_lines(img)
     lhs_total = 0
@@ -475,7 +476,7 @@ def shadow_incidence_check(P: Iterable[PlanePoint], l1: PlaneLine, l2: PlaneLine
                 rhs += 1
 
     if lhs_nonvert > rhs:
-        raise AssertionError("grid injection violated: lhs_nonvertical > rhs")
+        raise InvariantViolation("grid injection violated: lhs_nonvertical > rhs")
     return ShadowCheckReport(
         removed_points=removed,
         n_points=len(img),
@@ -689,7 +690,8 @@ def quadrangle_energy_correspondence(P: Iterable[PlanePoint]) -> QuadrangleCorre
                 total += 1
                 if g == h or g == u:
                     # energy relation forces u = v / h = v respectively
-                    assert (g != h or u == v) and (g != u or h == v)
+                    if (g == h and u != v) or (g == u and h != v):
+                        raise InvariantViolation("energy relation must force u = v when g = h, and h = v when g = u")
                     trivial += 1
                     continue
                 du = _dot(line_gh, raws[u])
@@ -701,9 +703,12 @@ def quadrangle_energy_correspondence(P: Iterable[PlanePoint]) -> QuadrangleCorre
                     collinear += 1
                     continue
                 # must be a geometric quadrangle; verify both side conditions
-                assert u != v and h != v
-                assert dir_key[g, h] == dir_key[u, v], "parallel sides expected"
-                assert mu_key[g, u] == mu_key[h, v], "shared y-axis point expected"
+                if u == v or h == v:
+                    raise InvariantViolation("a geometric quadrangle needs u != v and h != v")
+                if dir_key[g, h] != dir_key[u, v]:
+                    raise InvariantViolation("parallel sides expected")
+                if mu_key[g, u] != mu_key[h, v]:
+                    raise InvariantViolation("shared y-axis point expected")
                 geometric += 1
     return QuadrangleCorrespondence(
         energy_total=total,

@@ -14,7 +14,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from .affine import AffineMap, AffineSet
 from .energy import energy, scalar_energy_add, scalar_energy_mul, shifted_nonzero
-from .errors import TooFewLines
+from .errors import InvariantViolation, TooFewLines
 from .exactmath import iroot, ratio, sqrt_floor_fraction
 from .fields import Field, Scalar
 from math import isqrt
@@ -269,7 +269,7 @@ def structure_report(inst: GridInstance) -> RichLineReport:
             and mixed <= e_plus
         )
         if not links:
-            raise AssertionError("parallel-family Cauchy-Schwarz chain violated")
+            raise InvariantViolation("parallel-family Cauchy-Schwarz chain violated")
         parallel_chain = ChainCheck(
             sum_over_B=sum_b,
             size_B=len(B),
@@ -305,7 +305,7 @@ def structure_report(inst: GridInstance) -> RichLineReport:
                 and mixed * mixed <= e_mul_x0 * e_mul_y0
             )
             if not links:
-                raise AssertionError("pencil Cauchy-Schwarz chain violated")
+                raise InvariantViolation("pencil Cauchy-Schwarz chain violated")
             pencil_chain = ChainCheck(
                 sum_over_B=sum_b,
                 size_B=len(B),

@@ -112,6 +112,18 @@ def test_max_on_line_matches_bruteforce(any_field):
         assert max_on_nonvertical_line(A) <= max_on_line(A)
 
 
+def test_max_on_line_fractional_directions():
+    """Over Q, directions with negative and fractional components: a line of
+    slope -9/7 through five points, a vertical line of three."""
+    line = [(Fraction(1, 2) - Fraction(t, 3), Fraction(1, 5) + Fraction(3 * t, 7)) for t in range(5)]
+    vertical = [(Fraction(1, 2), 1), (Fraction(1, 2), -2)]
+    A = AffineSet.from_pairs(Q, line + vertical + [(-3, Fraction(-4, 9))])
+    assert max_on_line(A) == 5 == _collinear_bruteforce_M(A)
+    assert max_on_nonvertical_line(A) == 5
+    assert max_on_vertical(A) == 3
+    assert max_on_nonvertical_line(AffineSet.from_pairs(Q, vertical)) == 1
+
+
 def _random_maps(field, seed, n):
     return list(seeded_random(n, seed, field, "affine"))
 
