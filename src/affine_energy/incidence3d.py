@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .affine import AffineMap, AffineSet
@@ -23,25 +23,7 @@ from .energy import CSlice, c_slice
 from .errors import InvariantViolation
 from .exactmath import ratio
 from .fields import Field, Scalar
-
-
-def _canonical_coords(field: Field, coords: Sequence) -> tuple:
-    """Scale so the first nonzero coordinate is 1; reject the zero vector."""
-    vals = [field.reduce(c) for c in coords]
-    pivot = next((v for v in vals if v != 0), None)
-    if pivot is None:
-        raise ValueError("projective coordinates cannot all vanish")
-    inv = field.inv(pivot)
-    return tuple(field.mul(inv, v) for v in vals)
-
-
-def _int_coords(field: Field, coords: Sequence) -> tuple:
-    """Denominator-cleared integer coordinates for hot loops (char 0)."""
-    fracs = [Fraction(c) for c in coords]
-    den = lcm(*(f.denominator for f in fracs))
-    ints = [int(f * den) for f in fracs]
-    g = gcd(*ints)
-    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
+from .projective import canon_int, canonical, int_coords
 
 
 @dataclass(frozen=True)
@@ -53,13 +35,11 @@ class Point3:
 
     @classmethod
     def of(cls, field: Field, coords: Sequence) -> "Point3":
-        return cls(field, _canonical_coords(field, coords))
+        return cls(field, canonical(field, coords))
 
     def raw(self) -> tuple:
         """Integer representative (F_p residues or cleared denominators)."""
-        if self.field.characteristic:
-            return self.coords
-        return _int_coords(self.field, self.coords)
+        return int_coords(self.field, self.coords)
 
     def __str__(self):
         return ":".join(self.field.render(c) for c in self.coords)
@@ -74,12 +54,10 @@ class Plane3:
 
     @classmethod
     def of(cls, field: Field, coeffs: Sequence) -> "Plane3":
-        return cls(field, _canonical_coords(field, coeffs))
+        return cls(field, canonical(field, coeffs))
 
     def raw(self) -> tuple:
-        if self.field.characteristic:
-            return self.coeffs
-        return _int_coords(self.field, self.coeffs)
+        return int_coords(self.field, self.coeffs)
 
     def __str__(self):
         return ":".join(self.field.render(c) for c in self.coeffs)
@@ -170,21 +148,7 @@ def incidences_bruteforce(P: Iterable[Point3], Pi: Iterable[Plane3]) -> int:
 
 def _direction_key(char: int, p: tuple, q: tuple) -> tuple:
     """Canonical Pluecker line key for the join of two distinct points."""
-    m = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            m.append(p[i] * q[j] - p[j] * q[i])
-    if char:
-        m = [v % char for v in m]
-        pivot = next(v for v in m if v)
-        inv = pow(pivot, -1, char)
-        return tuple((v * inv) % char for v in m)
-    g = gcd(*m)
-    m = [v // g for v in m]
-    pivot = next(v for v in m if v)
-    if pivot < 0:
-        m = [-v for v in m]
-    return tuple(m)
+    return canon_int(char, [p[i] * q[j] - p[j] * q[i] for i in range(4) for j in range(i + 1, 4)])
 
 
 def _line_keys(char: int, a: tuple, qs: Iterable[tuple]) -> List[tuple]:

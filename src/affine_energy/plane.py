@@ -4,14 +4,19 @@ Beck-point statistics and quadrangle counting.
 Points and lines are homogeneous triples in canonical form (last nonzero
 coordinate scaled to 1, so affine points are exactly those with z = 1 and the
 line at infinity is (0:0:1)).  Hot loops run on denominator-cleared integer
-triples; cross products implement meet and join.
+triples; cross products implement meet and join.  One span pass hashes the
+join of every point pair into {line key: member indices}; spanned lines,
+shadows, Beck statistics, the shadow check and the quadrangle count all read
+it, and PlaneLine/PlanePoint objects are built only for the caller.
 
 Quadrangles: ordered (g,h,u,v), pairwise constraints g!=h, u!=v, g!=u, h!=v,
 with line(g,h) and line(u,v) meeting the line at infinity at the same point
 and line(g,u), line(h,v) meeting the y-axis at the same point.  Both side
 conditions are projective: two vertical sides share the infinite point
 (0:1:0) of the y-axis and count as "same y-intercept".  Quadruples whose four
-points are collinear are excluded.
+points are collinear are excluded.  They are exactly the energy quadruples of
+P read as affine maps (a, b) -> (x -> a*x + b) that are neither trivial nor
+collinear, which is how quadrangles() counts them.
 """
 
 from __future__ import annotations
@@ -19,10 +24,10 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Dict, Iterable, Sequence, Set
 
 from .affine import AffineMap, AffineSet, quotient
+from .energy import ORACLE_CAP_DEFAULT, _energy, _quotient_pass, _table_energy
 from .errors import (
     EqualLines,
     InvariantViolation,
@@ -32,51 +37,21 @@ from .errors import (
     TooFewPoints,
 )
 from .fields import Field, Scalar
+from .projective import canon_int, canonical, int_coords
 
 
 # ---------------------------------------------------------------------------
 # canonical homogeneous triples
 
 
-def _canonical_triple(field: Field, coords: Sequence) -> tuple:
-    vals = [field.reduce(c) for c in coords]
-    pivot = None
-    for v in reversed(vals):
-        if v != 0:
-            pivot = v
-            break
-    if pivot is None:
-        raise ValueError("projective coordinates cannot all vanish")
-    inv = field.inv(pivot)
-    return tuple(field.mul(inv, v) for v in vals)
-
-
-def _int_triple(field: Field, coords: Sequence) -> tuple:
-    """Integer representative: residues over F_p, cleared denominators over Q."""
-    if field.characteristic:
-        return tuple(coords)
-    fracs = [Fraction(c) for c in coords]
-    den = lcm(*(f.denominator for f in fracs))
-    return tuple(int(f * den) for f in fracs)
-
-
 def _canon_int(char: int, t: tuple) -> tuple:
-    """Canonical hashable key of an integer triple; None-safe zero test is the caller's job."""
-    if char:
-        t = tuple(v % char for v in t)
-        pivot = None
-        for v in reversed(t):
-            if v:
-                pivot = v
-                break
-        inv = pow(pivot, -1, char)
-        return tuple((v * inv) % char for v in t)
-    g = gcd(*t)
-    t = tuple(v // g for v in t)
-    for v in reversed(t):
-        if v:
-            return t if v > 0 else tuple(-w for w in t)
-    raise ValueError("zero triple has no canonical form")
+    """Canonical hashable key of a nonzero integer triple, last nonzero
+    coordinate as pivot."""
+    return canon_int(char, t, last=True)
+
+
+def _is_zero(char: int, s: int) -> bool:
+    return s % char == 0 if char else s == 0
 
 
 def _cross(a: tuple, b: tuple) -> tuple:
@@ -98,7 +73,7 @@ class PlanePoint:
 
     @classmethod
     def of(cls, field: Field, coords: Sequence) -> "PlanePoint":
-        return cls(field, _canonical_triple(field, coords))
+        return cls(field, canonical(field, coords, last=True))
 
     @classmethod
     def affine(cls, field: Field, x, y) -> "PlanePoint":
@@ -109,7 +84,7 @@ class PlanePoint:
         return self.coords[2] != 0
 
     def raw(self) -> tuple:
-        return _int_triple(self.field, self.coords)
+        return int_coords(self.field, self.coords)
 
     def __str__(self):
         return ":".join(self.field.render(c) for c in self.coords)
@@ -124,7 +99,7 @@ class PlaneLine:
 
     @classmethod
     def of(cls, field: Field, coeffs: Sequence) -> "PlaneLine":
-        return cls(field, _canonical_triple(field, coeffs))
+        return cls(field, canonical(field, coeffs, last=True))
 
     @classmethod
     def infinity(cls, field: Field) -> "PlaneLine":
@@ -135,16 +110,14 @@ class PlaneLine:
         return cls.of(field, (1, 0, 0))
 
     def raw(self) -> tuple:
-        return _int_triple(self.field, self.coeffs)
+        return int_coords(self.field, self.coeffs)
 
     def __str__(self):
         return ":".join(self.field.render(c) for c in self.coeffs)
 
 
 def incident(p: PlanePoint, l: PlaneLine) -> bool:
-    s = _dot(p.raw(), l.raw())
-    char = p.field.characteristic
-    return s % char == 0 if char else s == 0
+    return _is_zero(p.field.characteristic, _dot(p.raw(), l.raw()))
 
 
 def join_points(p: PlanePoint, q: PlanePoint) -> PlaneLine:
@@ -176,36 +149,47 @@ def reflect_line(l: PlaneLine) -> PlaneLine:
 # spanned lines, shadows, Beck statistics
 
 
-def span_lines(P: Iterable[PlanePoint]) -> Set[PlaneLine]:
-    """L(P): deduplicated lines through at least two points of P."""
+def _span_pass(char: int, raws: list) -> Dict[tuple, Set[int]]:
+    """{line key: indices of its points} over the lines spanned by the raw
+    triples, each line keyed by the canonical join of any two of its points."""
+    lines: Dict[tuple, Set[int]] = defaultdict(set)
+    for i in range(len(raws)):
+        ri = raws[i]
+        for j in range(i + 1, len(raws)):
+            lines[_canon_int(char, _cross(ri, raws[j]))].update((i, j))
+    return lines
+
+
+def _shadow_keys(char: int, lines: Iterable[tuple], lraw: tuple) -> Set[tuple]:
+    """Canonical meets of the line keys with the raw line lraw (not one of them)."""
+    return {_canon_int(char, _cross(k, lraw)) for k in lines}
+
+
+def _distinct_points(P: Iterable[PlanePoint], message: str) -> list:
     pts = list(set(P))
     if len(pts) < 2:
-        raise TooFewPoints("need at least two points to span lines")
+        raise TooFewPoints(message)
+    return pts
+
+
+def span_lines(P: Iterable[PlanePoint]) -> Set[PlaneLine]:
+    """L(P): deduplicated lines through at least two points of P."""
+    pts = _distinct_points(P, "need at least two points to span lines")
     field = pts[0].field
-    char = field.characteristic
-    raws = [p.raw() for p in pts]
-    keys = set()
-    for i in range(len(raws)):
-        for j in range(i + 1, len(raws)):
-            keys.add(_canon_int(char, _cross(raws[i], raws[j])))
-    return {PlaneLine.of(field, k) for k in keys}
+    return {PlaneLine.of(field, k) for k in _span_pass(field.characteristic, [p.raw() for p in pts])}
 
 
 def shadow(P: Iterable[PlanePoint], l: PlaneLine) -> Set[PlanePoint]:
     """Distinct meets of the spanned lines of P with l; l must avoid P."""
     pts = list(set(P))
-    for p in pts:
-        if incident(p, l):
-            raise LineMeetsP(f"shadow line passes through {p}")
-    field = pts[0].field
-    char = field.characteristic
+    char = l.field.characteristic
+    raws = [p.raw() for p in pts]
     lraw = l.raw()
-    out = set()
-    for line in span_lines(pts):
-        c = _cross(line.raw(), lraw)
-        if any(c):
-            out.add(_canon_int(char, c))
-    return {PlanePoint.of(field, k) for k in out}
+    for p, r in zip(pts, raws):
+        if _is_zero(char, _dot(r, lraw)):
+            raise LineMeetsP(f"shadow line passes through {p}")
+    _distinct_points(pts, "need at least two points to span lines")
+    return {PlanePoint.of(l.field, k) for k in _shadow_keys(char, _span_pass(char, raws), lraw)}
 
 
 def incidence_count(P: Iterable[PlanePoint], lines: Iterable[PlaneLine]) -> int:
@@ -216,8 +200,7 @@ def incidence_count(P: Iterable[PlanePoint], lines: Iterable[PlaneLine]) -> int:
         lraw = line.raw()
         char = line.field.characteristic
         for praw in pts:
-            s = _dot(praw, lraw)
-            if (s % char == 0) if char else (s == 0):
+            if _is_zero(char, _dot(praw, lraw)):
                 total += 1
     return total
 
@@ -232,11 +215,13 @@ class BeckPointStats:
 
 def beck_point_stats(P: Iterable[PlanePoint], theta: Fraction = Fraction(1, 2)) -> BeckPointStats:
     """Per-point counts of spanned lines through each point of P."""
-    pts = list(set(P))
-    if len(pts) < 2:
-        raise TooFewPoints("need at least two points")
-    lines = span_lines(pts)
-    per_point = {p: sum(1 for l in lines if incident(p, l)) for p in pts}
+    pts = _distinct_points(P, "need at least two points")
+    lines = _span_pass(pts[0].field.characteristic, [p.raw() for p in pts])
+    counts = [0] * len(pts)
+    for members in lines.values():
+        for i in members:
+            counts[i] += 1
+    per_point = dict(zip(pts, counts))
     thresh = theta * len(pts)
     rich = sum(1 for c in per_point.values() if c >= thresh)
     return BeckPointStats(
@@ -450,17 +435,14 @@ def shadow_incidence_check(P: Iterable[PlanePoint], l1: PlaneLine, l2: PlaneLine
         if incident(p, linf) or incident(p, ly):
             raise InvariantViolation("normalized points must avoid both special lines")
 
-    lines = span_lines(img)
-    lhs_total = 0
-    lhs_nonvert = 0
-    for line in lines:
-        cnt = sum(1 for p in img if incident(p, line))
-        lhs_total += cnt
-        if line.coeffs[1] != 0:  # b != 0 <=> not through (0:1:0) <=> non-vertical
-            lhs_nonvert += cnt
+    char = field.characteristic
+    lines = _span_pass(char, [p.raw() for p in img])
+    lhs_total = sum(map(len, lines.values()))
+    # b != 0 <=> not through (0:1:0) <=> non-vertical
+    lhs_nonvert = sum(len(members) for k, members in lines.items() if k[1])
 
-    s_pts = shadow(img, linf)
-    t_pts = shadow(img, ly)
+    s_pts = {PlanePoint.of(field, k) for k in _shadow_keys(char, lines, linf.raw())}
+    t_pts = {PlanePoint.of(field, k) for k in _shadow_keys(char, lines, ly.raw())}
     # direction point of y = s*x + t is (1 : s : 0); vertical (0:1:0) dropped
     S_vals = {field.div(p.coords[1], p.coords[0]) for p in s_pts if p.coords[0] != 0}
     s_dropped = len(s_pts) - len(S_vals)
@@ -512,69 +494,25 @@ def _quadrangle_setup(P: Iterable[PlanePoint]):
 def quadrangles(P: Iterable[PlanePoint]) -> int:
     """|Q(P)|: ordered quadrangles rooted on the y-axis and the line at infinity.
 
-    For each (g,h,u) the fourth vertex is forced: v is the meet of the line
-    through u parallel to gh with the line through h and the y-axis point of
-    gu; count it when it lands in P and the quadruple is nondegenerate.
+    Counted through the energy identity: of the E(A_P) energy quadruples,
+    2n^2 - n are trivial (g = h or g = u), and on each spanned line l, with
+    L the points of P on l, E(L) - (2|L|^2 - |L|) are nontrivial and
+    collinear; the rest are the quadrangles.  On a vertical line the maps
+    share their slope and E(L) is the additive energy of the intercepts; on
+    the line b = m*a + c they are x -> a*(x + m) + c and E(L) is the
+    multiplicative energy of the slopes.
     """
     pts, field, char, raws = _quadrangle_setup(P)
-    n = len(raws)
-    if char:
-        inv = [0] * char
-        for r in range(1, char):
-            inv[r] = pow(r, -1, char)
-        index = {(x % char, y % char): i for i, (x, y, _) in enumerate(raws)}
-    else:
-        index = {_canon_int(0, r): i for i, r in enumerate(raws)}
-    # direction of line(i,j) and y-axis meet of line(i,j), as raw triples
-    dirs = [[None] * n for _ in range(n)]
-    mus = [[None] * n for _ in range(n)]
-    for i in range(n):
-        xi, yi, zi = raws[i]
-        for j in range(n):
-            if i == j:
-                continue
-            xj, yj, zj = raws[j]
-            # both affine: direction = (xj*zi - xi*zj : yj*zi - yi*zj : 0)
-            d = (xj * zi - xi * zj, yj * zi - yi * zj, 0)
-            if char:
-                d = (d[0] % char, d[1] % char, 0)
-            dirs[i][j] = d
-            line = _cross(raws[i], raws[j])
-            mu = (0, line[2], -line[1])
-            if char:
-                mu = (0, mu[1] % char, mu[2] % char)
-            mus[i][j] = mu
-    count = 0
-    for g in range(n):
-        for h in range(n):
-            if h == g:
-                continue
-            d = dirs[g][h]
-            raw_h = raws[h]
-            mus_g = mus[g]
-            for u in range(n):
-                if u == g:
-                    continue
-                l1 = _cross(raws[u], d)
-                # noncollinearity: if h (hence g) lies on l1, any candidate is
-                # collinear with g,h,u
-                if (_dot(l1, raw_h) % char == 0) if char else (_dot(l1, raw_h) == 0):
-                    continue
-                l2 = _cross(raw_h, mus_g[u])
-                v = _cross(l1, l2)
-                if char:
-                    v2 = v[2] % char
-                    if v2 == 0:
-                        continue
-                    w = inv[v2]
-                    vi = index.get((v[0] * w % char, v[1] * w % char))
-                else:
-                    if not any(v):
-                        continue
-                    vi = index.get(_canon_int(0, v))
-                if vi is None or vi == u or vi == h:
-                    continue
-                count += 1
+    n = len(pts)
+    pairs = [p.coords[:2] for p in pts]
+    count = _energy(_quotient_pass(field, pairs, pairs)[1]) - (2 * n * n - n)
+    for key, members in _span_pass(char, raws).items():
+        if key[1]:  # non-vertical
+            e = _table_energy([pairs[i][0] for i in members], field.mul)
+        else:
+            e = _table_energy([pairs[i][1] for i in members], field.add)
+        k = len(members)
+        count -= e - (2 * k * k - k)
     return count
 
 
@@ -640,7 +578,7 @@ class QuadrangleCorrespondence:
     geometric: int
     trivial: int  # g = h (so u = v) or g = u (so h = v)
     collinear: int  # nontrivial quadruples with all four points on one line
-    quadrangle_count: int  # independent geometric counter
+    quadrangle_count: int  # quadrangles_bruteforce up to ORACLE_CAP_DEFAULT points, quadrangles() above
 
     @property
     def exhaustive(self) -> bool:
@@ -660,7 +598,8 @@ def plane_points_as_affine_set(P: Iterable[PlanePoint]) -> AffineSet:
 def quadrangle_energy_correspondence(P: Iterable[PlanePoint]) -> QuadrangleCorrespondence:
     """Partitions the energy quadruples of P into geometric quadrangles,
     trivial members and collinear members, checking exhaustiveness against
-    the geometric counter."""
+    quadrangles_bruteforce while |P| <= ORACLE_CAP_DEFAULT; above the cap the
+    energy-identity count quadrangles() stands in."""
     pts, field, char, raws = _quadrangle_setup(P)
     n = len(pts)
     maps = [AffineMap(Scalar(field, p.coords[0]), Scalar(field, p.coords[1])) for p in pts]
@@ -715,5 +654,5 @@ def quadrangle_energy_correspondence(P: Iterable[PlanePoint]) -> QuadrangleCorre
         geometric=geometric,
         trivial=trivial,
         collinear=collinear,
-        quadrangle_count=quadrangles(pts),
+        quadrangle_count=quadrangles_bruteforce(pts, ORACLE_CAP_DEFAULT) if n <= ORACLE_CAP_DEFAULT else quadrangles(pts),
     )

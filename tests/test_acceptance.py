@@ -18,6 +18,7 @@ import time
 from fractions import Fraction
 
 import golden_suite
+import pytest
 from affine_energy import (
     APSpec,
     AffProductSpec,
@@ -62,10 +63,18 @@ Q = RATIONALS
 FIELDS = [("F101", F101), ("F1009", F1009), ("Q", Q)]
 
 RESULTS = []
+_STARTED = {}
+
+
+@pytest.fixture(autouse=True)
+def _criterion_clock():
+    _STARTED["t"] = time.time()
+    yield
 
 
 def record(num, text):
-    RESULTS.append((num, text))
+    """One summary line per criterion, with the criterion's elapsed time."""
+    RESULTS.append((num, f"{text} [{time.time() - _STARTED['t']:.1f} s]"))
 
 
 def oracle_suite_sets(field, count=200, base_seed=0):
@@ -95,7 +104,7 @@ def test_criterion_1_oracle_equivalence():
     elapsed = time.time() - t0
     assert checked == 600
     assert elapsed < 300, f"oracle suite took {elapsed:.1f}s, budget is 300s"
-    record(1, f"PASS oracle equivalence on {checked} sets in {elapsed:.1f}s")
+    record(1, f"PASS oracle equivalence on {checked} sets")
 
 
 def identity_suite():

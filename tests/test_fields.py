@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from affine_energy import PrimeField, RATIONALS, field_inv, parse_field, parse_scalar
 from affine_energy.errors import NotInField, ParseError, ZeroDenominator, ZeroInverse
+from affine_energy.fields import _is_prime
 from affine_energy.generators import Xorshift64Star
 
 
@@ -50,6 +51,31 @@ def test_prime_field_must_be_odd_prime():
         PrimeField(2)
     with pytest.raises(ParseError):
         PrimeField(91)
+
+
+def test_prime_field_large_primes():
+    """Miller-Rabin decides orders near 2^63 at once; trial division could not."""
+    assert PrimeField(2**61 - 1).characteristic == 2**61 - 1
+    assert PrimeField(2**63 - 25).characteristic == 2**63 - 25
+    assert PrimeField(2**61 - 1).inv(2) * 2 % (2**61 - 1) == 1
+
+
+@pytest.mark.parametrize("n", [561, 3825123056546413051])
+def test_prime_field_rejects_pseudoprimes(n):
+    """561 is a Carmichael number; 3825123056546413051 is a strong
+    pseudoprime to every base from 2 to 23."""
+    assert not _is_prime(n)
+    with pytest.raises(ParseError):
+        PrimeField(n)
+
+
+def test_is_prime_matches_trial_division():
+    sieve = [True] * 5000
+    sieve[0] = sieve[1] = False
+    for i in range(2, 71):
+        if sieve[i]:
+            sieve[i * i :: i] = [False] * len(sieve[i * i :: i])
+    assert [n for n in range(5000) if _is_prime(n)] == [n for n in range(5000) if sieve[n]]
 
 
 def test_canonical_roundtrip(any_field):

@@ -11,6 +11,7 @@ from affine_energy import (
     RATIONALS,
     apply_projective,
     beck_point_stats,
+    incidence_count,
     incident,
     join_points,
     meet_lines,
@@ -242,6 +243,28 @@ def test_quadrangles_vertical_pair_counts():
     assert corr.exhaustive and corr.geometric == 4
 
 
+def test_quadrangles_over_prime_above_2_61():
+    """The energy-identity count needs no table of size p."""
+    F = PrimeField(2**61 - 1)
+    for coords in (((1, 0), (2, 1), (2, 2), (4, 4)), ((1, 0), (2, 0), (1, 1), (2, 1))):
+        P = {pt(x, y, F) for x, y in coords}
+        assert quadrangles(P) == quadrangles_bruteforce(P) == 4
+        corr = quadrangle_energy_correspondence(P)
+        assert corr.exhaustive and corr.geometric == corr.quadrangle_count == 4
+
+
+def test_quadrangles_match_oracle_on_grids_and_lines():
+    F7 = PrimeField(7)
+    sets = [
+        {pt(x, y, F7) for x in range(1, 7) for y in range(7)},  # every affine point off the y-axis
+        {pt(x, y, F7) for x in (1, 2, 4) for y in (0, 3, 5)},
+        {pt(x, y) for x in (1, 2, 3, 4) for y in (1, 2, 4, 8)},
+        {pt(x, 2 * x + 1) for x in range(1, 7)} | {pt(3, y) for y in range(5)} | {pt(5, 5)},
+    ]
+    for P in sets:
+        assert quadrangles(P) == quadrangles_bruteforce(P)
+
+
 def test_quadrangles_rejects_y_axis():
     with pytest.raises(PointOnYAxis):
         quadrangles({pt(0, 1), pt(1, 1)})
@@ -267,6 +290,18 @@ def test_correspondence_vertical_coset():
     assert corr.energy_total == corr.trivial + corr.collinear
 
 
+def test_correspondence_checks_against_oracle(monkeypatch):
+    """Up to the oracle cap the partition is checked against the quadruple
+    enumeration, not against the energy-identity count it shares terms with."""
+    import affine_energy.plane as plane
+
+    P = {pt(1, 0), pt(2, 1), pt(2, 2), pt(4, 4)}
+    monkeypatch.setattr(plane, "quadrangles", lambda P: 4)
+    monkeypatch.setattr(plane, "quadrangles_bruteforce", lambda P, cap: 5)
+    corr = plane.quadrangle_energy_correspondence(P)
+    assert corr.quadrangle_count == 5 and not corr.exhaustive
+
+
 def test_correspondence_random(any_field):
     for seed in (29, 31):
         P = seeded_random(10, seed, any_field, "planar")
@@ -290,3 +325,37 @@ def test_reflect_involution():
     assert reflect_line(reflect_line(l)) == l
     # gamma maps incidences to incidences
     assert incident(p, l) == incident(reflect_point(p), reflect_line(l))
+
+
+def _collinear_rich_sets():
+    """Grids and unions of lines over F_7 and Q, each with a line avoiding it."""
+    F7 = PrimeField(7)
+    yield {pt(x, y, F7) for x in (1, 2, 3) for y in (1, 2, 3)}, PlaneLine.of(F7, (1, 0, -5))
+    yield {pt(x, 3 * x + 2, F7) for x in range(1, 7)} | {pt(2, y, F7) for y in range(7)}, PlaneLine.infinity(F7)
+    yield {pt(x, y) for x in range(1, 5) for y in range(1, 5)}, PlaneLine.of(Q, (1, 0, -7))
+    yield {pt(x, x) for x in range(1, 7)} | {pt(x, 7 - x) for x in range(1, 7)} | {pt(3, y) for y in range(-3, 4)}, PlaneLine.of(Q, (0, 1, -9))
+
+
+def test_span_pass_against_incidence_scans():
+    """Span-pass outputs against direct point-by-line scans over the joins."""
+    for P, l in _collinear_rich_sets():
+        P = list(P)
+        joins = {join_points(p, q) for i, p in enumerate(P) for q in P[i + 1 :]}
+        assert span_lines(P) == joins
+        stats = beck_point_stats(P)
+        assert stats.lines_total == len(joins)
+        assert stats.per_point == {p: incidence_count({p}, joins) for p in P}
+        assert len(shadow(P, l)) == len({meet_lines(line, l) for line in joins})
+
+        field = P[0].field
+        linf, ly = PlaneLine.infinity(field), PlaneLine.y_axis(field)
+        for l1, l2 in ((ly, linf), (PlaneLine.of(field, (1, 1, 1)), PlaneLine.of(field, (1, 2, 5)))):
+            kept = [p for p in P if not incident(p, l1) and not incident(p, l2)]
+            rep = shadow_incidence_check(P, l1, l2)
+            assert rep.removed_points == len(P) - len(kept)
+            img = apply_projective(normalize_two_lines(l1, l2), kept)
+            lines = {join_points(p, q) for p in img for q in img if p != q}
+            assert rep.lhs_total == incidence_count(img, lines)
+            assert rep.lhs_nonvertical == incidence_count(img, {line for line in lines if line.coeffs[1] != 0})
+            assert rep.s_size + rep.s_dropped_infinite == len({meet_lines(line, linf) for line in lines})
+            assert rep.t_size + rep.t_dropped_infinite == len({meet_lines(line, ly) for line in lines})
