@@ -16,7 +16,6 @@ from typing import List, Optional
 
 from .affine import AffineSet, max_on_vertical
 from .energy import (
-    c_slice,
     decompose_by_C,
     decompose_bruteforce,
     energy,
@@ -38,15 +37,7 @@ from .generators import (
     parse_gen_spec,
     render_gen_spec,
 )
-from .incidence3d import (
-    IncidenceInstance,
-    beck_plane_classification,
-    pointplane_bound_report,
-    q_c_incidence_table,
-    slice_planes,
-    slice_points,
-    top_slice_reports,
-)
+from .incidence3d import _beck_stats, _pointplane_report, _raw_slices, q_c_incidence_table, top_slice_reports
 from .plane import (
     PlaneLine,
     PlanePoint,
@@ -176,24 +167,19 @@ def _cmd_decompose(args) -> int:
 def _cmd_incidence(args) -> int:
     field = _resolve_field(args)
     A = _load_affine(args, field)
-    table = decompose_by_C(A)
+    char = field.characteristic
+    slices = _raw_slices(A)
     per_c = {}
     mismatches = 0
     ratios = []
-    biggest = None
-    for C, q in table.items():
-        sl = c_slice(A, C)
-        inst = IncidenceInstance.of(slice_points(sl), slice_planes(sl))
-        if not len(inst.points) == len(inst.planes) == len(sl):
-            raise InvariantViolation("slice-to-projective maps must be injective")
-        if biggest is None or len(sl) > len(biggest[1]):
-            biggest = (C, sl, inst)
-        pp = pointplane_bound_report(inst, field.characteristic or None)
+    for C, q in decompose_by_C(A).items():
+        pts, planes = slices[C.value]
+        pp = _pointplane_report(char, pts, planes)
         ratios.append(pp.ratio)
         if pp.incidence_count != q:
             mismatches += 1
         per_c[field.render(C.value)] = {
-            "slice": len(sl),
+            "slice": len(pts),
             "q": q,
             "q_via_incidence": pp.incidence_count,
             "k": pp.k,
@@ -207,11 +193,11 @@ def _cmd_incidence(args) -> int:
         "max_theorem_ratio": reports.frac_pair(max(ratios)) if ratios else None,
         "per_c": per_c,
     }
-    if biggest is not None:
-        inst = biggest[2]
-        stats = beck_plane_classification(inst.points, inst.planes, cthresh=args.cthresh)
+    if slices:
+        biggest = max(slices, key=lambda c: len(slices[c][0]))  # the first largest in canonical order
+        stats = _beck_stats(char, *slices[biggest], cthresh=args.cthresh)
         payload["beck_planes_largest_slice"] = {
-            "slice_c": field.render(biggest[0].value),
+            "slice_c": field.render(biggest),
             "cthresh": args.cthresh,
             "type_i": sum(1 for s in stats if s.label == "type-i"),
             "type_ii": sum(1 for s in stats if s.label == "type-ii"),

@@ -15,7 +15,9 @@ from typing import List, Set, Tuple
 from .affine import AffineSet, affine_map
 from .errors import ParseError
 from .fields import Field, parse_field, parse_scalar
+from .incidence3d import Plane3, Point3
 from .plane import PlanePoint
+from .reports import render_field
 from .richlines import GridInstance
 
 
@@ -47,8 +49,6 @@ def read_affine_set(text: str) -> Tuple[Field, AffineSet]:
 
 
 def write_affine_set(field: Field, A: AffineSet) -> str:
-    from .reports import render_field
-
     rows = [f"field {render_field(field)}"]
     for g in A.sorted_maps():
         rows.append(f"{field.render(g.a.value)} {field.render(g.b.value)}")
@@ -74,8 +74,6 @@ def read_planar_set(text: str) -> Tuple[Field, Set[PlanePoint]]:
 
 
 def write_planar_set(field: Field, pts) -> str:
-    from .reports import render_field
-
     rows = [f"field {render_field(field)}"]
     for p in sorted(pts, key=lambda q: str(q)):
         rows.append(":".join(field.render(c) for c in p.coords))
@@ -84,8 +82,6 @@ def write_planar_set(field: Field, pts) -> str:
 
 def read_points3(text: str):
     """3D projective points, one whitespace-separated coordinate row each."""
-    from .incidence3d import Point3
-
     field, rows = _read_header(_content_lines(text))
     pts = set()
     for row in rows:
@@ -98,8 +94,6 @@ def read_points3(text: str):
 
 def read_planes3(text: str):
     """3D planes, one whitespace-separated coefficient row each."""
-    from .incidence3d import Plane3
-
     field, rows = _read_header(_content_lines(text))
     planes = set()
     for row in rows:
@@ -111,8 +105,6 @@ def read_planes3(text: str):
 
 
 def write_points3(field: Field, pts) -> str:
-    from .reports import render_field
-
     rows = [f"field {render_field(field)}"]
     for p in sorted(pts, key=lambda q: str(q)):
         rows.append(" ".join(field.render(c) for c in p.coords))
@@ -120,8 +112,6 @@ def write_points3(field: Field, pts) -> str:
 
 
 def write_planes3(field: Field, planes) -> str:
-    from .reports import render_field
-
     rows = [f"field {render_field(field)}"]
     for pl in sorted(planes, key=lambda q: str(q)):
         rows.append(" ".join(field.render(c) for c in pl.coeffs))

@@ -5,22 +5,26 @@ becomes the plane u2*x0 - u1*x1 - x2 + u1*h2*x3 = 0.  An incidence between
 them is exactly the second energy equation, so Q_C = I(P_C, Pi_C) once the
 slice fixes g1*v1 = h1*u1 = C.
 
-Counting works on denominator-cleared integer coordinate 4-tuples; the public
-Point3/Plane3 values store the canonical projective form (first nonzero
-coordinate scaled to 1).
+Every count runs in a private core on raw integer 4-tuples (residues over
+F_p, denominator-cleared primitive vectors over Q).  The slice pipelines
+(`q_c_incidence_table`, `top_slice_reports`, the CLI) build those tuples
+straight from the slope classes of A in `_raw_slices`; Point3/Plane3, which
+store the canonical projective form (first nonzero coordinate scaled to 1),
+exist only at the API edge, and each public function calls raw() once and
+delegates to its core.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .affine import AffineMap, AffineSet
-from .energy import CSlice, c_slice
-from .errors import InvariantViolation
+from .energy import CSlice, _slope_classes
+from .errors import InvariantViolation, ZeroC
 from .exactmath import ratio
 from .fields import Field, Scalar
 from .projective import canon_int, canonical, int_coords
@@ -121,15 +125,22 @@ def _on_plane(char: int, buckets: Dict[tuple, set], c: tuple) -> List[tuple]:
     return out
 
 
+def _incidences(char: int, points: Iterable[tuple], planes: Iterable[tuple]) -> int:
+    """Incidences between distinct raw points and distinct raw planes."""
+    buckets = _x2_buckets(points)
+    return sum(len(_on_plane(char, buckets, c)) for c in planes)
+
+
+def _characteristic(objs: Iterable) -> int:
+    """The characteristic of the field of the Point3/Plane3 values; 0 if none."""
+    return next((o.field.characteristic for o in objs), 0)
+
+
 def incidences(P: Iterable[Point3], Pi: Iterable[Plane3]) -> int:
     """Exact incidence count: points bucketed by (x0, x1, x3), one test per
     bucket and plane."""
     pts = set(P)
-    if not pts:
-        return 0
-    char = next(iter(pts)).field.characteristic
-    buckets = _x2_buckets(p.raw() for p in pts)
-    return sum(len(_on_plane(char, buckets, c.raw())) for c in set(Pi))
+    return _incidences(_characteristic(pts), [p.raw() for p in pts], [c.raw() for c in set(Pi)])
 
 
 def incidences_bruteforce(P: Iterable[Point3], Pi: Iterable[Plane3]) -> int:
@@ -190,14 +201,11 @@ def _line_keys(char: int, a: tuple, qs: Iterable[tuple]) -> List[tuple]:
     return keys
 
 
-def max_collinear_3d(P: Iterable[Point3]) -> int:
-    """k: the most points of P on one projective line; anchor bucketing."""
-    pts = list(set(P))
-    n = len(pts)
+def _max_collinear(char: int, raws: Sequence[tuple]) -> int:
+    """k of distinct raw points: anchor bucketing."""
+    n = len(raws)
     if n <= 2:
         return n
-    char = pts[0].field.characteristic
-    raws = [p.raw() for p in pts]
     best = 2
     for i in range(n - 1):
         if n - i <= best:  # no line through a later anchor can beat best
@@ -205,6 +213,12 @@ def max_collinear_3d(P: Iterable[Point3]) -> int:
         counts = Counter(_line_keys(char, raws[i], raws[i + 1 :]))
         best = max(best, 1 + max(counts.values()))
     return best
+
+
+def max_collinear_3d(P: Iterable[Point3]) -> int:
+    """k: the most points of P on one projective line."""
+    pts = set(P)
+    return _max_collinear(_characteristic(pts), [p.raw() for p in pts])
 
 
 def _collinear3(char: int, p: tuple, q: tuple, r: tuple) -> bool:
@@ -244,34 +258,52 @@ def slice_planes(sl: CSlice) -> List[Plane3]:
     return [build_plane(u, h) for u, h in sl.pairs]
 
 
-def _slice_incidences(sl: CSlice) -> int:
-    pts, planes = slice_points(sl), slice_planes(sl)
-    if len(set(pts)) != len(sl) or len(set(planes)) != len(sl):
+def _raw_slices(A: AffineSet, only: Optional[set] = None) -> Dict[object, Tuple[List[tuple], List[tuple]]]:
+    """{C value: (raw points, raw planes)} for every realized C, or for
+    those among the C values `only`, in the field's canonical order.
+
+    A pair (g, v) of slope classes x and y lands in C = x*y.  Over Q slopes
+    and intercepts are cleared by one common denominator D (D = 1 over F_p):
+    with X = D*x, the point (D*X : D*b_g : X*b_v : D^2) and the plane
+    (D*b_g : -D*X : -D^2 : X*b_v) are build_point/build_plane scaled by D^2,
+    so their canon_int is the objects' raw().  Raises InvariantViolation
+    unless both maps are injective on each slice.
+    """
+    field = A.field
+    p = field.characteristic
+    classes = _slope_classes(g.key() for g in A)
+    D = 1 if p else lcm(*(v.denominator for x, bs in classes for v in (x, *bs)))
+    # each class as its slope and its cleared [X, b, b, ...]
+    cleared = [(x, [v if p else v.numerator * (D // v.denominator) for v in (x, *bs)]) for x, bs in classes]
+    DD = D * D
+    slices: dict = defaultdict(lambda: ([], []))
+    for x, (X, *gs) in cleared:
+        for y, (_, *vs) in cleared:
+            c = field.mul(x, y)
+            if only is not None and c not in only:
+                continue
+            pts, planes = slices[c]
+            for bg in gs:
+                pts.extend(canon_int(p, (D * X, D * bg, X * bv, DD)) for bv in vs)
+                planes.extend(canon_int(p, (D * bg, -D * X, -DD, X * bv)) for bv in vs)
+    if any(len(set(pts)) != len(pts) or len(set(planes)) != len(planes) for pts, planes in slices.values()):
         raise InvariantViolation("slice-to-projective maps must be injective")
-    return incidences(pts, planes)
+    return {c: slices[c] for c in sorted(slices, key=field.sort_key)}
 
 
 def q_c_via_incidence(A: AffineSet, C: Scalar) -> int:
     """Q_C through the point-plane reduction; must match decompose_by_C[C].
     Raises ZeroC on C = 0."""
-    return _slice_incidences(c_slice(A, C))
+    if not C:
+        raise ZeroC("slice parameter C must be nonzero")
+    return q_c_incidence_table(A).get(C, 0)
 
 
 def q_c_incidence_table(A: AffineSet) -> Dict[Scalar, int]:
-    """Q_C via incidences for every realized C, sharing one slope grouping."""
+    """Q_C via incidences for every realized C, from the raw slices."""
     field = A.field
-    by_slope: dict = defaultdict(list)
-    for g in A:
-        by_slope[g.a.value].append(g)
-    pair_lists: dict = defaultdict(list)
-    for x, gs in by_slope.items():
-        for y, vs in by_slope.items():
-            pair_lists[field.mul(x, y)].extend((g, v) for g in gs for v in vs)
-    out: Dict[Scalar, int] = {}
-    for cval in sorted(pair_lists, key=field.sort_key):
-        C = Scalar(field, cval)
-        out[C] = _slice_incidences(CSlice(C, frozenset(pair_lists[cval])))
-    return out
+    slices = _raw_slices(A)
+    return {Scalar(field, c): _incidences(field.characteristic, *slices[c]) for c in slices}
 
 
 @dataclass
@@ -302,33 +334,22 @@ class PointPlaneReport:
     ratio_corrected: Optional[Fraction] = None  # (I - |Pi||P|/p) / rhs
 
 
-def pointplane_bound_report(inst: IncidenceInstance, char_p: Optional[int] = None) -> PointPlaneReport:
-    """I against |Pi||P|^{1/2} + k|Pi|, with the char-p corrected variant."""
-    n_pts, n_pls = len(inst.points), len(inst.planes)
+def _pointplane_report(char: int, points: Sequence[tuple], planes: Sequence[tuple], k: Optional[int] = None) -> PointPlaneReport:
+    """The report on distinct raw points and planes; k, the points'
+    collinearity, is computed here unless given."""
+    n_pts, n_pls = len(points), len(planes)
     swapped = n_pts > n_pls
     if swapped:
         # Dual instance: points become planes; k then measures the planes-as-
         # points side, recomputed on their coefficient vectors.
-        dual_pts = [Point3(pl.field, pl.coeffs) for pl in inst.planes]
-        k = max_collinear_3d(dual_pts)
-        small, large = n_pls, n_pts
-    else:
-        k = inst.k
-        small, large = n_pts, n_pls
-    count = incidences(inst.points, inst.planes)
+        k = _max_collinear(char, planes)
+    elif k is None:
+        k = _max_collinear(char, points)
+    small, large = min(n_pts, n_pls), max(n_pts, n_pls)
+    count = _incidences(char, points, planes)
     rhs = large * isqrt(small) + k * large
-    r = ratio(count, rhs)
-    char = char_p
-    if char is None:
-        for p in inst.points:
-            char = p.field.characteristic
-            break
-        char = char or 0
-    p_ok = None
-    corrected = None
-    if char:
-        p_ok = small <= char * char
-        corrected = ratio(Fraction(count) - Fraction(n_pls * n_pts, char), rhs)
+    p_ok = small <= char * char if char else None
+    corrected = ratio(Fraction(count) - Fraction(n_pls * n_pts, char), rhs) if char else None
     return PointPlaneReport(
         incidence_count=count,
         n_points=n_pts,
@@ -336,11 +357,18 @@ def pointplane_bound_report(inst: IncidenceInstance, char_p: Optional[int] = Non
         k=k,
         swapped=swapped,
         rhs=rhs,
-        ratio=r,
+        ratio=ratio(count, rhs),
         characteristic=char,
         p_constraint_ok=p_ok,
         ratio_corrected=corrected,
     )
+
+
+def pointplane_bound_report(inst: IncidenceInstance) -> PointPlaneReport:
+    """I against |Pi||P|^{1/2} + k|Pi|, with the char-p corrected variant in
+    the characteristic of the instance's field."""
+    char = _characteristic(inst.points or inst.planes)
+    return _pointplane_report(char, [p.raw() for p in inst.points], [c.raw() for c in inst.planes], inst.k)
 
 
 def top_slice_reports(A: AffineSet, per_c: Dict[Scalar, Tuple[int, int]], top: int) -> List[Tuple[Scalar, PointPlaneReport]]:
@@ -350,20 +378,16 @@ def top_slice_reports(A: AffineSet, per_c: Dict[Scalar, Tuple[int, int]], top: i
     to the smaller C in the field's canonical order.
     """
     field = A.field
-    ranked = sorted(per_c, key=lambda C: (-per_c[C][0], field.sort_key(C.value)))
-    out = []
-    for C in ranked[:top]:
-        sl = c_slice(A, C)
-        inst = IncidenceInstance.of(slice_points(sl), slice_planes(sl))
-        out.append((C, pointplane_bound_report(inst, field.characteristic or None)))
-    return out
+    ranked = sorted(per_c, key=lambda C: (-per_c[C][0], field.sort_key(C.value)))[:top]
+    slices = _raw_slices(A, {C.value for C in ranked})
+    return [(C, _pointplane_report(field.characteristic, *slices[C.value])) for C in ranked]
 
 
 @dataclass
 class PlaneStats:
     """Per-plane pair statistics for the Beck-type (i)/(ii) split."""
 
-    plane: Plane3
+    plane: Plane3  # the raw tuple in the core's rows
     points_on_plane: int
     ordered_pairs: int
     max_pairs_one_line: int
@@ -371,25 +395,17 @@ class PlaneStats:
     label: str  # "type-i" | "type-ii" (reported statistics, not claims)
 
 
-def beck_plane_classification(
-    P: Iterable[Point3],
-    Pi: Iterable[Plane3],
-    cthresh: int = 4,
-    dominance: Fraction = Fraction(1, 2),
+def _beck_stats(
+    char: int, points: Iterable[tuple], planes: Iterable[tuple], cthresh: int = 4, dominance: Fraction = Fraction(1, 2)
 ) -> List[PlaneStats]:
-    """Per-plane line-pair statistics; planes with <= 1 point are excluded.
-
-    A plane is labeled type-i when a single line holds at least `dominance`
-    of its ordered point pairs, else type-ii.
-    """
+    """The rows of beck_plane_classification on distinct raw points and
+    planes, in the planes' order, each row's `plane` being the raw tuple."""
     if cthresh < 2:
         raise ValueError("cthresh must be at least 2")
-    pts = set(P)
-    char = next(iter(pts)).field.characteristic if pts else 0
-    buckets = _x2_buckets(p.raw() for p in pts)
+    buckets = _x2_buckets(points)
     out: List[PlaneStats] = []
-    for plane in sorted(set(Pi), key=lambda c: str(c)):
-        raws = _on_plane(char, buckets, plane.raw())
+    for plane in planes:
+        raws = _on_plane(char, buckets, plane)
         t = len(raws)
         if t <= 1:
             continue
@@ -409,22 +425,22 @@ def beck_plane_classification(
                 for m in members:
                     covered[m].update(members)
         total_pairs = t * (t - 1)
-        max_line = 0
-        sparse_pairs = 0
-        for s in line_sizes:
-            pairs = s * (s - 1)
-            max_line = max(max_line, pairs)
-            if s < cthresh:
-                sparse_pairs += pairs
+        max_line = max(s * (s - 1) for s in line_sizes)
+        sparse_pairs = sum(s * (s - 1) for s in line_sizes if s < cthresh)
         label = "type-i" if Fraction(max_line) >= dominance * total_pairs else "type-ii"
-        out.append(
-            PlaneStats(
-                plane=plane,
-                points_on_plane=t,
-                ordered_pairs=total_pairs,
-                max_pairs_one_line=max_line,
-                pairs_on_sparse_lines=sparse_pairs,
-                label=label,
-            )
-        )
+        out.append(PlaneStats(plane, t, total_pairs, max_line, sparse_pairs, label))
     return out
+
+
+def beck_plane_classification(
+    P: Iterable[Point3], Pi: Iterable[Plane3], cthresh: int = 4, dominance: Fraction = Fraction(1, 2)
+) -> List[PlaneStats]:
+    """Per-plane line-pair statistics; planes with <= 1 point are excluded.
+
+    A plane is labeled type-i when a single line holds at least `dominance`
+    of its ordered point pairs, else type-ii.
+    """
+    pts = set(P)
+    planes = {c.raw(): c for c in sorted(set(Pi), key=lambda c: str(c))}
+    rows = _beck_stats(_characteristic(pts), [p.raw() for p in pts], planes, cthresh, dominance)
+    return [replace(row, plane=planes[row.plane]) for row in rows]

@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterable, Sequence, Set
 
 from .affine import AffineMap, AffineSet, quotient
@@ -449,13 +450,17 @@ def shadow_incidence_check(P: Iterable[PlanePoint], l1: PlaneLine, l2: PlaneLine
     T_vals = {p.coords[1] for p in t_pts if p.coords[2] != 0}  # (0:t:1) -> t
     t_dropped = len(t_pts) - len(T_vals)
 
-    rhs = 0
-    for p in img:
-        p1, p2 = p.coords[0], p.coords[1]
-        for sv in S_vals:
-            tv = field.sub(p2, field.mul(p1, sv))
-            if tv in T_vals:
-                rhs += 1
+    # rhs = #{(p, s) : p2 - p1*s in T}, in integers: the points are cleared
+    # by one denominator dp and S by ds (both 1 over F_p), so the key is
+    # y*ds - x*sigma and T is kept at scale dp*ds, where each t is integral:
+    # t = p2 - p1*s for a point p of img on a line of slope s in S.
+    dp = lcm(*(c.denominator for p in img for c in p.coords))
+    ds = lcm(*(sv.denominator for sv in S_vals))
+    xys = [[c.numerator * (dp // c.denominator) for c in p.coords[:2]] for p in img]
+    sigmas = [sv.numerator * (ds // sv.denominator) for sv in S_vals]
+    targets = {(tv * dp * ds).numerator for tv in T_vals}
+    keys = (y * ds - x * sigma for x, y in xys for sigma in sigmas)
+    rhs = sum((key % char if char else key) in targets for key in keys)
 
     if lhs_nonvert > rhs:
         raise InvariantViolation("grid injection violated: lhs_nonvertical > rhs")

@@ -1,5 +1,6 @@
 """3D reduction: point/plane building, incidences, collinearity, Beck split."""
 
+import json
 import os
 import random
 import subprocess
@@ -16,6 +17,7 @@ from affine_energy import (
     Point3,
     PrimeField,
     RATIONALS,
+    Scalar,
     affine_map,
     beck_plane_classification,
     build_plane,
@@ -30,11 +32,15 @@ from affine_energy import (
     q_c_incidence_table,
     q_c_via_incidence,
     seeded_random,
+    top_slice_reports,
 )
 from affine_energy.affine import max_on_nonvertical_line
+from affine_energy.cli import main
 from affine_energy.errors import ZeroC
+from affine_energy.files import write_affine_set
 from affine_energy.generators import GridSpec, generate
-from affine_energy.incidence3d import collinear_bruteforce, incidences_bruteforce, slice_planes, slice_points
+from affine_energy.incidence3d import _raw_slices, collinear_bruteforce, incidences_bruteforce, slice_planes, slice_points
+from affine_energy.reports import render_field
 
 Q = RATIONALS
 GENERAL_FIELDS = [Q, PrimeField(7), PrimeField(101)]
@@ -179,6 +185,7 @@ def test_q_c_via_incidence_examples():
     A = AffineSet.from_pairs(Q, [(1, 0), (2, 0)])
     assert q_c_via_incidence(A, Q.scalar(2)) == 4
     assert q_c_via_incidence(AffineSet.from_pairs(Q, [(1, 0)]), Q.scalar(1)) == 1
+    assert q_c_via_incidence(A, Q.scalar(3)) == 0  # C not realized
     with pytest.raises(ZeroC):
         q_c_via_incidence(A, Q.scalar(0))
 
@@ -194,6 +201,69 @@ def test_q_c_incidence_matches_decomposition_random(any_field):
     for seed in (7, 8):
         A = seeded_random(12, seed, any_field, "affine")
         assert q_c_incidence_table(A) == decompose_by_C(A)
+
+
+def _slice_sets():
+    """F_11 grid:7 (slope products wrap mod 11), random F_101 sets, and a Q
+    set with negative fractional slopes and intercepts."""
+    yield generate(GridSpec(7), PrimeField(11))
+    for seed in (1, 2, 3):
+        yield seeded_random(20, seed, PrimeField(101), "affine")
+    F = Fraction
+    pairs = [(F(-1, 2), F(3, 4)), (F(-1, 2), F(-5, 3)), (F(2, 3), F(-1, 7)), (F(-3), F(1, 2)), (F(-3), F(-2)), (F(1, 5), 0)]
+    pairs += [(F(2, 3), F(5, 2)), (F(-2, 3), F(-5, 2)), (F(3, 2), F(1, 3)), (F(-1, 2), 7), (4, F(-1, 4)), (F(-1, 3), F(1, 9))]
+    yield AffineSet.from_pairs(Q, pairs)
+
+
+def _reference_instance(A, C):
+    sl = c_slice(A, C)
+    return IncidenceInstance.of(slice_points(sl), slice_planes(sl))
+
+
+def test_raw_slices_match_slice_objects():
+    """The builder's tuples are the raw() of slice_points/slice_planes on
+    every realized C, and its keys are the C's of decompose_by_C."""
+    for A in _slice_sets():
+        field = A.field
+        slices = _raw_slices(A)
+        assert list(slices) == [C.value for C in decompose_by_C(A)]
+        for c, (pts, planes) in slices.items():
+            sl = c_slice(A, Scalar(field, c))
+            assert sorted(pts) == sorted(p.raw() for p in slice_points(sl))
+            assert sorted(planes) == sorted(pl.raw() for pl in slice_planes(sl))
+        some = set(list(slices)[::3])
+        assert _raw_slices(A, some) == {c: v for c, v in slices.items() if c in some}
+
+
+def test_slice_reports_match_object_route(tmp_path):
+    """top_slice_reports and the per-C k and q_via_incidence of `cli
+    incidence` against pointplane_bound_report on the Point3/Plane3 slice."""
+    for A in _slice_sets():
+        field = A.field
+        dec = decompose_by_C(A)
+        per_c = {C: (len(c_slice(A, C)), q) for C, q in dec.items()}
+        for C, rep in top_slice_reports(A, per_c, 4):
+            assert rep == pointplane_bound_report(_reference_instance(A, C))
+
+        path, out = tmp_path / "set.txt", tmp_path / "incidence.json"
+        path.write_text(write_affine_set(field, A))
+        assert main(["incidence", "--input", str(path), "--field", render_field(field), "--cthresh", "3", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        for C in dec:
+            ref = pointplane_bound_report(_reference_instance(A, C))
+            row = report["per_c"][field.render(C.value)]
+            assert (row["k"], row["q_via_incidence"], row["slice"]) == (ref.k, ref.incidence_count, ref.n_points)
+        size = max(len(c_slice(A, C)) for C in dec)
+        largest = next(C for C in dec if len(c_slice(A, C)) == size)  # first largest in canonical order
+        inst = _reference_instance(A, largest)
+        rows = beck_plane_classification(inst.points, inst.planes, cthresh=3)
+        beck = report["beck_planes_largest_slice"]
+        assert beck["slice_c"] == field.render(largest.value)
+        assert (beck["type_i"], beck["type_ii"], beck["planes_with_pairs"]) == (
+            sum(r.label == "type-i" for r in rows),
+            sum(r.label == "type-ii" for r in rows),
+            len(rows),
+        )
 
 
 def test_k_at_most_M_on_slices(any_field):
@@ -256,7 +326,7 @@ def test_pointplane_char_p_correction():
     F = PrimeField(101)
     pts = [Point3.of(F, (x, y, x * y, 1)) for x in range(1, 6) for y in range(1, 6)]
     planes = [Plane3.of(F, (a, b, -1, 1)) for a in range(1, 6) for b in range(1, 6)]
-    rep = pointplane_bound_report(IncidenceInstance.of(pts, planes), 101)
+    rep = pointplane_bound_report(IncidenceInstance.of(pts, planes))
     assert rep.p_constraint_ok is True
     assert rep.ratio_corrected == (Fraction(rep.incidence_count) - Fraction(25 * 25, 101)) / rep.rhs
 
@@ -350,15 +420,12 @@ import affine_energy.incidence3d as inc
 from affine_energy import AffineSet, RATIONALS
 from affine_energy.errors import InvariantViolation
 
-real = inc.slice_points
+
+def collapsed(char, t, last=False):
+    return (1, 0, 0, 0)  # every slice point and plane becomes one tuple
 
 
-def duplicated(sl):
-    pts = real(sl)
-    return pts[:1] + pts[:-1]
-
-
-inc.slice_points = cli.slice_points = duplicated
+inc.canon_int = collapsed
 print("optimize", sys.flags.optimize)
 try:
     inc.q_c_via_incidence(AffineSet.from_pairs(RATIONALS, [(1, 0), (2, 0)]), RATIONALS.scalar(2))

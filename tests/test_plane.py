@@ -1,5 +1,7 @@
 """Planar machinery: spans, shadows, normalization, quadrangles."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -334,6 +336,10 @@ def _collinear_rich_sets():
     yield {pt(x, 3 * x + 2, F7) for x in range(1, 7)} | {pt(2, y, F7) for y in range(7)}, PlaneLine.infinity(F7)
     yield {pt(x, y) for x in range(1, 5) for y in range(1, 5)}, PlaneLine.of(Q, (1, 0, -7))
     yield {pt(x, x) for x in range(1, 7)} | {pt(x, 7 - x) for x in range(1, 7)} | {pt(3, y) for y in range(-3, 4)}, PlaneLine.of(Q, (0, 1, -9))
+    # unlike denominators in x and y, and a line y = x/2 - 1/3 through three points
+    F = Fraction
+    scattered = {pt(F(1, 2), F(1, 3)), pt(F(3, 4), F(-2, 5)), pt(F(5, 3), F(1, 7)), pt(1, F(3, 11)), pt(F(7, 2), 2)}
+    yield scattered | {pt(x, x / 2 - F(1, 3)) for x in (F(1, 5), F(3, 7), F(-2, 9))}, PlaneLine.of(Q, (0, 1, -11))
 
 
 def test_span_pass_against_incidence_scans():
@@ -359,3 +365,9 @@ def test_span_pass_against_incidence_scans():
             assert rep.lhs_nonvertical == incidence_count(img, {line for line in lines if line.coeffs[1] != 0})
             assert rep.s_size + rep.s_dropped_infinite == len({meet_lines(line, linf) for line in lines})
             assert rep.t_size + rep.t_dropped_infinite == len({meet_lines(line, ly) for line in lines})
+            # rhs = I(S x T, img) in field arithmetic: slopes s from the
+            # direction points (1 : s : 0), intercepts t from (0 : t : 1)
+            dirs = [meet_lines(line, linf).coords for line in lines]
+            S = {field.div(d[1], d[0]) for d in dirs if d[0] != 0}
+            T = {m.coords[1] for m in (meet_lines(line, ly) for line in lines) if m.coords[2] != 0}
+            assert rep.rhs == sum(field.sub(q.coords[1], field.mul(q.coords[0], s)) in T for q in img for s in S)

@@ -1,11 +1,15 @@
 """File formats, report serialization, CLI subcommands, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
+import affine_energy
 from affine_energy import PrimeField, RATIONALS
 from affine_energy.cli import main
 from affine_energy.files import (
@@ -244,10 +248,13 @@ def test_cli_sweep_parallel_determinism(tmp_path):
 
 
 def test_console_entrypoint_runs():
+    src = str(Path(affine_energy.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "affine_energy.cli", "energy", "--gen", "grid:2", "--field", "Q"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["size"] == 4
