@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd, lcm
-from typing import Iterable, Iterator
+from math import lcm
+from typing import Iterable, Iterator, List, Sequence
 
 from .errors import SlopeZero
 from .fields import Field, Scalar
+from .projective import lines, max_collinear
 
 
 @dataclass(frozen=True)
@@ -127,52 +128,26 @@ def max_on_vertical(A: AffineSet) -> int:
     return max(Counter(g.a.value for g in A).values(), default=0)
 
 
-_VERTICAL = (0, 1)
-
-
-def _anchor_directions(A: AffineSet) -> Iterator[Counter]:
-    """Per anchor point (a, b) of A, the later points tallied by the direction
-    of the line to the anchor; vertical lines have the key _VERTICAL.
-
-    Over Q the points are cleared of denominators once and a direction is the
-    primitive integer vector (dx, dy) with dx > 0, or _VERTICAL.  Over F_p it
-    is the slope dy/dx on raw residues, one inverse per pair.
-    """
-    char = A.field.characteristic
-    pts = [g.key() for g in A]
-    if not char:
-        den = lcm(*(v.denominator for pt in pts for v in pt))
-        pts = [(int(x * den), int(y * den)) for x, y in pts]
-    for i, (ax, ay) in enumerate(pts):
-        keys = []
-        for bx, by in pts[i + 1 :]:
-            dx, dy = bx - ax, by - ay
-            if char:
-                keys.append(dy * pow(dx, -1, char) % char if dx else _VERTICAL)
-            else:
-                g = gcd(dx, dy)
-                if dx < 0 or (not dx and dy < 0):
-                    g = -g
-                keys.append((dx // g, dy // g))
-        yield Counter(keys)
+def _chart_points(field: Field, keys: Sequence[tuple]) -> List[tuple]:
+    """The raw (a, b) keys as the integer points (a, b, 0, 1) of P^3, the
+    (a, b)-plane embedded as x2 = 0; over Q all scaled by one common
+    denominator."""
+    if field.characteristic:
+        return [(a, b, 0, 1) for a, b in keys]
+    den = lcm(*(v.denominator for pt in keys for v in pt))
+    return [(a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), 0, den) for a, b in keys]
 
 
 def max_on_line(A: AffineSet) -> int:
     """M: the most maps collinear as points (a, b), vertical lines included.
 
-    Direction-bucketing per anchor, O(|A|^2) with no field division.
+    Anchor bucketing by line key on raw integer points, O(|A|^2).
     """
-    n = len(A)
-    if n <= 2:
-        return n
-    return max(1 + max(c.values(), default=1) for c in _anchor_directions(A))
+    return max_collinear(A.field.characteristic, _chart_points(A.field, [g.key() for g in A]))
 
 
 def max_on_nonvertical_line(A: AffineSet) -> int:
     """Max maps on a single finite-slope line (torus-coset meets only)."""
-    best = min(len(A), 1)
-    for counts in _anchor_directions(A):
-        counts.pop(_VERTICAL, None)
-        if counts:
-            best = max(best, 1 + max(counts.values()))
-    return best
+    keys = [g.key() for g in A]
+    groups = lines(A.field.characteristic, _chart_points(A.field, keys))
+    return max((len(m) for m in groups if keys[m[0]][0] != keys[m[1]][0]), default=min(len(A), 1))

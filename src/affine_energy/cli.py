@@ -116,6 +116,14 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _progression(text: str, flag: str, field: Field) -> list:
+    """The scalars of the progression spec given to `flag`."""
+    spec = parse_gen_spec(text)
+    if not isinstance(spec, (APSpec, GPSpec)):
+        raise ConfigError(f"{flag} must be a progression spec ap(...)/gp(...)")
+    return generate_with_stats(spec, field)[0]
+
+
 def _parse_line_flag(text: str, field: Field) -> PlaneLine:
     parts = text.split(":")
     if len(parts) != 3:
@@ -250,11 +258,7 @@ def _cmd_richlines(args) -> int:
         lines_obj, _ = generate_with_stats(parse_gen_spec(args.gen), field)
         if not isinstance(lines_obj, AffineSet):
             raise ConfigError("--gen must produce an affine (line) set")
-        a_spec = parse_gen_spec(args.set_a)
-        if not isinstance(a_spec, (APSpec, GPSpec)):
-            raise ConfigError("--set-a must be a progression spec ap(...)/gp(...)")
-        scalars, _ = generate_with_stats(a_spec, field)
-        inst = GridInstance.square(field, scalars, lines_obj, Fraction(args.alpha))
+        inst = GridInstance.square(field, _progression(args.set_a, "--set-a", field), lines_obj, Fraction(args.alpha))
         rejected = 0
     rep = structure_report(inst)
     payload = reports.richline_report_jsonable(rep, field)
@@ -265,6 +269,13 @@ def _cmd_richlines(args) -> int:
 
 def _cmd_boundcheck(args) -> int:
     field = _resolve_field(args)
+    if args.top_slices < 0:
+        raise ConfigError("--top-slices must be at least 0")
+    if bool(args.set_s) != bool(args.set_t):
+        raise ConfigError("--set-s and --set-t go together")
+    grid = None
+    if args.set_s:
+        grid = (_progression(args.set_s, "--set-s", field), _progression(args.set_t, "--set-t", field))
     A = _load_affine(args, field)
     rep = main_bound_report(A)
     payload = reports.energy_report_jsonable(rep, field)
@@ -272,10 +283,8 @@ def _cmd_boundcheck(args) -> int:
     payload["pointplane"] = {
         field.render(C.value): reports.pointplane_report_jsonable(r) for C, r in top_slice_reports(A, rep.per_c, args.top_slices)
     }
-    if args.set_s and args.set_t:
-        sv, _ = generate_with_stats(parse_gen_spec(args.set_s), field)
-        tv, _ = generate_with_stats(parse_gen_spec(args.set_t), field)
-        payload["elekes"] = reports.elekes_report_jsonable(elekes_incidence_bound_check(sv, tv, A, field))
+    if grid:
+        payload["elekes"] = reports.elekes_report_jsonable(elekes_incidence_bound_check(*grid, A, field))
     _emit(args, dump_json(payload))
     return EXIT_OK
 
@@ -387,7 +396,7 @@ def _cmd_sweep(args) -> int:
     if args.jobs > 1:
         import multiprocessing as mp
 
-        with mp.Pool(processes=args.jobs) as pool:
+        with mp.Pool(processes=min(args.jobs, len(ns))) as pool:
             rows = pool.starmap(_sweep_row, [(args.gen, n, field_text) for n in ns])
     else:
         rows = [_sweep_row(args.gen, n, field_text) for n in ns]

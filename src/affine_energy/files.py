@@ -15,7 +15,6 @@ from typing import List, Set, Tuple
 from .affine import AffineSet, affine_map
 from .errors import ParseError
 from .fields import Field, parse_field, parse_scalar
-from .incidence3d import Plane3, Point3
 from .plane import PlanePoint
 from .reports import render_field
 from .richlines import GridInstance
@@ -77,44 +76,6 @@ def write_planar_set(field: Field, pts) -> str:
     rows = [f"field {render_field(field)}"]
     for p in sorted(pts, key=lambda q: str(q)):
         rows.append(":".join(field.render(c) for c in p.coords))
-    return "\n".join(rows) + "\n"
-
-
-def read_points3(text: str):
-    """3D projective points, one whitespace-separated coordinate row each."""
-    field, rows = _read_header(_content_lines(text))
-    pts = set()
-    for row in rows:
-        parts = row.split()
-        if len(parts) != 4:
-            raise ParseError(f"3D point rows are 'x0 x1 x2 x3', got {row!r}")
-        pts.add(Point3.of(field, [parse_scalar(p, field).value for p in parts]))
-    return field, pts
-
-
-def read_planes3(text: str):
-    """3D planes, one whitespace-separated coefficient row each."""
-    field, rows = _read_header(_content_lines(text))
-    planes = set()
-    for row in rows:
-        parts = row.split()
-        if len(parts) != 4:
-            raise ParseError(f"plane rows are 'a0 a1 a2 a3', got {row!r}")
-        planes.add(Plane3.of(field, [parse_scalar(p, field).value for p in parts]))
-    return field, planes
-
-
-def write_points3(field: Field, pts) -> str:
-    rows = [f"field {render_field(field)}"]
-    for p in sorted(pts, key=lambda q: str(q)):
-        rows.append(" ".join(field.render(c) for c in p.coords))
-    return "\n".join(rows) + "\n"
-
-
-def write_planes3(field: Field, planes) -> str:
-    rows = [f"field {render_field(field)}"]
-    for pl in sorted(planes, key=lambda q: str(q)):
-        rows.append(" ".join(field.render(c) for c in pl.coeffs))
     return "\n".join(rows) + "\n"
 
 

@@ -11,15 +11,16 @@ F_p, denominator-cleared primitive vectors over Q).  The slice pipelines
 straight from the slope classes of A in `_raw_slices`; Point3/Plane3, which
 store the canonical projective form (first nonzero coordinate scaled to 1),
 exist only at the API edge, and each public function calls raw() once and
-delegates to its core.
+delegates to its core.  The collinearity k and the lines of the Beck split
+come from the shared line pass of `projective`.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .affine import AffineMap, AffineSet
@@ -27,7 +28,7 @@ from .energy import CSlice, _slope_classes
 from .errors import InvariantViolation, ZeroC
 from .exactmath import ratio
 from .fields import Field, Scalar
-from .projective import canon_int, canonical, int_coords
+from .projective import canon_int, canonical, int_coords, lines, max_collinear
 
 
 @dataclass(frozen=True)
@@ -157,68 +158,10 @@ def incidences_bruteforce(P: Iterable[Point3], Pi: Iterable[Plane3]) -> int:
     return total
 
 
-def _direction_key(char: int, p: tuple, q: tuple) -> tuple:
-    """Canonical Pluecker line key for the join of two distinct points."""
-    return canon_int(char, [p[i] * q[j] - p[j] * q[i] for i in range(4) for j in range(i + 1, 4)])
-
-
-def _line_keys(char: int, a: tuple, qs: Iterable[tuple]) -> List[tuple]:
-    """One key per raw point q of qs (each distinct from a) for the line
-    joining a and q: equal keys, same line.
-
-    For a3 != 0 the key is the line's one point on x3 = 0,
-    a3*q - q3*a, scaled so its first nonzero entry is 1 (F_p) or made
-    primitive with a positive first nonzero entry (Q).  Anchors with a3 = 0
-    fall back to the Pluecker key.
-    """
-    a0, a1, a2, a3 = a
-    if not a3:
-        return [_direction_key(char, a, q) for q in qs]
-    keys = []
-    if char:
-        inv = pow(a3, -1, char)
-        a0, a1, a2 = a0 * inv % char, a1 * inv % char, a2 * inv % char
-        for q0, q1, q2, q3 in qs:
-            v0 = (q0 - q3 * a0) % char
-            v1 = (q1 - q3 * a1) % char
-            v2 = (q2 - q3 * a2) % char
-            if v0:
-                inv = pow(v0, -1, char)
-                keys.append((1, v1 * inv % char, v2 * inv % char))
-            elif v1:
-                keys.append((0, 1, v2 * pow(v1, -1, char) % char))
-            else:
-                keys.append((0, 0, 1))
-        return keys
-    for q0, q1, q2, q3 in qs:
-        v0 = a3 * q0 - q3 * a0
-        v1 = a3 * q1 - q3 * a1
-        v2 = a3 * q2 - q3 * a2
-        g = gcd(v0, v1, v2)
-        if v0 < 0 or (not v0 and (v1 < 0 or (not v1 and v2 < 0))):
-            g = -g
-        keys.append((v0 // g, v1 // g, v2 // g))
-    return keys
-
-
-def _max_collinear(char: int, raws: Sequence[tuple]) -> int:
-    """k of distinct raw points: anchor bucketing."""
-    n = len(raws)
-    if n <= 2:
-        return n
-    best = 2
-    for i in range(n - 1):
-        if n - i <= best:  # no line through a later anchor can beat best
-            break
-        counts = Counter(_line_keys(char, raws[i], raws[i + 1 :]))
-        best = max(best, 1 + max(counts.values()))
-    return best
-
-
 def max_collinear_3d(P: Iterable[Point3]) -> int:
     """k: the most points of P on one projective line."""
     pts = set(P)
-    return _max_collinear(_characteristic(pts), [p.raw() for p in pts])
+    return max_collinear(_characteristic(pts), [p.raw() for p in pts])
 
 
 def _collinear3(char: int, p: tuple, q: tuple, r: tuple) -> bool:
@@ -342,9 +285,9 @@ def _pointplane_report(char: int, points: Sequence[tuple], planes: Sequence[tupl
     if swapped:
         # Dual instance: points become planes; k then measures the planes-as-
         # points side, recomputed on their coefficient vectors.
-        k = _max_collinear(char, planes)
+        k = max_collinear(char, planes)
     elif k is None:
-        k = _max_collinear(char, points)
+        k = max_collinear(char, points)
     small, large = min(n_pts, n_pls), max(n_pts, n_pls)
     count = _incidences(char, points, planes)
     rhs = large * isqrt(small) + k * large
@@ -409,21 +352,7 @@ def _beck_stats(
         t = len(raws)
         if t <= 1:
             continue
-        # Each line is recorded once, from its first member i: the later
-        # points not yet on a recorded line with i, grouped by line key.
-        line_sizes = []
-        covered: List[set] = [set() for _ in range(t)]
-        for i in range(t - 1):
-            rest = [j for j in range(i + 1, t) if j not in covered[i]]
-            if not rest:
-                continue
-            lines: Dict[tuple, List[int]] = defaultdict(lambda: [i])
-            for j, key in zip(rest, _line_keys(char, raws[i], [raws[j] for j in rest])):
-                lines[key].append(j)
-            for members in lines.values():
-                line_sizes.append(len(members))
-                for m in members:
-                    covered[m].update(members)
+        line_sizes = [len(members) for members in lines(char, raws)]
         total_pairs = t * (t - 1)
         max_line = max(s * (s - 1) for s in line_sizes)
         sparse_pairs = sum(s * (s - 1) for s in line_sizes if s < cthresh)

@@ -4,10 +4,12 @@ Beck-point statistics and quadrangle counting.
 Points and lines are homogeneous triples in canonical form (last nonzero
 coordinate scaled to 1, so affine points are exactly those with z = 1 and the
 line at infinity is (0:0:1)).  Hot loops run on denominator-cleared integer
-triples; cross products implement meet and join.  One span pass hashes the
-join of every point pair into {line key: member indices}; spanned lines,
-shadows, Beck statistics, the shadow check and the quadrangle count all read
-it, and PlaneLine/PlanePoint objects are built only for the caller.
+triples; cross products implement meet and join.  One span pass groups the
+points by the shared line pass of `projective`, the plane embedded in P^3 as
+x2 = 0, and keys each spanned line once by the join of its first two points;
+spanned lines, shadows, Beck statistics, the shadow check and the quadrangle
+count all read it, and PlaneLine/PlanePoint objects are built only for the
+caller.
 
 Quadrangles: ordered (g,h,u,v), pairwise constraints g!=h, u!=v, g!=u, h!=v,
 with line(g,h) and line(u,v) meeting the line at infinity at the same point
@@ -24,8 +26,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Dict, Iterable, Sequence, Set
+from typing import Dict, Iterable, List, Sequence, Set
 
 from .affine import AffineMap, AffineSet, quotient
 from .energy import ORACLE_CAP_DEFAULT, _energy, _quotient_pass, _table_energy
@@ -38,7 +39,9 @@ from .errors import (
     TooFewPoints,
 )
 from .fields import Field, Scalar
+from . import projective
 from .projective import canon_int, canonical, int_coords
+from .richlines import _grid_counts
 
 
 # ---------------------------------------------------------------------------
@@ -150,15 +153,11 @@ def reflect_line(l: PlaneLine) -> PlaneLine:
 # spanned lines, shadows, Beck statistics
 
 
-def _span_pass(char: int, raws: list) -> Dict[tuple, Set[int]]:
+def _span_pass(char: int, raws: list) -> Dict[tuple, List[int]]:
     """{line key: indices of its points} over the lines spanned by the raw
-    triples, each line keyed by the canonical join of any two of its points."""
-    lines: Dict[tuple, Set[int]] = defaultdict(set)
-    for i in range(len(raws)):
-        ri = raws[i]
-        for j in range(i + 1, len(raws)):
-            lines[_canon_int(char, _cross(ri, raws[j]))].update((i, j))
-    return lines
+    triples, each line keyed by the canonical join of its first two points."""
+    groups = projective.lines(char, [(x, y, 0, z) for x, y, z in raws])
+    return {_canon_int(char, _cross(raws[m[0]], raws[m[1]])): m for m in groups}
 
 
 def _shadow_keys(char: int, lines: Iterable[tuple], lraw: tuple) -> Set[tuple]:
@@ -450,17 +449,9 @@ def shadow_incidence_check(P: Iterable[PlanePoint], l1: PlaneLine, l2: PlaneLine
     T_vals = {p.coords[1] for p in t_pts if p.coords[2] != 0}  # (0:t:1) -> t
     t_dropped = len(t_pts) - len(T_vals)
 
-    # rhs = #{(p, s) : p2 - p1*s in T}, in integers: the points are cleared
-    # by one denominator dp and S by ds (both 1 over F_p), so the key is
-    # y*ds - x*sigma and T is kept at scale dp*ds, where each t is integral:
-    # t = p2 - p1*s for a point p of img on a line of slope s in S.
-    dp = lcm(*(c.denominator for p in img for c in p.coords))
-    ds = lcm(*(sv.denominator for sv in S_vals))
-    xys = [[c.numerator * (dp // c.denominator) for c in p.coords[:2]] for p in img]
-    sigmas = [sv.numerator * (ds // sv.denominator) for sv in S_vals]
-    targets = {(tv * dp * ds).numerator for tv in T_vals}
-    keys = (y * ds - x * sigma for x, y in xys for sigma in sigmas)
-    rhs = sum((key % char if char else key) in targets for key in keys)
+    # rhs = #{(p, s) : p2 - p1*s in T}, each point p read as the line
+    # t = -p1*s + p2
+    rhs = sum(_grid_counts(field, S_vals, T_vals, [(-p.coords[0], p.coords[1]) for p in img]))
 
     if lhs_nonvert > rhs:
         raise InvariantViolation("grid injection violated: lhs_nonvertical > rhs")

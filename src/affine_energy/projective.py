@@ -1,18 +1,26 @@
-"""Canonical forms of projective coordinate vectors, shared by the plane and
-3-space layers.
+"""Canonical forms of projective coordinate vectors, and the one line pass,
+shared by the plane and 3-space layers.
 
 A vector is scaled so that its pivot, its first nonzero coordinate or (with
 last=True) its last one, becomes 1.  Hot loops work on integer vectors:
 residues over F_p, denominator-cleared coordinates over Q; their hashable
 keys take the pivot to 1 mod p, or divide out the gcd and make the pivot
 positive over Q.
+
+Every line statistic groups raw points of P^3 by `_line_keys` and reads the
+groups in one of two ways: `max_collinear` gives only the size of the largest
+line, `lines` gives every line once with its members.  Plane points enter as
+(x, y, 0, z): that embeds P^2 as the plane x2 = 0 of P^3 and keeps lines and
+collinearity, so the plane layer, the maps (a, b) of the affine layer and the
+dual points of the rich-line pencil all share the pass.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, List, Sequence
 
 from .fields import Field
 
@@ -59,3 +67,85 @@ def canon_int(char: int, t: Sequence, last: bool = False) -> tuple:
     if _pivot(t, last) < 0:
         g = -g
     return tuple(v // g for v in t)
+
+
+def _direction_key(char: int, p: tuple, q: tuple) -> tuple:
+    """Canonical Pluecker line key for the join of two distinct points."""
+    return canon_int(char, [p[i] * q[j] - p[j] * q[i] for i in range(4) for j in range(i + 1, 4)])
+
+
+def _line_keys(char: int, a: tuple, qs: Iterable[tuple]) -> List[tuple]:
+    """One key per raw point q of qs (each distinct from a) for the line
+    joining a and q: equal keys, same line.
+
+    For a3 != 0 the key is the line's one point on x3 = 0,
+    a3*q - q3*a, scaled so its first nonzero entry is 1 (F_p) or made
+    primitive with a positive first nonzero entry (Q).  Anchors with a3 = 0
+    fall back to the Pluecker key.
+    """
+    a0, a1, a2, a3 = a
+    if not a3:
+        return [_direction_key(char, a, q) for q in qs]
+    keys = []
+    if char:
+        inv = pow(a3, -1, char)
+        a0, a1, a2 = a0 * inv % char, a1 * inv % char, a2 * inv % char
+        for q0, q1, q2, q3 in qs:
+            v0 = (q0 - q3 * a0) % char
+            v1 = (q1 - q3 * a1) % char
+            v2 = (q2 - q3 * a2) % char
+            if v0:
+                inv = pow(v0, -1, char)
+                keys.append((1, v1 * inv % char, v2 * inv % char))
+            elif v1:
+                keys.append((0, 1, v2 * pow(v1, -1, char) % char))
+            else:
+                keys.append((0, 0, 1))
+        return keys
+    for q0, q1, q2, q3 in qs:
+        v0 = a3 * q0 - q3 * a0
+        v1 = a3 * q1 - q3 * a1
+        v2 = a3 * q2 - q3 * a2
+        g = gcd(v0, v1, v2)
+        if v0 < 0 or (not v0 and (v1 < 0 or (not v1 and v2 < 0))):
+            g = -g
+        keys.append((v0 // g, v1 // g, v2 // g))
+    return keys
+
+
+def max_collinear(char: int, raws: Sequence[tuple]) -> int:
+    """The most of the distinct raw points on one line: anchor bucketing."""
+    n = len(raws)
+    if n <= 2:
+        return n
+    best = 2
+    for i in range(n - 1):
+        if n - i <= best:  # no line through a later anchor can beat best
+            break
+        counts = Counter(_line_keys(char, raws[i], raws[i + 1 :]))
+        best = max(best, 1 + max(counts.values()))
+    return best
+
+
+def lines(char: int, raws: Sequence[tuple]) -> List[List[int]]:
+    """Every line through two or more of the distinct raw points, each once,
+    as the indices of its members in increasing order.
+
+    A line is recorded from its first member i: the later points not yet on
+    a recorded line with i, grouped by line key.  Only a line of three or
+    more points has a later member that a later anchor must skip.
+    """
+    out: List[List[int]] = []
+    covered: dict = defaultdict(set)  # index -> members of lines recorded through it
+    for i in range(len(raws) - 1):
+        skip = covered.pop(i, ())
+        rest = [j for j in range(i + 1, len(raws)) if j not in skip]
+        groups: dict = defaultdict(lambda: [i])
+        for j, key in zip(rest, _line_keys(char, raws[i], [raws[j] for j in rest])):
+            groups[key].append(j)
+        for members in groups.values():
+            out.append(members)
+            if len(members) > 2:
+                for m in members[1:]:
+                    covered[m].update(members)
+    return out

@@ -10,14 +10,15 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Tuple
+from math import isqrt, lcm
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .affine import AffineMap, AffineSet
+from . import projective
+from .affine import AffineMap, AffineSet, _chart_points
 from .energy import energy, scalar_energy_add, scalar_energy_mul, shifted_nonzero
 from .errors import InvariantViolation, TooFewLines
 from .exactmath import iroot, ratio, sqrt_floor_fraction
 from .fields import Field, Scalar
-from math import isqrt
 
 
 @dataclass(frozen=True)
@@ -45,15 +46,35 @@ class GridInstance:
         return cls.of(field, A, A, lines, alpha)
 
 
+def _grid_counts(field: Field, S: Iterable, T: Iterable, lines: Sequence[tuple]) -> List[int]:
+    """#{s in S : a*s + b in T} for each raw line (a, b) of `lines`, in
+    integers.
+
+    Over Q, S is cleared by its common denominator ds and the lines by
+    theirs, dl; then a*s + b is an integer over dl*ds, and T is kept at that
+    scale, its values that no line can reach (non-integral there) dropped.
+    """
+    p = field.characteristic
+    if p:
+        targets = set(T)
+        return [sum(1 for s in S if (a * s + b) % p in targets) for a, b in lines]
+    S = list(S)
+    ds = lcm(*(s.denominator for s in S))
+    dl = lcm(*(v.denominator for line in lines for v in line))
+    sigmas = [s.numerator * (ds // s.denominator) for s in S]
+    targets = {t.numerator for t in (t * (dl * ds) for t in T) if t.denominator == 1}
+    counts = []
+    for a, b in lines:
+        a, b = a.numerator * (dl // a.denominator), b.numerator * (dl // b.denominator) * ds
+        counts.append(sum(1 for s in sigmas if a * s + b in targets))
+    return counts
+
+
 def grid_incidences(inst: GridInstance) -> Tuple[Dict[AffineMap, int], int]:
     """Per-line counts #{(s,t) in S x T : t = a*s + b} and their total."""
-    f = inst.field
-    t_set = inst.T
-    per_line: Dict[AffineMap, int] = {}
-    for line in inst.lines:
-        a, b = line.key()
-        per_line[line] = sum(1 for s in inst.S if f.add(f.mul(a, s), b) in t_set)
-    return per_line, sum(per_line.values())
+    lines = list(inst.lines)
+    counts = _grid_counts(inst.field, inst.S, inst.T, [line.key() for line in lines])
+    return dict(zip(lines, counts)), sum(counts)
 
 
 def rich_threshold(inst: GridInstance) -> int:
@@ -103,39 +124,35 @@ class Pencil:
 
 
 def max_concurrent_pencil(lines: AffineSet) -> Pencil:
-    """Affine point on the most lines, by exact pairwise-intersection voting.
+    """Affine point on the most lines, read off the line pass by duality.
 
-    A point on c lines collects c*(c-1)/2 votes, so the vote maximum locates
-    the line-count maximum; the winner's lines are recollected by one scan.
-    Parallel-only inputs yield the degenerate single-line pencil.
+    The lines y = a*x + b through (x0, y0) are the points (a, b) on the line
+    b = -x0*a + y0, and a vertical line of those points is a parallel
+    family.  So the largest non-vertical line of the points (a, b) is the
+    largest pencil; ties go to the smallest (x0, y0).  Parallel-only inputs
+    yield the degenerate single-line pencil.
     """
-    k = len(lines)
-    if k < 2:
+    if len(lines) < 2:
         raise TooFewLines("pencil detection needs at least two lines")
     field = lines.field
-    ls = lines.sorted_maps()
-    votes: Counter = Counter()
-    for i in range(k):
-        a1, b1 = ls[i].key()
-        for j in range(i + 1, k):
-            a2, b2 = ls[j].key()
-            if a1 == a2:
-                continue
-            x0 = field.div(field.sub(b2, b1), field.sub(a1, a2))
-            y0 = field.add(field.mul(a1, x0), b1)
-            votes[(x0, y0)] += 1
-    if not votes:
-        slope = min((l.a.value for l in ls), key=field.sort_key)
+    keys = [l.key() for l in lines]
+    groups = projective.lines(field.characteristic, _chart_points(field, keys))
+    groups = [m for m in groups if keys[m[0]][0] != keys[m[1]][0]]
+    if not groups:
+        slope = min((a for a, _ in keys), key=field.sort_key)
         return Pencil(None, frozenset({Scalar(field, slope)}))
-    top = max(votes.values())
-    x0, y0 = min(
-        (pt for pt, v in votes.items() if v == top),
-        key=lambda pt: (field.sort_key(pt[0]), field.sort_key(pt[1])),
+
+    def point(members):
+        (a1, b1), (a2, b2) = keys[members[0]], keys[members[1]]
+        x0 = field.div(field.sub(b2, b1), field.sub(a1, a2))
+        return x0, field.add(field.mul(a1, x0), b1)
+
+    top = max(map(len, groups))
+    x0, y0, members = min(
+        ((*point(m), m) for m in groups if len(m) == top),
+        key=lambda e: (field.sort_key(e[0]), field.sort_key(e[1])),
     )
-    slopes = {
-        l.a.value for l in ls if field.add(field.mul(l.a.value, x0), l.b.value) == y0
-    }
-    return Pencil((Scalar(field, x0), Scalar(field, y0)), frozenset(Scalar(field, s) for s in slopes))
+    return Pencil((Scalar(field, x0), Scalar(field, y0)), frozenset(Scalar(field, keys[i][0]) for i in members))
 
 
 def pencil_bruteforce(lines: AffineSet) -> Pencil:
@@ -379,10 +396,7 @@ def elekes_incidence_bound_check(S: Iterable, T: Iterable, A: AffineSet, field: 
     """
     sv = {field.reduce(s.value if isinstance(s, Scalar) else s) for s in S}
     tv = {field.reduce(t.value if isinstance(t, Scalar) else t) for t in T}
-    count = 0
-    for line in A:
-        a, b = line.key()
-        count += sum(1 for s in sv if field.add(field.mul(a, s), b) in tv)
+    count = sum(_grid_counts(field, sv, tv, [line.key() for line in A]))
     E = energy(A)
     k = len(A)
     ns, nt = len(sv), len(tv)

@@ -39,7 +39,15 @@ from affine_energy.cli import main
 from affine_energy.errors import ZeroC
 from affine_energy.files import write_affine_set
 from affine_energy.generators import GridSpec, generate
-from affine_energy.incidence3d import _raw_slices, collinear_bruteforce, incidences_bruteforce, slice_planes, slice_points
+from affine_energy.incidence3d import (
+    _collinear3,
+    _raw_slices,
+    collinear_bruteforce,
+    incidences_bruteforce,
+    slice_planes,
+    slice_points,
+)
+from affine_energy.projective import lines
 from affine_energy.reports import render_field
 
 Q = RATIONALS
@@ -164,6 +172,28 @@ def test_max_collinear_general_points(field):
         if any(mid):
             pts = [Point3.of(field, v) for v in (a, b, mid, off)]
             assert max_collinear_3d(pts) == collinear_bruteforce(pts)
+
+
+@pytest.mark.parametrize("field", GENERAL_FIELDS, ids=str)
+def test_lines_match_rank_test(field):
+    """Each line through two or more points appears once, with every point
+    that the rank test puts on it; about a third of the anchors have x3 = 0."""
+    rng = random.Random(f"lines:{field}")
+    char = field.characteristic
+    for _ in range(30):
+        a, b = _random_coords(rng, field, 2, zero_at=3)
+        rich = [[x + t * y for x, y in zip(a, b)] for t in (0, 1, 2, 3)] + [b]
+        coords = _random_coords(rng, field, rng.randint(0, 12), zero_at=3) + [v for v in rich if any(v)]
+        raws = list({Point3.of(field, v).raw(): None for v in coords})
+        rng.shuffle(raws)
+        covered = set()
+        for members in lines(char, raws):
+            p, q = raws[members[0]], raws[members[1]]
+            assert members == [i for i, r in enumerate(raws) if _collinear3(char, p, q, r)]
+            pairs = {(i, j) for i in members for j in members if i < j}
+            assert not pairs & covered
+            covered |= pairs
+        assert len(covered) == len(raws) * (len(raws) - 1) // 2
 
 
 def test_max_collinear_dual_instance(any_field):

@@ -330,8 +330,11 @@ def test_reflect_involution():
 
 
 def _collinear_rich_sets():
-    """Grids and unions of lines over F_7 and Q, each with a line avoiding it."""
+    """Grids and unions of lines over F_7 and Q, some with points at
+    infinity, each with a line avoiding it."""
     F7 = PrimeField(7)
+    at_infinity = [PlanePoint.of(F7, (1, s, 0)) for s in (0, 1, 3)] + [PlanePoint.of(F7, (0, 1, 0))]
+    yield {pt(x, y, F7) for x in (1, 2) for y in (1, 2, 3)} | set(at_infinity), PlaneLine.of(F7, (1, 1, -6))
     yield {pt(x, y, F7) for x in (1, 2, 3) for y in (1, 2, 3)}, PlaneLine.of(F7, (1, 0, -5))
     yield {pt(x, 3 * x + 2, F7) for x in range(1, 7)} | {pt(2, y, F7) for y in range(7)}, PlaneLine.infinity(F7)
     yield {pt(x, y) for x in range(1, 5) for y in range(1, 5)}, PlaneLine.of(Q, (1, 0, -7))
@@ -340,6 +343,10 @@ def _collinear_rich_sets():
     F = Fraction
     scattered = {pt(F(1, 2), F(1, 3)), pt(F(3, 4), F(-2, 5)), pt(F(5, 3), F(1, 7)), pt(1, F(3, 11)), pt(F(7, 2), 2)}
     yield scattered | {pt(x, x / 2 - F(1, 3)) for x in (F(1, 5), F(3, 7), F(-2, 9))}, PlaneLine.of(Q, (0, 1, -11))
+    # the line y = 2x + 1 through its point at infinity, and the line at infinity
+    at_infinity = {PlanePoint.of(Q, v) for v in ((1, 2, 0), (0, 1, 0), (1, F(-1, 2), 0))}
+    on_line = {pt(x, 2 * x + 1) for x in (-1, 0, 1)}
+    yield on_line | {pt(F(1, 2), F(1, 3)), pt(3, -2)} | at_infinity, PlaneLine.of(Q, (0, 1, -100))
 
 
 def test_span_pass_against_incidence_scans():

@@ -78,17 +78,6 @@ def test_read_errors():
         read_grid_instance("field Q\nS: 1\nT: 1\n1 0\n")
 
 
-def test_points3_planes3_roundtrip():
-    from affine_energy import Plane3, Point3
-    from affine_energy.files import read_planes3, read_points3, write_planes3, write_points3
-
-    pts = {Point3.of(Q, (1, 2, 3, 1)), Point3.of(Q, (0, 1, 0, 0))}
-    planes = {Plane3.of(Q, (0, -1, -1, 0)), Plane3.of(Q, (2, -2, -1, 2))}
-    _, pts2 = read_points3(write_points3(Q, pts))
-    _, planes2 = read_planes3(write_planes3(Q, planes))
-    assert pts == pts2 and planes == planes2
-
-
 def run_cli(*argv):
     """Run in-process; returns (exit_code, stdout_text)."""
     import io
@@ -181,6 +170,14 @@ def test_cli_config_errors():
     assert run_cli("sweep", "--gen", "grid:3", "--range", "N=1..2", "--field", "Q")[0] == 2  # no N in template
     assert run_cli("energy", "--gen", "affprod:ap(0,1,3)xap(0,1,3)", "--field", "Q")[0] == 2  # SlopeZero
     assert run_cli("shadow", "--gen", "randplanar:1:seed=1", "--field", "Q")[0] == 2  # TooFewPoints
+    bound = ["boundcheck", "--gen", "grid:3", "--field", "Q"]
+    assert run_cli(*bound, "--set-s", "grid:2", "--set-t", "ap(1,1,3)")[0] == 2  # S not a progression
+    assert run_cli(*bound, "--set-s", "ap(1,1,3)", "--set-t", "randaff:3")[0] == 2  # T not a progression
+    assert run_cli(*bound, "--set-s", "ap(1,1,3)")[0] == 2  # --set-t missing
+    assert run_cli(*bound, "--set-t", "ap(1,1,3)")[0] == 2  # --set-s missing
+    assert run_cli(*bound, "--top-slices", "-1")[0] == 2
+    code, out = run_cli(*bound, "--top-slices", "0")
+    assert code == 0 and json.loads(out)["pointplane"] == {}
 
 
 def run_cli_err(*argv):
@@ -245,6 +242,33 @@ def test_cli_sweep_parallel_determinism(tmp_path):
     )
     assert code1 == code2 == 0
     assert seq.read_bytes() == par.read_bytes()
+
+
+def test_cli_sweep_pool_at_most_one_worker_per_row(tmp_path, monkeypatch):
+    import multiprocessing
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, args):
+            return [fn(*a) for a in args]
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    for jobs in ("8", "1000000", "2"):
+        out = tmp_path / f"sweep{jobs}.csv"
+        sweep = ["sweep", "--gen", "grid:N", "--range", "N=2..4", "--field", "Q", "--jobs", jobs, "--out", str(out)]
+        assert run_cli(*sweep)[0] == 0
+        assert len(out.read_text().splitlines()) == 2 + 3
+    assert sizes == [3, 3, 2]
 
 
 def test_console_entrypoint_runs():

@@ -20,6 +20,7 @@ from affine_energy import (
 )
 from affine_energy.errors import TooFewLines
 from affine_energy.generators import generate
+from affine_energy.richlines import _grid_counts
 
 Q = RATIONALS
 
@@ -79,6 +80,19 @@ def test_pencil_examples():
     with pytest.raises(TooFewLines):
         max_concurrent_pencil(lines_of([(1, 0)]))
 
+    # two pencils of three lines each, negative fractional slopes and
+    # intercepts, tied; the smaller point (-1/2, 2/3) wins
+    F = Fraction
+    through = lambda x0, y0, slopes: [(a, y0 - a * x0) for a in slopes]
+    tied = lines_of(
+        through(F(3, 4), F(-5, 2), (F(-1, 3), F(-7, 2), 2))
+        + through(F(-1, 2), F(2, 3), (F(-2, 5), F(-3), F(1, 7)))
+        + [(F(-1, 3), F(4, 9)), (F(5, 6), F(-11, 4))]
+    )
+    pen = max_concurrent_pencil(tied)
+    assert pen.point == (Q.scalar(F(-1, 2)), Q.scalar(F(2, 3))) and pen.size == 3
+    assert pen == pencil_bruteforce(tied)
+
 
 def test_rich_lines_match_full_grid_scan(any_field):
     """Independent route: enumerate every grid point against every line."""
@@ -97,6 +111,22 @@ def test_rich_lines_match_full_grid_scan(any_field):
     assert total == sum(full.values())
     thresh = -((-inst.alpha.numerator * len(avals)) // inst.alpha.denominator)
     assert set(rich_lines(inst).maps) == {l for l, c in full.items() if c >= thresh}
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(7)], ids=str)
+def test_grid_counts_match_field_scan(field):
+    """The integer grid count against field arithmetic, with fractional S, T
+    and lines over Q and T values that no line reaches."""
+    F = Fraction
+    S = {field.reduce(v) for v in (F(1, 2), F(-2, 3), 3, F(5, 4), 0)}
+    lines = [tuple(field.reduce(v) for v in l) for l in ((F(2, 5), F(-1, 3)), (-3, F(1, 2)), (F(-5, 2), 1), (1, 0))]
+    reached = [field.add(field.mul(a, s), b) for a, b in lines for s in S]
+    # over Q, r/1000003 is out of reach, but at the common scale of the
+    # count its numerator is the key of r
+    T = set(reached[::2]) | {field.div(r, field.reduce(1000003)) for r in reached[1::2]} | {field.reduce(F(-7, 9))}
+    counts = _grid_counts(field, S, T, lines)
+    assert counts == [sum(field.add(field.mul(a, s), b) in T for s in S) for a, b in lines]
+    assert sum(counts) > 0
 
 
 def test_pencil_matches_bruteforce(any_field):
