@@ -181,8 +181,8 @@ def _cmd_incidence(args) -> int:
     mismatches = 0
     ratios = []
     for C, q in decompose_by_C(A).items():
-        pts, planes = slices[C.value]
-        pp = _pointplane_report(char, pts, planes)
+        pts, planes, layers = slices[C.value]
+        pp = _pointplane_report(char, pts, planes, layers)
         ratios.append(pp.ratio)
         if pp.incidence_count != q:
             mismatches += 1
@@ -203,7 +203,7 @@ def _cmd_incidence(args) -> int:
     }
     if slices:
         biggest = max(slices, key=lambda c: len(slices[c][0]))  # the first largest in canonical order
-        stats = _beck_stats(char, *slices[biggest], cthresh=args.cthresh)
+        stats = _beck_stats(char, *slices[biggest][:2], cthresh=args.cthresh)
         payload["beck_planes_largest_slice"] = {
             "slice_c": field.render(biggest),
             "cthresh": args.cthresh,
@@ -249,6 +249,8 @@ def _cmd_quadrangles(args) -> int:
 
 def _cmd_richlines(args) -> int:
     field = _resolve_field(args)
+    if bool(args.gen) == bool(args.input):
+        raise ConfigError("exactly one of --gen and --input is required")
     if args.input:
         with open(args.input) as fh:
             inst, rejected = read_grid_instance(fh.read())
@@ -383,6 +385,8 @@ def _cmd_sweep(args) -> int:
     field = _resolve_field(args)
     if not args.gen or "N" not in args.gen:
         raise ConfigError("sweep needs --gen with an N placeholder")
+    if args.jobs < 1:
+        raise ConfigError("--jobs must be at least 1")
     try:
         name, _, span = args.range.partition("=")
         lo, _, hi = span.partition("..")

@@ -12,7 +12,10 @@ straight from the slope classes of A in `_raw_slices`; Point3/Plane3, which
 store the canonical projective form (first nonzero coordinate scaled to 1),
 exist only at the API edge, and each public function calls raw() once and
 delegates to its core.  The collinearity k and the lines of the Beck split
-come from the shared line pass of `projective`.
+come from the shared line pass of `projective`.  In a slice, k comes from
+its layers: the points of one slope class pair form a product grid in one
+plane, so k is the larger of the largest grid row or column and the longest
+line through points of different layers.
 """
 
 from __future__ import annotations
@@ -201,15 +204,22 @@ def slice_planes(sl: CSlice) -> List[Plane3]:
     return [build_plane(u, h) for u, h in sl.pairs]
 
 
-def _raw_slices(A: AffineSet, only: Optional[set] = None) -> Dict[object, Tuple[List[tuple], List[tuple]]]:
-    """{C value: (raw points, raw planes)} for every realized C, or for
-    those among the C values `only`, in the field's canonical order.
+def _raw_slices(A: AffineSet, only: Optional[set] = None) -> Dict[object, Tuple[List[tuple], List[tuple], list]]:
+    """{C value: (raw points, raw planes, layers)} for every realized C, or
+    for those among the C values `only`, in the field's canonical order.
 
-    A pair (g, v) of slope classes x and y lands in C = x*y.  Over Q slopes
-    and intercepts are cleared by one common denominator D (D = 1 over F_p):
-    with X = D*x, the point (D*X : D*b_g : X*b_v : D^2) and the plane
-    (D*b_g : -D*X : -D^2 : X*b_v) are build_point/build_plane scaled by D^2,
-    so their canon_int is the objects' raw().  Raises InvariantViolation
+    A pair (g, v) of slope classes x and y lands in C = x*y, and each class
+    pair is one layer of its slice: the points with first coordinate x, the
+    grid B_x x x*B_y in the plane x0 = x*x3.  A layer is recorded as (stop
+    index, max(|B_x|, |B_y|)), the layers argument of `max_collinear`.
+
+    Over F_p the point is (1 : b_g/x : b_v : 1/x) and the plane
+    (1 : -x/b_g : -1/b_g : x*b_v/b_g), or (0 : 1 : 1/x : -b_v) when b_g = 0,
+    with one inverse per slope and per distinct intercept.  Over Q slopes
+    and intercepts are cleared by one common denominator D: with X = D*x,
+    the point (D*X : D*b_g : X*b_v : D^2) and the plane
+    (D*b_g : -D*X : -D^2 : X*b_v) are build_point/build_plane scaled by D^2.
+    Either way the tuples are the objects' raw().  Raises InvariantViolation
     unless both maps are injective on each slice.
     """
     field = A.field
@@ -219,17 +229,26 @@ def _raw_slices(A: AffineSet, only: Optional[set] = None) -> Dict[object, Tuple[
     # each class as its slope and its cleared [X, b, b, ...]
     cleared = [(x, [v if p else v.numerator * (D // v.denominator) for v in (x, *bs)]) for x, bs in classes]
     DD = D * D
-    slices: dict = defaultdict(lambda: ([], []))
+    inverse = {v: pow(v, -1, p) for x, bs in classes for v in (x, *bs) if v} if p else {}
+    slices: dict = defaultdict(lambda: ([], [], []))
     for x, (X, *gs) in cleared:
+        xi = inverse.get(X)
         for y, (_, *vs) in cleared:
             c = field.mul(x, y)
             if only is not None and c not in only:
                 continue
-            pts, planes = slices[c]
+            pts, planes, layers = slices[c]
             for bg in gs:
-                pts.extend(canon_int(p, (D * X, D * bg, X * bv, DD)) for bv in vs)
-                planes.extend(canon_int(p, (D * bg, -D * X, -DD, X * bv)) for bv in vs)
-    if any(len(set(pts)) != len(pts) or len(set(planes)) != len(planes) for pts, planes in slices.values()):
+                if p:
+                    f = X * inverse[bg] % p if bg else p - 1
+                    head = (1, -f % p, -inverse[bg] % p) if bg else (0, 1, xi)
+                    pts.extend((1, bg * xi % p, bv, xi) for bv in vs)
+                    planes.extend((*head, f * bv % p) for bv in vs)
+                else:
+                    pts.extend(canon_int(p, (D * X, D * bg, X * bv, DD)) for bv in vs)
+                    planes.extend(canon_int(p, (D * bg, -D * X, -DD, X * bv)) for bv in vs)
+            layers.append((len(pts), max(len(gs), len(vs))))
+    if any(len(set(pts)) != len(pts) or len(set(planes)) != len(planes) for pts, planes, _ in slices.values()):
         raise InvariantViolation("slice-to-projective maps must be injective")
     return {c: slices[c] for c in sorted(slices, key=field.sort_key)}
 
@@ -245,8 +264,7 @@ def q_c_via_incidence(A: AffineSet, C: Scalar) -> int:
 def q_c_incidence_table(A: AffineSet) -> Dict[Scalar, int]:
     """Q_C via incidences for every realized C, from the raw slices."""
     field = A.field
-    slices = _raw_slices(A)
-    return {Scalar(field, c): _incidences(field.characteristic, *slices[c]) for c in slices}
+    return {Scalar(field, c): _incidences(field.characteristic, pts, pls) for c, (pts, pls, _) in _raw_slices(A).items()}
 
 
 @dataclass
@@ -277,9 +295,12 @@ class PointPlaneReport:
     ratio_corrected: Optional[Fraction] = None  # (I - |Pi||P|/p) / rhs
 
 
-def _pointplane_report(char: int, points: Sequence[tuple], planes: Sequence[tuple], k: Optional[int] = None) -> PointPlaneReport:
+def _pointplane_report(
+    char: int, points: Sequence[tuple], planes: Sequence[tuple], layers: Optional[list] = None, k: Optional[int] = None
+) -> PointPlaneReport:
     """The report on distinct raw points and planes; k, the points'
-    collinearity, is computed here unless given."""
+    collinearity, is computed here unless given, from their layers (as
+    `_raw_slices` records them) when given."""
     n_pts, n_pls = len(points), len(planes)
     swapped = n_pts > n_pls
     if swapped:
@@ -287,7 +308,7 @@ def _pointplane_report(char: int, points: Sequence[tuple], planes: Sequence[tupl
         # points side, recomputed on their coefficient vectors.
         k = max_collinear(char, planes)
     elif k is None:
-        k = max_collinear(char, points)
+        k = max_collinear(char, points, layers)
     small, large = min(n_pts, n_pls), max(n_pts, n_pls)
     count = _incidences(char, points, planes)
     rhs = large * isqrt(small) + k * large
@@ -311,7 +332,7 @@ def pointplane_bound_report(inst: IncidenceInstance) -> PointPlaneReport:
     """I against |Pi||P|^{1/2} + k|Pi|, with the char-p corrected variant in
     the characteristic of the instance's field."""
     char = _characteristic(inst.points or inst.planes)
-    return _pointplane_report(char, [p.raw() for p in inst.points], [c.raw() for c in inst.planes], inst.k)
+    return _pointplane_report(char, [p.raw() for p in inst.points], [c.raw() for c in inst.planes], k=inst.k)
 
 
 def top_slice_reports(A: AffineSet, per_c: Dict[Scalar, Tuple[int, int]], top: int) -> List[Tuple[Scalar, PointPlaneReport]]:

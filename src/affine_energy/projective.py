@@ -9,7 +9,9 @@ positive over Q.
 
 Every line statistic groups raw points of P^3 by `_line_keys` and reads the
 groups in one of two ways: `max_collinear` gives only the size of the largest
-line, `lines` gives every line once with its members.  Plane points enter as
+line, `lines` gives every line once with its members.  Given the layers of a
+slice, `max_collinear` pairs only points of different layers, since a line
+inside a layer is bounded by the layer's own term.  Plane points enter as
 (x, y, 0, z): that embeds P^2 as the plane x2 = 0 of P^3 and keeps lines and
 collinearity, so the plane layer, the maps (a, b) of the affine layer and the
 dual points of the rich-line pencil all share the pass.
@@ -20,7 +22,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .fields import Field
 
@@ -113,17 +115,28 @@ def _line_keys(char: int, a: tuple, qs: Iterable[tuple]) -> List[tuple]:
     return keys
 
 
-def max_collinear(char: int, raws: Sequence[tuple]) -> int:
-    """The most of the distinct raw points on one line: anchor bucketing."""
-    n = len(raws)
-    if n <= 2:
-        return n
-    best = 2
-    for i in range(n - 1):
-        if n - i <= best:  # no line through a later anchor can beat best
+def max_collinear(char: int, raws: Sequence[tuple], layers: Optional[Sequence[Tuple[int, int]]] = None) -> int:
+    """The most of the distinct raw points on one line: anchor bucketing.
+
+    `layers` cuts raws into consecutive runs, each given as (stop index,
+    term): no line inside a run holds more than its term of its points, one
+    line reaches the term, and every other line meets the run at most once.
+    An anchor then pairs only with the points of later runs, and the loop
+    stops once the runs left cannot beat the best line.  Without layers
+    every point is its own run of term 1.
+    """
+    if layers is None:
+        layers = [(i + 1, 1) for i in range(len(raws))]
+    best = max((term for _, term in layers), default=0)
+    start = 0
+    for li, (stop, _) in enumerate(layers):
+        if len(layers) - li <= best:  # a line through a later anchor meets no earlier run
             break
-        counts = Counter(_line_keys(char, raws[i], raws[i + 1 :]))
-        best = max(best, 1 + max(counts.values()))
+        later = raws[stop:]
+        for i in range(start, stop):
+            counts = Counter(_line_keys(char, raws[i], later))
+            best = max(best, 1 + max(counts.values()))
+        start = stop
     return best
 
 

@@ -47,7 +47,8 @@ from affine_energy.incidence3d import (
     slice_planes,
     slice_points,
 )
-from affine_energy.projective import lines
+from affine_energy import projective
+from affine_energy.projective import lines, max_collinear
 from affine_energy.reports import render_field
 
 Q = RATIONALS
@@ -234,9 +235,11 @@ def test_q_c_incidence_matches_decomposition_random(any_field):
 
 
 def _slice_sets():
-    """F_11 grid:7 (slope products wrap mod 11), random F_101 sets, and a Q
-    set with negative fractional slopes and intercepts."""
+    """F_11 grid:7 (slope products wrap mod 11), an F_11 GPxAP set with the
+    intercept 0, random F_101 sets, and a Q set with negative fractional
+    slopes and intercepts."""
     yield generate(GridSpec(7), PrimeField(11))
+    yield generate(parse_gen_spec("affprod:gp(1,2,6)xap(0,1,3)"), PrimeField(11))
     for seed in (1, 2, 3):
         yield seeded_random(20, seed, PrimeField(101), "affine")
     F = Fraction
@@ -257,12 +260,87 @@ def test_raw_slices_match_slice_objects():
         field = A.field
         slices = _raw_slices(A)
         assert list(slices) == [C.value for C in decompose_by_C(A)]
-        for c, (pts, planes) in slices.items():
+        for c, (pts, planes, _) in slices.items():
             sl = c_slice(A, Scalar(field, c))
             assert sorted(pts) == sorted(p.raw() for p in slice_points(sl))
             assert sorted(planes) == sorted(pl.raw() for pl in slice_planes(sl))
         some = set(list(slices)[::3])
         assert _raw_slices(A, some) == {c: v for c, v in slices.items() if c in some}
+
+
+def _layered_sets():
+    """Slices where a transversal wins, where a layer wins, and ties."""
+    gen = lambda spec, field: generate(parse_gen_spec(spec), field)  # noqa: E731
+    yield gen("affprod:gp(1,2,6)xap(0,1,2)", Q)  # (x, 0, 0) collinear across the layers
+    yield gen("grid:7", Q)
+    yield gen("grid:7", PrimeField(11))  # slope products wrap around
+    yield gen("affprod:gp(1,3,4)xap(0,2,3)", PrimeField(101))
+    # classes of 4, 1, 2 and 1 intercepts: a layer's term is the larger side
+    yield AffineSet.from_pairs(Q, [(1, b) for b in range(4)] + [(2, 0), (3, 0), (3, 5), (6, 1)])
+    yield AffineSet.from_pairs(Q, [(1, 0), (2, 0)])  # 1- and 2-point slices
+    for seed in (1, 2):
+        yield seeded_random(30, seed, Q, "affine")
+        yield seeded_random(30, seed, PrimeField(101), "affine")
+
+
+def test_layered_k_matches_anchor_loop_and_oracle():
+    """k from a slice's layers equals the layer-free anchor loop and, on
+    slices of up to 30 points, collinear_bruteforce; it is the larger of the
+    largest layer term and the longest line through two layers."""
+    kinds = set()
+    for A in _layered_sets():
+        field = A.field
+        char = field.characteristic
+        for pts, _, layers in _raw_slices(A).values():
+            k = max_collinear(char, pts, layers)
+            assert k == max_collinear(char, pts)
+            if len(pts) <= 30:
+                assert k == collinear_bruteforce([Point3.of(field, t) for t in pts])
+            # each layer lies in one plane x0 = x*x3, with x distinct per layer
+            starts = [0] + [stop for stop, _ in layers[:-1]]
+            layer_of = [li for li, (start, (stop, _)) in enumerate(zip(starts, layers)) for _ in range(start, stop)]
+            assert len(layer_of) == len(pts)
+            ratio = lambda t: field.div(field.reduce(t[0]), field.reduce(t[3]))  # noqa: E731
+            xs = [{ratio(t) for t in pts[start:stop]} for start, (stop, _) in zip(starts, layers)]
+            assert all(len(x) == 1 for x in xs) and len(set().union(*xs)) == len(layers)
+            term = max(t for _, t in layers)
+            transversal = max((len(m) for m in lines(char, pts) if len({layer_of[i] for i in m}) > 1), default=1)
+            assert k == max(term, transversal)
+            kinds.add((len(pts) if len(pts) <= 2 else 3, (transversal > term) - (transversal < term)))
+    assert {(3, 1), (3, 0), (3, -1), (1, 0), (2, 1)} <= kinds
+
+
+def test_layered_k_edge_cases():
+    assert max_collinear(0, [], []) == 0
+    assert max_collinear(0, [(1, 0, 0, 1)], [(1, 1)]) == 1
+    assert max_collinear(0, [(1, 0, 0, 1), (1, 1, 0, 1)], [(2, 2)]) == 2
+    assert max_collinear(0, [(1, 0, 0, 1), (2, 0, 0, 1)], [(1, 1), (2, 1)]) == 2
+    # three layers of term 2 with a 3-point transversal: a stop one layer
+    # early would report 2
+    A = generate(parse_gen_spec("affprod:gp(1,2,6)xap(0,1,2)"), Q)
+    pts, _, layers = _raw_slices(A)[4]
+    assert (len(layers), max(t for _, t in layers)) == (3, 2)
+    assert max_collinear(0, pts, layers) == 3
+
+
+def test_layered_k_work(monkeypatch):
+    """An anchor pairs only with the points of later layers, and the search
+    stops once the layers left cannot beat the best line: no pairs at all
+    where a layer term reaches the number of layers."""
+    calls = []
+    line_keys = projective._line_keys
+    monkeypatch.setattr(projective, "_line_keys", lambda char, a, qs: calls.append(len(qs)) or line_keys(char, a, qs))
+    A = generate(parse_gen_spec("affprod:gp(1,2,6)xap(0,1,2)"), Q)
+    pts, _, layers = _raw_slices(A)[32]
+    assert [stop for stop, _ in layers] == [4, 8, 12, 16, 20, 24]
+    assert max_collinear(0, pts, layers) == 6  # found from the first layer, then 5 layers cannot beat it
+    assert calls == [20] * 4
+    calls.clear()
+    grid = generate(GridSpec(7), Q)
+    for pts, _, layers in _raw_slices(grid).values():
+        assert len(layers) <= 7 == max(t for _, t in layers)
+        assert max_collinear(0, pts, layers) == 7
+    assert calls == []
 
 
 def test_slice_reports_match_object_route(tmp_path):

@@ -163,11 +163,26 @@ def test_cli_richlines_from_file(tmp_path):
     assert payload["parallel_chain"]["links_hold"] is True
 
 
+def test_cli_richlines_input_with_gen_exits_2(tmp_path):
+    """--input together with --gen is refused, as for every other subcommand,
+    instead of silently dropping --gen, --set-a and --alpha."""
+    path = tmp_path / "grid.txt"
+    path.write_text(GRID_FILE)
+    gen = ["--gen", "grid:3", "--set-a", "ap(0,1,3)", "--alpha", "1/9"]
+    code, err = run_cli_err("richlines", "--input", str(path), *gen, "--field", "Q")
+    assert code == 2 and err == "error: exactly one of --gen and --input is required\n"
+    code, err = run_cli_err("richlines", "--field", "Q")
+    assert code == 2 and err == "error: exactly one of --gen and --input is required\n"
+
+
 def test_cli_config_errors():
     assert run_cli("energy", "--field", "Q")[0] == 2  # no input source
     assert run_cli("energy", "--gen", "grid:3")[0] == 2  # no field
     assert run_cli("energy", "--gen", "parabola:ap(1,1,5)", "--field", "Q")[0] == 2  # planar into affine op
     assert run_cli("sweep", "--gen", "grid:3", "--range", "N=1..2", "--field", "Q")[0] == 2  # no N in template
+    for jobs in ("0", "-3"):
+        code, err = run_cli_err("sweep", "--gen", "grid:N", "--range", "N=2..3", "--field", "Q", "--jobs", jobs)
+        assert code == 2 and err.startswith("error:") and "--jobs" in err
     assert run_cli("energy", "--gen", "affprod:ap(0,1,3)xap(0,1,3)", "--field", "Q")[0] == 2  # SlopeZero
     assert run_cli("shadow", "--gen", "randplanar:1:seed=1", "--field", "Q")[0] == 2  # TooFewPoints
     bound = ["boundcheck", "--gen", "grid:3", "--field", "Q"]
