@@ -124,6 +124,19 @@ def _progression(text: str, flag: str, field: Field) -> list:
     return generate_with_stats(spec, field)[0]
 
 
+def _fraction_flag(text: str, flag: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"{flag} must be a fraction such as 1/2, got {text!r}")
+
+
+def _read_grid(text: str):
+    """A grid-instance file as (field, (instance, rejected rows)) for `_load`."""
+    inst, rejected = read_grid_instance(text)
+    return inst.field, (inst, rejected)
+
+
 def _parse_line_flag(text: str, field: Field) -> PlaneLine:
     parts = text.split(":")
     if len(parts) != 3:
@@ -225,7 +238,7 @@ def _cmd_shadow(args) -> int:
     l2 = _parse_line_flag(args.l2, field) if args.l2 else PlaneLine.infinity(field)
     rep = shadow_incidence_check(pts, l1, l2)
     payload = reports.shadow_report_jsonable(rep)
-    theta = Fraction(args.theta)
+    theta = _fraction_flag(args.theta, "--theta")
     stats = beck_point_stats(pts, theta)
     payload["beck_points"] = {
         "theta": str(theta),
@@ -249,19 +262,17 @@ def _cmd_quadrangles(args) -> int:
 
 def _cmd_richlines(args) -> int:
     field = _resolve_field(args)
-    if bool(args.gen) == bool(args.input):
-        raise ConfigError("exactly one of --gen and --input is required")
-    if args.input:
-        with open(args.input) as fh:
-            inst, rejected = read_grid_instance(fh.read())
-    else:
-        if not (args.gen and args.set_a and args.alpha):
+    if args.gen and not args.input:
+        if not (args.set_a and args.alpha):
             raise ConfigError("generated rich-line runs need --gen, --set-a and --alpha")
         lines_obj, _ = generate_with_stats(parse_gen_spec(args.gen), field)
         if not isinstance(lines_obj, AffineSet):
             raise ConfigError("--gen must produce an affine (line) set")
-        inst = GridInstance.square(field, _progression(args.set_a, "--set-a", field), lines_obj, Fraction(args.alpha))
+        A = _progression(args.set_a, "--set-a", field)
+        inst = GridInstance.square(field, A, lines_obj, _fraction_flag(args.alpha, "--alpha"))
         rejected = 0
+    else:  # --input alone; _load rejects no source or both
+        inst, rejected = _load(args, field, _read_grid, None)
     rep = structure_report(inst)
     payload = reports.richline_report_jsonable(rep, field)
     payload["rejected_horizontal_rows"] = rejected

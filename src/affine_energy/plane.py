@@ -6,10 +6,14 @@ coordinate scaled to 1, so affine points are exactly those with z = 1 and the
 line at infinity is (0:0:1)).  Hot loops run on denominator-cleared integer
 triples; cross products implement meet and join.  One span pass groups the
 points by the shared line pass of `projective`, the plane embedded in P^3 as
-x2 = 0, and keys each spanned line once by the join of its first two points;
-spanned lines, shadows, Beck statistics, the shadow check and the quadrangle
-count all read it, and PlaneLine/PlanePoint objects are built only for the
-caller.
+x2 = 0, and keys each spanned line once by the raw join of its first two
+points, with no canonical form: every reader is scale-free.  Spanned lines,
+shadows, Beck statistics, the shadow check and the quadrangle count all read
+it, and PlaneLine/PlanePoint objects are built only for the caller.
+
+Two lines l1, l2 are normalized to (y-axis, line at infinity) by the map with
+covector rows (l1, e, l2), e a unit row; the shadow check then reads slopes
+and intercepts straight off the span keys of the image points.
 
 Quadrangles: ordered (g,h,u,v), pairwise constraints g!=h, u!=v, g!=u, h!=v,
 with line(g,h) and line(u,v) meeting the line at infinity at the same point
@@ -26,6 +30,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Dict, Iterable, List, Sequence, Set
 
 from .affine import AffineMap, AffineSet, quotient
@@ -68,6 +73,14 @@ def _cross(a: tuple, b: tuple) -> tuple:
 
 def _dot(a: tuple, b: tuple) -> int:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _field_dot(field: Field, u: Sequence, v: Sequence):
+    return reduce(field.add, map(field.mul, u, v))
+
+
+def _mod(char: int, t: tuple) -> tuple:
+    return tuple(v % char for v in t) if char else t
 
 
 @dataclass(frozen=True)
@@ -155,14 +168,10 @@ def reflect_line(l: PlaneLine) -> PlaneLine:
 
 def _span_pass(char: int, raws: list) -> Dict[tuple, List[int]]:
     """{line key: indices of its points} over the lines spanned by the raw
-    triples, each line keyed by the canonical join of its first two points."""
+    triples, each line keyed by the raw join of its first two points (reduced
+    mod p), so only scale-free readings of a key are meaningful."""
     groups = projective.lines(char, [(x, y, 0, z) for x, y, z in raws])
-    return {_canon_int(char, _cross(raws[m[0]], raws[m[1]])): m for m in groups}
-
-
-def _shadow_keys(char: int, lines: Iterable[tuple], lraw: tuple) -> Set[tuple]:
-    """Canonical meets of the line keys with the raw line lraw (not one of them)."""
-    return {_canon_int(char, _cross(k, lraw)) for k in lines}
+    return {_mod(char, _cross(raws[m[0]], raws[m[1]])): m for m in groups}
 
 
 def _distinct_points(P: Iterable[PlanePoint], message: str) -> list:
@@ -189,7 +198,8 @@ def shadow(P: Iterable[PlanePoint], l: PlaneLine) -> Set[PlanePoint]:
         if _is_zero(char, _dot(r, lraw)):
             raise LineMeetsP(f"shadow line passes through {p}")
     _distinct_points(pts, "need at least two points to span lines")
-    return {PlanePoint.of(l.field, k) for k in _shadow_keys(char, _span_pass(char, raws), lraw)}
+    meets = {_canon_int(char, _cross(k, lraw)) for k in _span_pass(char, raws)}
+    return {PlanePoint.of(l.field, k) for k in meets}
 
 
 def incidence_count(P: Iterable[PlanePoint], lines: Iterable[PlaneLine]) -> int:
@@ -248,25 +258,10 @@ class ProjectiveMap2:
             raise ValueError("projective map must be invertible")
 
     def det(self):
-        f = self.field
-        (a, b, c), (d, e, g), (h, i, j) = self.rows
-        return f.sub(
-            f.add(
-                f.mul(a, f.sub(f.mul(e, j), f.mul(g, i))),
-                f.mul(c, f.sub(f.mul(d, i), f.mul(e, h))),
-            ),
-            f.mul(b, f.sub(f.mul(d, j), f.mul(g, h))),
-        )
+        return _field_dot(self.field, self.rows[0], [r[0] for r in self.adjugate_rows()])
 
     def apply_point(self, p: PlanePoint) -> PlanePoint:
-        f = self.field
-        out = []
-        for row in self.rows:
-            s = f.reduce(0)
-            for rc, pc in zip(row, p.coords):
-                s = f.add(s, f.mul(rc, pc))
-            out.append(s)
-        return PlanePoint.of(f, out)
+        return PlanePoint.of(self.field, [_field_dot(self.field, row, p.coords) for row in self.rows])
 
     def adjugate_rows(self) -> tuple:
         f = self.field
@@ -282,116 +277,31 @@ class ProjectiveMap2:
     def apply_line(self, l: PlaneLine) -> PlaneLine:
         """Image line: coefficients transform by the adjugate transpose."""
         f = self.field
-        adj = self.adjugate_rows()
-        out = []
-        for col in range(3):
-            s = f.reduce(0)
-            for row in range(3):
-                s = f.add(s, f.mul(adj[row][col], l.coeffs[row]))
-            out.append(s)
-        return PlaneLine.of(f, out)
-
-    def inverse(self) -> "ProjectiveMap2":
-        return ProjectiveMap2(self.field, self.adjugate_rows())
+        return PlaneLine.of(f, [_field_dot(f, col, l.coeffs) for col in zip(*self.adjugate_rows())])
 
 
 def apply_projective(T: ProjectiveMap2, P: Iterable[PlanePoint]) -> Set[PlanePoint]:
     return {T.apply_point(p) for p in set(P)}
 
 
-def _field_sequence(field: Field):
-    """Deterministic enumeration of field elements: 0,1,-1,2,-2,... (all of F_p)."""
-    if field.characteristic:
-        for v in range(field.characteristic):
-            yield field.reduce(v)
-    else:
-        yield Fraction(0)
-        k = 1
-        while True:
-            yield Fraction(k)
-            yield Fraction(-k)
-            k += 1
-
-
-def _points_on_line(l: PlaneLine):
-    """Deterministic enumeration of the points of l."""
-    field = l.field
-    lraw = l.raw()
-    basis = []
-    for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        c = _cross(lraw, e)
-        if any(c):
-            cand = PlanePoint.of(field, c)
-            if cand not in basis:
-                basis.append(cand)
-        if len(basis) == 2:
-            break
-    p, q = basis
-    yield p
-    yield q
-    for t in _field_sequence(field):
-        if t == 0:
-            continue
-        coords = tuple(field.add(pc, field.mul(field.reduce(t), qc)) for pc, qc in zip(p.coords, q.coords))
-        if any(c != 0 for c in coords):
-            yield PlanePoint.of(field, coords)
-
-
 def normalize_two_lines(l1: PlaneLine, l2: PlaneLine) -> ProjectiveMap2:
-    """Canonical invertible map sending l1 to the y-axis and l2 to infinity.
+    """The map with rows (l1, e, l2), p -> (l1.p : e.p : l2.p), sending l1 to
+    the y-axis and l2 to infinity.
 
-    Anchors: l1^l2 -> (0:1:0), a point of l1 -> (0:0:1), a point of l2 ->
-    (1:0:0), a general point -> (1:1:1); lines through l1^l2 map to vertical
-    lines.
+    e is the unit row at a nonzero coordinate of l1 x l2, (0,1,0) first, so
+    the rows are independent and l1^l2 goes to (0:1:0): lines through it map
+    to vertical lines, and (y-axis, infinity) gives the identity.  Any two
+    maps sending l1, l2 to these lines differ by one that moves slopes and
+    intercepts by separate affine maps, so every count of the shadow check
+    is the same under each.
     """
-    if l1 == l2:
-        raise EqualLines("normalization needs two distinct lines")
     field = l1.field
-    s = meet_lines(l1, l2)
-    a1 = next(p for p in _points_on_line(l1) if p != s)
-    a2 = next(p for p in _points_on_line(l2) if p != s)
-    avoid = [l1, l2, join_points(a1, a2)]
-
-    def candidates():
-        # affine spiral first; over F_p also the p+1 infinite points, so a
-        # general-position anchor exists even for p = 3
-        xs = []
-        for x in _field_sequence(field):
-            xs.append(x)
-            for y in xs:
-                yield PlanePoint.affine(field, x, y)
-                if x != y:
-                    yield PlanePoint.affine(field, y, x)
-        for t in _field_sequence(field):
-            yield PlanePoint.of(field, (1, t, 0))
-        yield PlanePoint.of(field, (0, 1, 0))
-
-    a4 = next(c for c in candidates() if not any(incident(c, l) for l in avoid))
-    # Columns (lam1*a2, lam2*s, lam3*a1) must map (1,1,1) to a4:
-    # solve [a2 s a1] * lam = a4 by Cramer's rule, then invert.
-    cols = (a2.coords, s.coords, a1.coords)
-
-    def det3(c0, c1, c2):
-        f = field
-        return f.sub(
-            f.add(
-                f.mul(c0[0], f.sub(f.mul(c1[1], c2[2]), f.mul(c1[2], c2[1]))),
-                f.mul(c2[0], f.sub(f.mul(c0[1], c1[2]), f.mul(c0[2], c1[1]))),
-            ),
-            f.mul(c1[0], f.sub(f.mul(c0[1], c2[2]), f.mul(c0[2], c2[1]))),
-        )
-
-    d = det3(*cols)
-    lams = [
-        field.div(det3(a4.coords, cols[1], cols[2]), d),
-        field.div(det3(cols[0], a4.coords, cols[2]), d),
-        field.div(det3(cols[0], cols[1], a4.coords), d),
-    ]
-    rows = tuple(
-        tuple(field.mul(lams[j], cols[j][i]) for j in range(3)) for i in range(3)
-    )
-    forward = ProjectiveMap2(field, rows).inverse()
-    return forward
+    s = _cross(l1.raw(), l2.raw())
+    i = next((i for i in (1, 0, 2) if not _is_zero(field.characteristic, s[i])), None)
+    if i is None:
+        raise EqualLines("normalization needs two distinct lines")
+    e = tuple(field.reduce(int(j == i)) for j in range(3))
+    return ProjectiveMap2(field, (l1.coeffs, e, l2.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -427,31 +337,28 @@ def shadow_incidence_check(P: Iterable[PlanePoint], l1: PlaneLine, l2: PlaneLine
     if len(pts) < 2:
         raise TooFewPoints("need two points off the two lines")
     field = pts[0].field
-    T = normalize_two_lines(l1, l2)
-    img = sorted(apply_projective(T, pts), key=lambda p: str(p))
-    linf = PlaneLine.infinity(field)
-    ly = PlaneLine.y_axis(field)
-    for p in img:
-        if incident(p, linf) or incident(p, ly):
-            raise InvariantViolation("normalized points must avoid both special lines")
-
     char = field.characteristic
-    lines = _span_pass(char, [p.raw() for p in img])
-    lhs_total = sum(map(len, lines.values()))
-    # b != 0 <=> not through (0:1:0) <=> non-vertical
-    lhs_nonvert = sum(len(members) for k, members in lines.items() if k[1])
+    rows = [int_coords(field, row) for row in normalize_two_lines(l1, l2).rows]
+    img = [_mod(char, tuple(_dot(row, p.raw()) for row in rows)) for p in pts]
+    if any(_is_zero(char, x) or _is_zero(char, z) for x, _, z in img):
+        raise InvariantViolation("normalized points must avoid both special lines")
 
-    s_pts = {PlanePoint.of(field, k) for k in _shadow_keys(char, lines, linf.raw())}
-    t_pts = {PlanePoint.of(field, k) for k in _shadow_keys(char, lines, ly.raw())}
-    # direction point of y = s*x + t is (1 : s : 0); vertical (0:1:0) dropped
-    S_vals = {field.div(p.coords[1], p.coords[0]) for p in s_pts if p.coords[0] != 0}
-    s_dropped = len(s_pts) - len(S_vals)
-    T_vals = {p.coords[1] for p in t_pts if p.coords[2] != 0}  # (0:t:1) -> t
-    t_dropped = len(t_pts) - len(T_vals)
+    def ratio(u: int, v: int):
+        return field.div(field.reduce(u), field.reduce(v))
+
+    lines = _span_pass(char, img)
+    lhs_total = sum(map(len, lines.values()))
+    # b != 0 <=> not through (0:1:0) <=> non-vertical: y = (-a/b)*x + (-c/b)
+    nonvert = [k for k in lines if k[1]]
+    lhs_nonvert = sum(len(lines[k]) for k in nonvert)
+    S_vals = {ratio(-a, b) for a, b, _ in nonvert}
+    T_vals = {ratio(-c, b) for _, b, c in nonvert}
+    # every vertical line meets infinity and the y-axis at (0:1:0)
+    s_dropped = t_dropped = int(len(nonvert) < len(lines))
 
     # rhs = #{(p, s) : p2 - p1*s in T}, each point p read as the line
     # t = -p1*s + p2
-    rhs = sum(_grid_counts(field, S_vals, T_vals, [(-p.coords[0], p.coords[1]) for p in img]))
+    rhs = sum(_grid_counts(field, S_vals, T_vals, [(ratio(-x, z), ratio(y, z)) for x, y, z in img]))
 
     if lhs_nonvert > rhs:
         raise InvariantViolation("grid injection violated: lhs_nonvertical > rhs")

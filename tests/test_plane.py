@@ -158,6 +158,57 @@ def test_normalize_two_lines_over_prime_field():
         normalize_two_lines(la, la)
 
 
+def _shadow_outcome(P, l1, l2):
+    try:
+        return shadow_incidence_check(P, l1, l2)
+    except (EqualLines, TooFewPoints) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(3), PrimeField(7), PrimeField(101)], ids=str)
+def test_shadow_incidence_check_projective_invariance(field):
+    """Every count of the shadow check is a projective invariant of (P, l1, l2):
+    moving all three by an invertible map U changes no count and no error."""
+    import random
+
+    from affine_energy.plane import ProjectiveMap2
+
+    rng = random.Random(field.characteristic + 5)
+
+    def draw():
+        while True:
+            v = tuple(field.reduce(rng.randint(-4, 4)) for _ in range(3))
+            if any(v):
+                return v
+
+    for _ in range(15):
+        P = {PlanePoint.of(field, draw()) for _ in range(rng.randint(3, 9))}
+        l1 = PlaneLine.of(field, draw())
+        l2 = l1 if rng.random() < 0.15 else PlaneLine.of(field, draw())
+        while True:
+            try:
+                U = ProjectiveMap2(field, (draw(), draw(), draw()))
+                break
+            except ValueError:  # singular
+                pass
+        moved = _shadow_outcome(apply_projective(U, P), U.apply_line(l1), U.apply_line(l2))
+        assert moved == _shadow_outcome(P, l1, l2)
+
+
+def test_normalize_two_lines_rows_exhaustive_f3():
+    """Rows (l1, e, l2) with e a unit row, and l1^l2 sent to (0:1:0), on every
+    ordered pair of distinct lines of P^2(F_3)."""
+    import itertools
+
+    F3 = PrimeField(3)
+    units = {tuple(F3.reduce(int(i == j)) for j in range(3)) for i in range(3)}
+    lines = {PlaneLine.of(F3, v) for v in itertools.product(range(3), repeat=3) if any(v)}
+    for la, lb in itertools.permutations(sorted(lines, key=str), 2):
+        T = normalize_two_lines(la, lb)
+        assert T.rows[0] == la.coeffs and T.rows[2] == lb.coeffs and T.rows[1] in units
+        assert T.apply_point(meet_lines(la, lb)) == PlanePoint.of(F3, (0, 1, 0))
+
+
 def test_apply_projective_preserves_structure(any_field):
     pts = seeded_random(9, 13, any_field, "planar")
     la = PlaneLine.of(any_field, (1, 1, 1))

@@ -175,6 +175,14 @@ def test_cli_richlines_input_with_gen_exits_2(tmp_path):
     assert code == 2 and err == "error: exactly one of --gen and --input is required\n"
 
 
+def test_cli_richlines_field_disagrees_with_file(tmp_path):
+    """--field must match the grid file's header, as for every other input file."""
+    path = tmp_path / "grid.txt"
+    path.write_text(GRID_FILE)
+    code, err = run_cli_err("richlines", "--input", str(path), "--field", "Fp:101")
+    assert code == 2 and err == "error: --field disagrees with the input file header\n"
+
+
 def test_cli_config_errors():
     assert run_cli("energy", "--field", "Q")[0] == 2  # no input source
     assert run_cli("energy", "--gen", "grid:3")[0] == 2  # no field
@@ -185,6 +193,12 @@ def test_cli_config_errors():
         assert code == 2 and err.startswith("error:") and "--jobs" in err
     assert run_cli("energy", "--gen", "affprod:ap(0,1,3)xap(0,1,3)", "--field", "Q")[0] == 2  # SlopeZero
     assert run_cli("shadow", "--gen", "randplanar:1:seed=1", "--field", "Q")[0] == 2  # TooFewPoints
+    for argv in (
+        ["shadow", "--gen", "grid:3", "--field", "Q", "--theta", "1/0"],
+        ["richlines", "--gen", "grid:2", "--set-a", "ap(1,1,3)", "--field", "Q", "--alpha", "1/0"],
+    ):
+        code, err = run_cli_err(*argv)
+        assert code == 2 and err.startswith("error:") and argv[-2] in err and "Traceback" not in err
     bound = ["boundcheck", "--gen", "grid:3", "--field", "Q"]
     assert run_cli(*bound, "--set-s", "grid:2", "--set-t", "ap(1,1,3)")[0] == 2  # S not a progression
     assert run_cli(*bound, "--set-s", "ap(1,1,3)", "--set-t", "randaff:3")[0] == 2  # T not a progression
