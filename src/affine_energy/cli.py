@@ -16,6 +16,7 @@ from typing import List, Optional
 
 from .affine import AffineSet, max_on_vertical
 from .energy import (
+    ORACLE_CAP_DEFAULT,
     decompose_by_C,
     decompose_bruteforce,
     energy,
@@ -83,8 +84,9 @@ def _load(args, field: Field, read, random_spec):
     if args.input:
         with open(args.input) as fh:
             file_field, obj = read(fh.read())
-        if args.field and file_field != field:
-            raise ConfigError("--field disagrees with the input file header")
+        if file_field != field:
+            source = "--field" if args.field else FIELD_ENV
+            raise ConfigError(f"{source} disagrees with the input file header")
         return obj
     spec = parse_gen_spec(args.gen)
     if isinstance(spec, random_spec) and args.seed:
@@ -484,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="diff fast paths against brute-force oracles")
     common(p)
-    p.add_argument("--oracle-cap", type=int, default=64)
+    p.add_argument("--oracle-cap", type=int, default=ORACLE_CAP_DEFAULT)
     p.set_defaults(func=_cmd_oracle)
 
     return parser

@@ -3,8 +3,14 @@
 E(A) counts quadruples (g,h,u,v) in A^4 with g^{-1} o h = u^{-1} o v; E*(A)
 counts g o h = u o v.  The fast paths bucket raw (a, b) keys of all |A|^2
 pairs in one quotient pass and one product pass; Scalar and AffineMap appear
-only at the API edge.  The brute-force oracles enumerate quadruples directly
-through compose/quotient, which the fast paths never call.
+only at the API edge.
+
+The brute-force oracles compute every pair value g^{-1} o h (or g o h)
+through quotient/compose, which the fast paths never call, and count the
+quadruples whose two pair values are equal.  They find the partner pairs by
+hash lookup on those values rather than by a linear scan: E and E* tally the
+|A|^2 values in one Counter (O(|A|^2)), and the Q_C oracle checks the
+relation per triple (g, v, u) against one Counter of g's row (O(|A|^3)).
 
 The C-decomposition splits E(A) by the invariant C = g1*v1 (= h1*u1 for every
 energy quadruple); slices C_C = {(g,v) : g1*v1 = C} carry the identities
@@ -137,8 +143,8 @@ def energy_asym(A: AffineSet, B: AffineSet) -> int:
 
 
 def _flat_key(pair_key, char: int):
-    """Int-tuple form of a raw (a, b) key; Fraction equality is too slow for
-    the C-speed count scans the oracles lean on."""
+    """Int-tuple form of a raw (a, b) key; Fraction hashing and equality run
+    in Python, int tuples at C speed in the oracles' lookups."""
     if char:
         return pair_key
     a, b = pair_key
@@ -152,24 +158,23 @@ def _pair_keys(A: AffineSet, B: AffineSet, mode: str) -> list:
 
 
 def energy_bruteforce(A: AffineSet, mode: str = "E", cap: int = ORACLE_CAP_DEFAULT) -> int:
-    """Direct quadruple enumeration; independent oracle for energy/energy_star.
+    """Independent oracle for energy/energy_star, in O(|A|^2).
 
-    Checks the defining relation for every (g,h,u,v) by comparing the
-    precomputed pair value of (g,h) against each pair value of (u,v).
+    The pair value of every (g,h) comes from quotient (E) or compose (E*);
+    the quadruples (g,h,u,v) with equal pair values number sum_t r(t)^2 over
+    the tally r of those values, which one Counter gives by hash lookup.
     """
     if mode not in ("E", "Estar"):
         raise ValueError(f"unknown mode {mode!r}")
     if len(A) > cap:
         raise OracleCapExceeded(f"|A| = {len(A)} above oracle cap {cap}")
-    keys = _pair_keys(A, A, mode)
-    return sum(keys.count(k) for k in keys)
+    return sum(r * r for r in Counter(_pair_keys(A, A, mode)).values())
 
 
 def energy_asym_bruteforce(A: AffineSet, B: AffineSet, cap: int = ORACLE_CAP_DEFAULT) -> int:
     if len(A) > cap or len(B) > cap:
         raise OracleCapExceeded(f"|A| = {len(A)}, |B| = {len(B)} above oracle cap {cap}")
-    keys = _pair_keys(A, B, "E")
-    return sum(keys.count(k) for k in keys)
+    return sum(r * r for r in Counter(_pair_keys(A, B, "E")).values())
 
 
 @dataclass(frozen=True)
@@ -201,7 +206,12 @@ def decompose_by_C(A: AffineSet) -> Dict[Scalar, int]:
 
 
 def decompose_bruteforce(A: AffineSet, cap: int = ORACLE_CAP_DEFAULT) -> Dict[Scalar, int]:
-    """Oracle for decompose_by_C: per-quadruple scan of the energy relation."""
+    """Oracle for decompose_by_C, in O(|A|^3).
+
+    For every triple (g, v, u), with C = g1*v1, it counts the h whose pair
+    value quotient(g, h) equals quotient(u, v): each row g is tallied once in
+    a Counter, and the h are found by hash lookup instead of a scan of the row.
+    """
     if len(A) > cap:
         raise OracleCapExceeded(f"|A| = {len(A)} above oracle cap {cap}")
     field = A.field
@@ -210,17 +220,16 @@ def decompose_bruteforce(A: AffineSet, cap: int = ORACLE_CAP_DEFAULT) -> Dict[Sc
     n = len(elems)
     qkey = [[_flat_key(quotient(g, h).key(), char) for h in elems] for g in elems]
     cval = [[field.mul(g.a.value, v.a.value) for v in elems] for g in elems]
+    cols = list(zip(*qkey))  # cols[v][u] = qkey[u][v]
+    zeros = [0] * n
     tally: Counter = Counter()
     for gi in range(n):
-        row_g = qkey[gi]
+        count_h = Counter(qkey[gi]).get
         crow = cval[gi]
         for vi in range(n):
-            c = crow[vi]
-            hits = 0
-            for ui in range(n):
-                hits += row_g.count(qkey[ui][vi])
+            hits = sum(map(count_h, cols[vi], zeros))  # sum over u of #{h : qkey[g][h] = qkey[u][v]}
             if hits:
-                tally[c] += hits
+                tally[crow[vi]] += hits
     return {Scalar(field, v): q for v, q in sorted(tally.items(), key=lambda kv: field.sort_key(kv[0]))}
 
 

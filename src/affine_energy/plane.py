@@ -419,11 +419,14 @@ def quadrangles(P: Iterable[PlanePoint]) -> int:
     return count
 
 
-def quadrangles_bruteforce(P: Iterable[PlanePoint], cap: int = 64) -> int:
-    """Quadruple-enumeration oracle: scans every ordered pair of pairs.
+def quadrangles_bruteforce(P: Iterable[PlanePoint], cap: int = ORACLE_CAP_DEFAULT) -> int:
+    """Quadruple-enumeration oracle, in O(n^3) for points in general position.
 
-    Direction and y-axis-meet keys are interned to small ints so the n^4 scan
-    compares ints only.
+    Direction and y-axis-meet keys are interned to small ints.  For each
+    (g, h, u) the partners v with dir(u, v) = dir(g, h) are looked up in an
+    index of u's pairs by direction, rather than scanned over all v; the
+    tests v != h, mu(h, v) = mu(g, u) and not all four collinear are made
+    per quadruple.
     """
     pts, field, char, raws = _quadrangle_setup(P)
     n = len(raws)
@@ -432,6 +435,7 @@ def quadrangles_bruteforce(P: Iterable[PlanePoint], cap: int = 64) -> int:
     dir_ids: dict = {}
     mu_ids: dict = {}
     dir_k = [[-1] * n for _ in range(n)]
+    by_dir: list = [{} for _ in range(n)]  # u -> {direction id: [v != u]}
     mu_k = [[-1] * n for _ in range(n)]
     for i in range(n):
         xi, yi, zi = raws[i]
@@ -440,7 +444,8 @@ def quadrangles_bruteforce(P: Iterable[PlanePoint], cap: int = 64) -> int:
                 continue
             xj, yj, zj = raws[j]
             dk = _canon_int(char, (xj * zi - xi * zj, yj * zi - yi * zj, 0))
-            dir_k[i][j] = dir_ids.setdefault(dk, len(dir_ids))
+            d = dir_k[i][j] = dir_ids.setdefault(dk, len(dir_ids))
+            by_dir[i].setdefault(d, []).append(j)
             line = _cross(raws[i], raws[j])
             mk = _canon_int(char, (0, line[2], -line[1]))
             mu_k[i][j] = mu_ids.setdefault(mk, len(mu_ids))
@@ -457,12 +462,9 @@ def quadrangles_bruteforce(P: Iterable[PlanePoint], cap: int = 64) -> int:
             for u in range(n):
                 if u == g:
                     continue
-                dir_u = dir_k[u]
                 mgu = mu_g[u]
-                for v in range(n):
-                    if v == h or v == u:
-                        continue
-                    if dir_u[v] != dk or mu_h[v] != mgu:
+                for v in by_dir[u].get(dk, ()):
+                    if v == h or mu_h[v] != mgu:
                         continue
                     du = _dot(line_gh, raws[u])
                     dv = _dot(line_gh, raws[v])

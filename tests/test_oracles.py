@@ -1,0 +1,166 @@
+"""The brute-force oracles against literal partner scans.
+
+The oracles find the partner pairs of a quadruple by hash lookup.  The
+helpers below find them by scanning, one comparison per quadruple, with the
+same pair keys and the same per-quadruple tests; on small sets both must give
+the same counts.  The sets include rich lines, parallel families and
+collinear quadruples (grids, GP x AP products, small fields) and Q sets with
+unlike denominators.
+"""
+
+from collections import Counter
+from fractions import Fraction
+
+from affine_energy import (
+    AffineSet,
+    PlanePoint,
+    PrimeField,
+    RATIONALS,
+    decompose_bruteforce,
+    energy_asym_bruteforce,
+    energy_bruteforce,
+    quadrangles_bruteforce,
+    seeded_random,
+)
+from affine_energy.affine import quotient
+from affine_energy.energy import _flat_key, _pair_keys
+from affine_energy.fields import Scalar
+from affine_energy.generators import APSpec, AffProductSpec, GPSpec, GridSpec, generate
+from affine_energy.plane import _canon_int, _cross, _dot, _quadrangle_setup
+
+Q = RATIONALS
+FIELDS = [PrimeField(5), PrimeField(7), PrimeField(11), PrimeField(101), Q]
+
+
+def _energy_scan(A, mode="E"):
+    keys = _pair_keys(A, A, mode)
+    return sum(keys.count(k) for k in keys)
+
+
+def _energy_asym_scan(A, B):
+    keys = _pair_keys(A, B, "E")
+    return sum(keys.count(k) for k in keys)
+
+
+def _decompose_scan(A):
+    field = A.field
+    char = field.characteristic
+    elems = list(A)
+    n = len(elems)
+    qkey = [[_flat_key(quotient(g, h).key(), char) for h in elems] for g in elems]
+    cval = [[field.mul(g.a.value, v.a.value) for v in elems] for g in elems]
+    tally: Counter = Counter()
+    for gi in range(n):
+        row_g = qkey[gi]
+        crow = cval[gi]
+        for vi in range(n):
+            c = crow[vi]
+            hits = 0
+            for ui in range(n):
+                hits += row_g.count(qkey[ui][vi])
+            if hits:
+                tally[c] += hits
+    return {Scalar(field, v): q for v, q in sorted(tally.items(), key=lambda kv: field.sort_key(kv[0]))}
+
+
+def _quadrangles_scan(P):
+    pts, field, char, raws = _quadrangle_setup(P)
+    n = len(raws)
+    dir_ids: dict = {}
+    mu_ids: dict = {}
+    dir_k = [[-1] * n for _ in range(n)]
+    mu_k = [[-1] * n for _ in range(n)]
+    for i in range(n):
+        xi, yi, zi = raws[i]
+        for j in range(n):
+            if i == j:
+                continue
+            xj, yj, zj = raws[j]
+            dk = _canon_int(char, (xj * zi - xi * zj, yj * zi - yi * zj, 0))
+            dir_k[i][j] = dir_ids.setdefault(dk, len(dir_ids))
+            line = _cross(raws[i], raws[j])
+            mk = _canon_int(char, (0, line[2], -line[1]))
+            mu_k[i][j] = mu_ids.setdefault(mk, len(mu_ids))
+    count = 0
+    for g in range(n):
+        dir_g = dir_k[g]
+        mu_g = mu_k[g]
+        for h in range(n):
+            if h == g:
+                continue
+            dk = dir_g[h]
+            mu_h = mu_k[h]
+            line_gh = _cross(raws[g], raws[h])
+            for u in range(n):
+                if u == g:
+                    continue
+                dir_u = dir_k[u]
+                mgu = mu_g[u]
+                for v in range(n):
+                    if v == h or v == u:
+                        continue
+                    if dir_u[v] != dk or mu_h[v] != mgu:
+                        continue
+                    du = _dot(line_gh, raws[u])
+                    dv = _dot(line_gh, raws[v])
+                    if char:
+                        du %= char
+                        dv %= char
+                    if du == 0 and dv == 0:
+                        continue  # all four collinear
+                    count += 1
+    return count
+
+
+def _structured_sets():
+    """Grids and GP x AP products of at most 14 maps over Q, F_7 and F_11,
+    and a Q set with unlike denominators."""
+    specs = [
+        GridSpec(2),
+        GridSpec(3),
+        AffProductSpec(GPSpec(1, 2, 3), APSpec(0, 1, 4)),
+        AffProductSpec(GPSpec(1, 3, 4), APSpec(0, 2, 3)),
+        AffProductSpec(APSpec(1, 1, 2), APSpec(0, 1, 7)),
+        AffProductSpec(GPSpec(1, 2, 7), APSpec(0, 1, 2)),
+    ]
+    sets = [generate(spec, field) for spec in specs for field in (Q, PrimeField(7), PrimeField(11))]
+    unlike = [(Fraction(a), Fraction(b)) for a in ("1/2", "-3/5", "7/3", "4") for b in ("0", "2/7", "-5/9")]
+    sets.append(AffineSet.from_pairs(Q, unlike))
+    return sets
+
+
+def _random_sets():
+    return [seeded_random(n, seed, field, "affine") for field in FIELDS for n, seed in ((2, 1), (6, 2), (11, 3), (14, 4))]
+
+
+def _as_points(A):
+    return {PlanePoint.affine(A.field, g.a.value, g.b.value) for g in A}
+
+
+def test_energy_oracles_match_scan():
+    for A in _random_sets() + _structured_sets():
+        assert energy_bruteforce(A, "E") == _energy_scan(A, "E")
+        assert energy_bruteforce(A, "Estar") == _energy_scan(A, "Estar")
+
+
+def test_energy_asym_oracle_matches_scan():
+    for field in FIELDS:
+        A = seeded_random(9, 5, field, "affine")
+        B = seeded_random(13, 6, field, "affine")
+        assert energy_asym_bruteforce(A, B) == _energy_asym_scan(A, B)
+        assert energy_asym_bruteforce(B, A) == _energy_asym_scan(B, A)
+    grid, product = generate(GridSpec(3), Q), generate(AffProductSpec(GPSpec(1, 2, 3), APSpec(0, 1, 4)), Q)
+    assert energy_asym_bruteforce(grid, product) == _energy_asym_scan(grid, product)
+
+
+def test_decompose_oracle_matches_scan():
+    for A in _random_sets() + _structured_sets():
+        assert decompose_bruteforce(A) == _decompose_scan(A)
+
+
+def test_quadrangles_oracle_matches_scan():
+    planar = [seeded_random(n, seed, field, "planar") for field in FIELDS for n, seed in ((4, 7), (9, 8), (14, 9))]
+    lines = {PlanePoint.affine(Q, x, 2 * x + 1) for x in range(1, 6)} | {PlanePoint.affine(Q, 3, y) for y in range(4)}
+    cases = planar + [_as_points(A) for A in _structured_sets()] + [lines]
+    for P in cases:
+        assert quadrangles_bruteforce(P) == _quadrangles_scan(P)

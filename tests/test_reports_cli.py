@@ -183,6 +183,18 @@ def test_cli_richlines_field_disagrees_with_file(tmp_path):
     assert code == 2 and err == "error: --field disagrees with the input file header\n"
 
 
+def test_cli_env_field_disagrees_with_file(tmp_path, monkeypatch):
+    """A field from AFFINE_ENERGY_FIELD must match the input file's header too."""
+    monkeypatch.setenv("AFFINE_ENERGY_FIELD", "Fp:101")
+    for cmd, text in (("energy", AFFINE_FILE), ("richlines", GRID_FILE)):
+        path = tmp_path / f"{cmd}.txt"
+        path.write_text(text)
+        code, err = run_cli_err(cmd, "--input", str(path))
+        assert code == 2 and err == "error: AFFINE_ENERGY_FIELD disagrees with the input file header\n"
+    monkeypatch.setenv("AFFINE_ENERGY_FIELD", "Q")
+    assert run_cli("energy", "--input", str(tmp_path / "energy.txt"))[0] == 0
+
+
 def test_cli_config_errors():
     assert run_cli("energy", "--field", "Q")[0] == 2  # no input source
     assert run_cli("energy", "--gen", "grid:3")[0] == 2  # no field
