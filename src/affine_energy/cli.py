@@ -9,6 +9,7 @@ docs/formats.md for schemas.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -425,7 +426,12 @@ def _cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process.  `parse_args` leaves it
+    unchanged and returns a fresh namespace, and the field default from
+    AFFINE_ENERGY_FIELD is read when a command runs, so one parser serves
+    every call of `main`."""
     parser = argparse.ArgumentParser(
         prog="affine-energy",
         description="Exact affine-group energy, incidence and rich-line experiments.",

@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from typing import Dict, Iterable, List, Sequence, Set
 
 from .affine import AffineMap, AffineSet, quotient
@@ -512,19 +512,18 @@ def quadrangle_energy_correspondence(P: Iterable[PlanePoint]) -> QuadrangleCorre
     for i in range(n):
         for j in range(n):
             buckets[quotient(maps[i], maps[j]).key()].append((i, j))
-    dir_key = {}
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                xi, yi, zi = raws[i]
-                xj, yj, zj = raws[j]
-                dir_key[i, j] = _canon_int(char, (xj * zi - xi * zj, yj * zi - yi * zj, 0))
-    mu_key = {}
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                line = _cross(raws[i], raws[j])
-                mu_key[i, j] = _canon_int(char, (0, line[2], -line[1]))
+
+    # side keys of a pair, computed only for the geometric quadruples that read them
+    @cache
+    def dir_key(i, j):
+        xi, yi, zi = raws[i]
+        xj, yj, zj = raws[j]
+        return _canon_int(char, (xj * zi - xi * zj, yj * zi - yi * zj, 0))
+
+    @cache
+    def mu_key(i, j):
+        line = _cross(raws[i], raws[j])
+        return _canon_int(char, (0, line[2], -line[1]))
 
     total = geometric = trivial = collinear = 0
     for entries in buckets.values():
@@ -549,9 +548,9 @@ def quadrangle_energy_correspondence(P: Iterable[PlanePoint]) -> QuadrangleCorre
                 # must be a geometric quadrangle; verify both side conditions
                 if u == v or h == v:
                     raise InvariantViolation("a geometric quadrangle needs u != v and h != v")
-                if dir_key[g, h] != dir_key[u, v]:
+                if dir_key(g, h) != dir_key(u, v):
                     raise InvariantViolation("parallel sides expected")
-                if mu_key[g, u] != mu_key[h, v]:
+                if mu_key(g, u) != mu_key(h, v):
                     raise InvariantViolation("shared y-axis point expected")
                 geometric += 1
     return QuadrangleCorrespondence(

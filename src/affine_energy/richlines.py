@@ -156,31 +156,46 @@ def max_concurrent_pencil(lines: AffineSet) -> Pencil:
 
 
 def pencil_bruteforce(lines: AffineSet) -> Pencil:
-    """O(k^3) oracle: rescan all lines through every pairwise intersection."""
+    """O(k^2) oracle: one field division per pair of lines of different
+    slopes, the intersections tallied per anchor line.
+
+    Each anchor line i counts, by intersection abscissa x0, the later lines
+    j > i of another slope; those meeting it at x0 all pass through
+    (x0, a_i*x0 + b_i).  The r lines through a point tally r - 1 on their
+    smallest-index member and fewer on every other anchor, so the largest
+    tally plus one is the largest pencil, and every point reaching it is
+    gathered; ties go to the smallest (x0, y0).  A final scan of all lines
+    reads the pencil's slopes and must count exactly that many.
+    """
     k = len(lines)
     if k < 2:
         raise TooFewLines("pencil detection needs at least two lines")
     field = lines.field
-    ls = lines.sorted_maps()
-    keys = [l.key() for l in ls]
-    best: Optional[Tuple[int, tuple]] = None
+    keys = [l.key() for l in lines.sorted_maps()]
+    top = 0
+    points: List[tuple] = []
     for i in range(k):
         a1, b1 = keys[i]
+        tally: Counter = Counter()
         for j in range(i + 1, k):
             a2, b2 = keys[j]
             if a1 == a2:
                 continue
-            x0 = field.div(field.sub(b2, b1), field.sub(a1, a2))
-            y0 = field.add(field.mul(a1, x0), b1)
-            cnt = sum(1 for a, b in keys if field.add(field.mul(a, x0), b) == y0)
-            entry = (cnt, (field.sort_key(x0), field.sort_key(y0)))
-            if best is None or cnt > best[0] or (cnt == best[0] and entry[1] < best[1]):
-                best = (cnt, entry[1], (x0, y0))
-    if best is None:
+            tally[field.div(field.sub(b2, b1), field.sub(a1, a2))] += 1
+        if not tally:
+            continue
+        cnt = max(tally.values())
+        if cnt > top:
+            top, points = cnt, []
+        if cnt == top:
+            points.extend((x0, field.add(field.mul(a1, x0), b1)) for x0, c in tally.items() if c == top)
+    if not points:
         slope = min((a for a, _ in keys), key=field.sort_key)
         return Pencil(None, frozenset({Scalar(field, slope)}))
-    x0, y0 = best[2]
+    x0, y0 = min(points, key=lambda p: (field.sort_key(p[0]), field.sort_key(p[1])))
     slopes = {a for a, b in keys if field.add(field.mul(a, x0), b) == y0}
+    if len(slopes) != top + 1:
+        raise InvariantViolation("pencil tally disagrees with the lines through its point")
     return Pencil((Scalar(field, x0), Scalar(field, y0)), frozenset(Scalar(field, s) for s in slopes))
 
 

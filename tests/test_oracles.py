@@ -1,11 +1,12 @@
 """The brute-force oracles against literal partner scans.
 
-The oracles find the partner pairs of a quadruple by hash lookup.  The
-helpers below find them by scanning, one comparison per quadruple, with the
-same pair keys and the same per-quadruple tests; on small sets both must give
-the same counts.  The sets include rich lines, parallel families and
-collinear quadruples (grids, GP x AP products, small fields) and Q sets with
-unlike denominators.
+The oracles find the partner pairs of a quadruple by hash lookup, and the
+pencil oracle tallies intersections per anchor line.  The helpers below scan
+instead, one comparison per quadruple or one rescan of all lines per
+intersection, with the same pair keys and the same per-quadruple tests; on
+small sets both must give the same results.  The sets include rich lines,
+parallel families and collinear quadruples (grids, GP x AP products, small
+fields) and Q sets with unlike denominators.
 """
 
 from collections import Counter
@@ -19,6 +20,8 @@ from affine_energy import (
     decompose_bruteforce,
     energy_asym_bruteforce,
     energy_bruteforce,
+    max_concurrent_pencil,
+    pencil_bruteforce,
     quadrangles_bruteforce,
     seeded_random,
 )
@@ -27,6 +30,7 @@ from affine_energy.energy import _flat_key, _pair_keys
 from affine_energy.fields import Scalar
 from affine_energy.generators import APSpec, AffProductSpec, GPSpec, GridSpec, generate
 from affine_energy.plane import _canon_int, _cross, _dot, _quadrangle_setup
+from affine_energy.richlines import Pencil
 
 Q = RATIONALS
 FIELDS = [PrimeField(5), PrimeField(7), PrimeField(11), PrimeField(101), Q]
@@ -112,6 +116,32 @@ def _quadrangles_scan(P):
     return count
 
 
+def _pencil_scan(lines):
+    k = len(lines)
+    field = lines.field
+    ls = lines.sorted_maps()
+    keys = [l.key() for l in ls]
+    best = None
+    for i in range(k):
+        a1, b1 = keys[i]
+        for j in range(i + 1, k):
+            a2, b2 = keys[j]
+            if a1 == a2:
+                continue
+            x0 = field.div(field.sub(b2, b1), field.sub(a1, a2))
+            y0 = field.add(field.mul(a1, x0), b1)
+            cnt = sum(1 for a, b in keys if field.add(field.mul(a, x0), b) == y0)
+            entry = (cnt, (field.sort_key(x0), field.sort_key(y0)))
+            if best is None or cnt > best[0] or (cnt == best[0] and entry[1] < best[1]):
+                best = (cnt, entry[1], (x0, y0))
+    if best is None:
+        slope = min((a for a, _ in keys), key=field.sort_key)
+        return Pencil(None, frozenset({Scalar(field, slope)}))
+    x0, y0 = best[2]
+    slopes = {a for a, b in keys if field.add(field.mul(a, x0), b) == y0}
+    return Pencil((Scalar(field, x0), Scalar(field, y0)), frozenset(Scalar(field, s) for s in slopes))
+
+
 def _structured_sets():
     """Grids and GP x AP products of at most 14 maps over Q, F_7 and F_11,
     and a Q set with unlike denominators."""
@@ -164,3 +194,52 @@ def test_quadrangles_oracle_matches_scan():
     cases = planar + [_as_points(A) for A in _structured_sets()] + [lines]
     for P in cases:
         assert quadrangles_bruteforce(P) == _quadrangles_scan(P)
+
+
+def _pencil_cases():
+    """Random line sets, all of AG(2, 5)'s lines, a pencil whose first member
+    is not the first line, a tie of negative fractions, parallel-only and
+    two-line sets; with the expected point and size where they are known."""
+    F = Fraction
+    F5 = PrimeField(5)
+    cases = [(seeded_random(n, seed, field, "affine"), None) for field in FIELDS for n, seed in ((2, 11), (7, 12), (13, 13), (20, 14))]
+    # every line y = a*x + b with a != 0 over F_5: each of the 25 points is on 4 of them
+    cases.append((AffineSet.from_pairs(F5, [(a, b) for a in range(1, 5) for b in range(5)]), ((0, 0), 4)))
+    # y = x + 10 sorts first and misses (1, 1); the pencil there starts at line 1
+    cases.append((AffineSet.from_pairs(Q, [(1, 10), (2, -1), (3, -2), (5, -4)]), ((1, 1), 3)))
+    # two pencils of three lines each, tied; the smaller point (-1/2, 2/3) wins
+    through = lambda x0, y0, slopes: [(a, y0 - a * x0) for a in slopes]
+    tied = (
+        through(F(3, 4), F(-5, 2), (F(-1, 3), F(-7, 2), 2))
+        + through(F(-1, 2), F(2, 3), (F(-2, 5), F(-3), F(1, 7)))
+        + [(F(-1, 3), F(4, 9)), (F(5, 6), F(-11, 4))]
+    )
+    cases.append((AffineSet.from_pairs(Q, tied), ((F(-1, 2), F(2, 3)), 3)))
+    cases.append((AffineSet.from_pairs(Q, [(3, 0), (3, 1), (3, -2)]), (None, 1)))
+    cases.append((AffineSet.from_pairs(F5, [(2, 1), (4, 3)]), ((4, 4), 2)))
+    return cases
+
+
+def test_pencil_oracle_matches_scan():
+    for lines, expected in _pencil_cases():
+        pen = pencil_bruteforce(lines)
+        assert pen == _pencil_scan(lines) == max_concurrent_pencil(lines)
+        if expected is not None:
+            point, size = expected
+            if point is not None:
+                point = tuple(lines.field.scalar(v) for v in point)
+            assert (pen.point, pen.size) == (point, size)
+
+
+def test_pencil_oracle_divides_once_per_pair(monkeypatch):
+    """One intersection per unordered pair of lines of different slopes."""
+    calls = []
+    real = PrimeField.div
+    monkeypatch.setattr(PrimeField, "div", lambda self, x, y: calls.append(1) or real(self, x, y))
+    for lines, _ in _pencil_cases():
+        if lines.field.characteristic:
+            calls.clear()
+            pencil_bruteforce(lines)
+            slopes = Counter(g.a for g in lines)
+            k = len(lines)
+            assert len(calls) == k * (k - 1) // 2 - sum(c * (c - 1) // 2 for c in slopes.values())

@@ -312,6 +312,49 @@ def test_cli_sweep_pool_at_most_one_worker_per_row(tmp_path, monkeypatch):
     assert sizes == [3, 3, 2]
 
 
+def test_cli_cached_parser_leaks_nothing(monkeypatch):
+    """One parser serves every call of `main` in a process: each command of a
+    sequence prints what it prints run alone, on a freshly built parser."""
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+
+    from affine_energy.cli import build_parser
+
+    def run(argv, env_field):
+        if env_field:
+            monkeypatch.setenv("AFFINE_ENERGY_FIELD", env_field)
+        else:
+            monkeypatch.delenv("AFFINE_ENERGY_FIELD", raising=False)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(list(argv))
+        return code, out.getvalue(), err.getvalue()
+
+    oracle = ("oracle", "--gen", "randaff:6:seed=2", "--field", "Q")
+    energy = ("energy", "--gen", "grid:3", "--field", "Fp:101")
+    no_field = ("energy", "--gen", "grid:3")
+    sequence = [
+        (oracle + ("--oracle-cap", "0"), None),
+        (oracle, None),
+        (energy + ("--format", "csv"), None),
+        (energy, None),
+        (no_field, "Q"),
+        (no_field, None),
+    ]
+    alone = []
+    for argv, env_field in sequence:
+        build_parser.cache_clear()
+        alone.append(run(argv, env_field))
+    build_parser.cache_clear()
+    together = [run(argv, env_field) for argv, env_field in sequence]
+    assert together == alone
+    codes = [code for code, _, _ in together]
+    assert codes == [2, 0, 0, 0, 0, 2]
+    assert together[3][1].startswith("{") and json.loads(together[3][1])["field"] == "Fp:101"
+    assert json.loads(together[4][1])["field"] == "Q"
+    assert "no field given" in together[5][2]
+
+
 def test_console_entrypoint_runs():
     src = str(Path(affine_energy.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
