@@ -333,8 +333,9 @@ def _cmd_oracle(args) -> int:
     results["decompose"] = same("decompose", dec_fast, dec_brute)
     inc = {field.render(k.value): v for k, v in q_c_incidence_table(A).items()}
     results["incidence_route"] = same("incidence_route", inc, dec_fast)
-    pts = {PlanePoint.affine(field, g.a.value, g.b.value) for g in A}
-    results["quadrangles"] = check("quadrangles", quadrangles(pts), quadrangles_bruteforce(pts, cap))
+    if len(A):  # quadrangle counting needs a point
+        pts = {PlanePoint.affine(field, g.a.value, g.b.value) for g in A}
+        results["quadrangles"] = check("quadrangles", quadrangles(pts), quadrangles_bruteforce(pts, cap))
     if len(A) >= 2:
         results["pencil"] = same("pencil", max_concurrent_pencil(A), pencil_bruteforce(A))
     results["all_equal"] = not diffs

@@ -1,9 +1,17 @@
 """Energy quantities of affine sets and their slice decomposition.
 
 E(A) counts quadruples (g,h,u,v) in A^4 with g^{-1} o h = u^{-1} o v; E*(A)
-counts g o h = u o v.  The fast paths bucket raw (a, b) keys of all |A|^2
-pairs in one quotient pass and one product pass; Scalar and AffineMap appear
-only at the API edge.
+counts g o h = u o v.  The fast paths key the raw (a, b) values of all pairs
+g^{-1} o h by one int each (see _blocks); Scalar and AffineMap appear only at
+the API edge.  Two readers share that prologue:
+
+- the sizes-only reader, _pair_sizes, tallies the keys in one Counter.  It
+  serves E (energy, quotient_stats without the decomposition), E* and |AA|
+  (the product pass over A^{-1} x A), E(A,B) (energy_asym) and the E(A_P)
+  term of plane.quadrangles;
+- the block reader, _pair_blocks, tallies each bucket by slope-class block.
+  Only quotient_stats with the decomposition uses it, because Q_C reads the
+  blocks; it also gives E and |A^{-1}A| there.
 
 The brute-force oracles compute every pair value g^{-1} o h (or g o h)
 through quotient/compose, which the fast paths never call, and count the
@@ -23,7 +31,8 @@ import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
+from operator import itemgetter
 from typing import Dict, Optional, Tuple
 
 from .affine import AffineSet, compose, inverse, max_on_line, max_on_vertical, quotient
@@ -42,56 +51,143 @@ def _slope_classes(pairs) -> list:
     return list(classes.items())
 
 
-def _quotient_pass(field: Field, G: list, H: list):
-    """Buckets of t = g^{-1} o h over the raw (a, b) pairs G x H.
+def _pair_ids(char: int, xs: list, ys: list, invert: bool = False) -> Tuple[list, list]:
+    """Ids of x*y, or of y/x when `invert`, for every x in xs and y in ys.
 
-    The pairs are walked in blocks, one per slope class x of G and y of H.
-    The slope y/x of t is fixed on a block and gets one id.  The intercept
-    (b_h - b_g)/x becomes an exact integer key through a per-class factor:
-    1/x mod p over F_p; over Q, with intercepts cleared by their common
-    denominator, L/x for L the lcm of the slope numerators.  Each bucket
-    tallies its pairs by block (i, j).
+    Returns the id grid, grid[i][j] for (xs[i], ys[j]), and the distinct
+    values in id order.  Over F_p the values are residues (field.mul).  Over
+    Q they are reduced int pairs (numerator, denominator > 0): an inverse
+    swaps the pair and keeps the sign on the numerator, a product is reduced
+    by one gcd, and no Fraction is built.
+    """
+    ids: dict = {}
+    if char:
+        if invert:
+            xs = [pow(x, -1, char) for x in xs]
+        return [[ids.setdefault(x * y % char, len(ids)) for y in ys] for x in xs], list(ids)
+    xs = [(x.numerator, x.denominator) for x in xs]
+    if invert:
+        xs = [(d, n) if n > 0 else (-d, -n) for n, d in xs]
+    ys = [(y.numerator, y.denominator) for y in ys]
+    grid = []
+    for xn, xd in xs:
+        row = []
+        for yn, yd in ys:
+            n, d = xn * yn, xd * yd
+            g = gcd(n, d)
+            row.append(ids.setdefault((n // g, d // g), len(ids)))
+        grid.append(row)
+    return grid, list(ids)
 
-    Returns the slope classes of G and {t key: {(i, j): count}}.
+
+def _sorted_values(char: int, values: list) -> list:
+    """(id, raw value) for the values of _pair_ids, in field.sort_key order.
+
+    Over Q each reduced pair (n, d) becomes one Fraction, and the order is
+    that of the exact int n*(L/d), L the lcm of the denominators.  Past 1024
+    bits of L the Fractions themselves are compared, so the keys of a
+    high-height set stay small.
+    """
+    if char:
+        return sorted(enumerate(values), key=itemgetter(1))
+    L = 1
+    for d in {d for _, d in values}:
+        L = lcm(L, d)
+        if L.bit_length() > 1024:
+            return sorted(((c, Fraction(n, d)) for c, (n, d) in enumerate(values)), key=itemgetter(1))
+    order = sorted(range(len(values)), key=lambda c: values[c][0] * (L // values[c][1]))
+    return [(c, Fraction(*values[c])) for c in order]
+
+
+def _blocks(field: Field, G: list, H: list):
+    """The prologue of both pair readers of t = g^{-1} o h over G x H.
+
+    The raw (a, b) pairs fall in blocks, one per slope class x of G and y of
+    H.  On a block the slope y/x of t is fixed and gets one id alpha below
+    K = |rows|*|cols|.  The intercept (b_h - b_g)/x becomes the exact int
+    beta = (b_h - b_g)*s through the scale s of its row: 1/x over F_p; over
+    Q, with the intercepts cleared by their common denominator, s = L/x for
+    L the lcm of the slope numerators.  The key of t is
+    beta*K + alpha mod P*K, which is (beta mod P)*K + alpha: P = p over F_p,
+    and over Q any P above twice the largest |beta|, so the key names t one
+    to one over both fields and the readers never branch on the field.
+
+    Returns the slope classes of G and H, the scales s*K, the alpha grid and
+    the modulus P*K.
     """
     p = field.characteristic
     if not p:
         D = lcm(*(b.denominator for _, b in G + H))
         G, H = ([(a, b.numerator * (D // b.denominator)) for a, b in pairs] for pairs in (G, H))
     rows, cols = _slope_classes(G), _slope_classes(H)
-    inverses = [field.inv(x) for x, _ in rows]
+    xs = [x for x, _ in rows]
+    alphas = _pair_ids(p, xs, [y for y, _ in cols], invert=True)[0]
+    K = len(rows) * len(cols)
     if p:
-        scales = inverses
+        scales, P = [pow(x, -1, p) for x in xs], p
     else:
-        L = lcm(*(x.numerator for x, _ in rows))
-        scales = [L * x.denominator // x.numerator for x, _ in rows]
+        L = lcm(*(x.numerator for x in xs))
+        scales = [L * x.denominator // x.numerator for x in xs]
+        P = 4 * max(map(abs, scales), default=0) * max((abs(b) for _, b in G + H), default=0) + 1
+    return rows, cols, [s * K for s in scales], alphas, P * K
+
+
+def _flat_cols(cols: list) -> Tuple[list, list]:
+    """The intercepts of the column classes in one list, and the class index
+    of each."""
+    return [b for _, bs in cols for b in bs], [j for j, (_, bs) in enumerate(cols) for _ in bs]
+
+
+def _pair_sizes(field: Field, G: list, H: list) -> Counter:
+    """The sizes-only reader: r(t) for every t = g^{-1} o h over G x H.
+
+    One Counter tallies the int keys of all pairs at C speed, one row of
+    blocks per update; no per-bucket object is built.  E, E*, |AA|,
+    |A^{-1}A|, E(A,B) and the E(A_P) term of quadrangles need only these
+    sizes.
+    """
+    rows, cols, scales, alphas, m = _blocks(field, G, H)
+    hs, js = _flat_cols(cols)
+    sizes: Counter = Counter()
+    for (_, gs), s, arow in zip(rows, scales, alphas):
+        ah = list(map(arow.__getitem__, js))
+        sizes.update([((bh - bg) * s + a) % m for bg in gs for bh, a in zip(hs, ah)])
+    return sizes
+
+
+def _pair_blocks(field: Field, G: list, H: list):
+    """The block reader: the keys of _pair_sizes, each bucket tallying its
+    pairs by block (i, j), as Q_C reads them.
+
+    Returns the slope classes of G and {t key: {(i, j): count}}.
+    """
+    rows, cols, scales, alphas, m = _blocks(field, G, H)
+    hs, js = _flat_cols(cols)
     buckets: dict = {}
-    alpha_ids: dict = {}
-    for i, ((_, gs), ix, s) in enumerate(zip(rows, inverses, scales)):
-        for j, (y, hs) in enumerate(cols):
-            block = (i, j)
-            alpha = alpha_ids.setdefault(field.mul(ix, y), len(alpha_ids))
-            for bg in gs:
-                for bh in hs:
-                    beta = (bh - bg) * s
-                    key = (alpha, beta % p if p else beta)
-                    tally = buckets.get(key)
-                    if tally is None:
-                        buckets[key] = {block: 1}
-                    else:
-                        tally[block] = tally.get(block, 0) + 1
+    for i, ((_, gs), s, arow) in enumerate(zip(rows, scales, alphas)):
+        blocks = [(i, j) for j in range(len(cols))]
+        for bg in gs:
+            for bh, j in zip(hs, js):
+                key = ((bh - bg) * s + arow[j]) % m
+                tally = buckets.get(key)
+                if tally is None:
+                    buckets[key] = {blocks[j]: 1}
+                else:
+                    block = blocks[j]
+                    tally[block] = tally.get(block, 0) + 1
     return rows, buckets
 
 
-def _product_pass(A: AffineSet) -> dict:
-    """Buckets of g o h over A x A: the quotient pass over A^{-1} x A."""
+def _product_pass(A: AffineSet) -> Counter:
+    """Bucket sizes of g o h over A x A: the sizes reader over A^{-1} x A."""
     inverted = [(h.a.value, h.b.value) for h in map(inverse, A)]
-    return _quotient_pass(A.field, inverted, [g.key() for g in A])[1]
+    return _pair_sizes(A.field, inverted, [g.key() for g in A])
 
 
-def _energy(buckets: dict) -> int:
-    """sum_t r(t)^2, r(t) being a bucket's pair count."""
-    return sum(sum(tally.values()) ** 2 for tally in buckets.values())
+def _energy(sizes) -> int:
+    """sum_t r(t)^2 over the bucket sizes r(t)."""
+    sizes = list(sizes)
+    return sum(map(operator.mul, sizes, sizes))
 
 
 def _slice_table(field: Field, classes: list, buckets: dict) -> Dict[Scalar, Tuple[int, int]]:
@@ -101,10 +197,10 @@ def _slice_table(field: Field, classes: list, buckets: dict) -> Dict[Scalar, Tup
     ((g,h),(u,v)) of one bucket has C = g1*v1, so Q_C pairs the g-slope
     class of each block of the bucket with the h-slope class of each.
     """
-    c_ids: dict = {}
-    c_of = [[c_ids.setdefault(field.mul(x, y), len(c_ids)) for y, _ in classes] for x, _ in classes]
-    sizes = [0] * len(c_ids)
-    qs = [0] * len(c_ids)
+    xs = [x for x, _ in classes]
+    c_of, values = _pair_ids(field.characteristic, xs, xs)
+    sizes = [0] * len(values)
+    qs = [0] * len(values)
     for (_, gs), row in zip(classes, c_of):
         for (_, vs), c in zip(classes, row):
             sizes[c] += len(gs) * len(vs)
@@ -113,16 +209,21 @@ def _slice_table(field: Field, classes: list, buckets: dict) -> Dict[Scalar, Tup
             row = c_of[i]
             for (_, j), n2 in tally.items():
                 qs[row[j]] += n1 * n2
-    return {Scalar(field, v): (sizes[c_ids[v]], qs[c_ids[v]]) for v in sorted(c_ids, key=field.sort_key)}
+    return {Scalar(field, v): (sizes[c], qs[c]) for c, v in _sorted_values(field.characteristic, values)}
 
 
 def quotient_stats(A: AffineSet, include_decomposition: bool = True) -> Tuple[int, int, Dict[Scalar, Tuple[int, int]]]:
-    """E(A), |A^{-1}A| and, unless skipped, C -> (|C_C|, Q_C), from one
-    quotient pass."""
+    """E(A), |A^{-1}A| and, unless skipped, C -> (|C_C|, Q_C).
+
+    Only the decomposition reads the block tallies; without it the sizes
+    reader serves.
+    """
     raw = [g.key() for g in A]
-    classes, buckets = _quotient_pass(A.field, raw, raw)
-    per_c = _slice_table(A.field, classes, buckets) if include_decomposition else {}
-    return _energy(buckets), len(buckets), per_c
+    if not include_decomposition:
+        sizes = _pair_sizes(A.field, raw, raw)
+        return _energy(sizes.values()), len(sizes), {}
+    classes, buckets = _pair_blocks(A.field, raw, raw)
+    return _energy(map(sum, map(dict.values, buckets.values()))), len(buckets), _slice_table(A.field, classes, buckets)
 
 
 def energy(A: AffineSet) -> int:
@@ -132,14 +233,14 @@ def energy(A: AffineSet) -> int:
 
 def energy_star(A: AffineSet) -> int:
     """E*(A), the product-bucket analogue."""
-    return _energy(_product_pass(A))
+    return _energy(_product_pass(A).values())
 
 
 def energy_asym(A: AffineSet, B: AffineSet) -> int:
     """E(A,B) with g,u in A and h,v in B."""
     if A.field != B.field:
         raise ValueError("energy of sets over different fields")
-    return _energy(_quotient_pass(A.field, [g.key() for g in A], [h.key() for h in B])[1])
+    return _energy(_pair_sizes(A.field, [g.key() for g in A], [h.key() for h in B]).values())
 
 
 def _flat_key(pair_key, char: int):
@@ -308,7 +409,7 @@ def main_bound_report(A: AffineSet, include_decomposition: bool = True) -> Energ
     M = max_on_line(A)
     E, AinvA, per_c = quotient_stats(A, include_decomposition)
     products = _product_pass(A)
-    E_star, AA = _energy(products), len(products)
+    E_star, AA = _energy(products.values()), len(products)
 
     rhs_main = isqrt(m * n**5) + M * n * n
     ratio_main = ratio(max(E, E_star), rhs_main)

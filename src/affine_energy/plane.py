@@ -34,7 +34,7 @@ from functools import cache, reduce
 from typing import Dict, Iterable, List, Sequence, Set
 
 from .affine import AffineMap, AffineSet, quotient
-from .energy import ORACLE_CAP_DEFAULT, _energy, _quotient_pass, _table_energy
+from .energy import ORACLE_CAP_DEFAULT, _energy, _pair_sizes, _table_energy
 from .errors import (
     EqualLines,
     InvariantViolation,
@@ -408,7 +408,7 @@ def quadrangles(P: Iterable[PlanePoint]) -> int:
     pts, field, char, raws = _quadrangle_setup(P)
     n = len(pts)
     pairs = [p.coords[:2] for p in pts]
-    count = _energy(_quotient_pass(field, pairs, pairs)[1]) - (2 * n * n - n)
+    count = _energy(_pair_sizes(field, pairs, pairs).values()) - (2 * n * n - n)
     for key, members in _span_pass(char, raws).items():
         if key[1]:  # non-vertical
             e = _table_energy([pairs[i][0] for i in members], field.mul)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Dict, List, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Dict, List, Optional, Sequence
 
 from .energy import EnergyReport
 from .exactmath import render_fraction
@@ -216,8 +217,40 @@ def elekes_report_jsonable(rep: ElekesReport) -> dict:
     }
 
 
+_PER_C_ENTRY = '    %s: {\n      "slice": %d,\n      "q": %d\n    }'
+
+
+def _per_c_text(per_c) -> Optional[str]:
+    """The indent=2 text of a top-level per_c block of {"slice": int, "q": int}
+    entries, one %-template per entry; None for any other shape and for the
+    empty block."""
+    if type(per_c) is not dict or not per_c:
+        return None
+    entries = []
+    for key, entry in per_c.items():
+        if type(key) is not str or type(entry) is not dict or list(entry) != ["slice", "q"]:
+            return None
+        s, q = entry.values()
+        if type(s) is not int or type(q) is not int:
+            return None
+        entries.append(_PER_C_ENTRY % (encode_basestring_ascii(key), s, q))
+    return "{\n" + ",\n".join(entries) + "\n  }"
+
+
 def dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=False) + "\n"
+    """The report text: byte for byte json.dumps(obj, indent=2) plus a newline.
+
+    A top-level "per_c" block of {"slice": int, "q": int} entries (the
+    energy, decompose and boundcheck reports) is written by _per_c_text and
+    spliced in where json.dumps puts its value, instead of going through the
+    pure-Python indent encoder; the rest of the payload, and every other
+    shape, goes through json.dumps.
+    """
+    block = _per_c_text(obj.get("per_c")) if type(obj) is dict else None
+    if block is None:
+        return json.dumps(obj, indent=2) + "\n"
+    head, tail = json.dumps({**obj, "per_c": 0}, indent=2).split('\n  "per_c": 0', 1)
+    return f'{head}\n  "per_c": {block}{tail}\n'
 
 
 def _csv_cell(cell: str) -> str:

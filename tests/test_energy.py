@@ -1,6 +1,8 @@
 """Energies, the C-decomposition, scalar energies, bound reports."""
 
+from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -19,11 +21,22 @@ from affine_energy import (
     main_bound_report,
     max_on_vertical,
     product_set,
+    quotient_stats,
     scalar_energy_add,
     scalar_energy_mul,
     seeded_random,
 )
-from affine_energy.energy import shifted_nonzero
+from affine_energy.energy import (
+    _blocks,
+    _energy,
+    _pair_blocks,
+    _pair_ids,
+    _pair_keys,
+    _pair_sizes,
+    _product_pass,
+    _sorted_values,
+    shifted_nonzero,
+)
 from affine_energy.errors import OracleCapExceeded, ZeroC
 from affine_energy.generators import APSpec, AffProductSpec, GPSpec, GridSpec, generate
 
@@ -185,3 +198,102 @@ def test_main_bound_report_random_f1009():
     assert rep.p_constraint_ok is True
     assert rep.pp_correction == Fraction(rep.m * rep.size**3, 1009)
     assert rep.identities_hold()
+
+
+def _oracle_sizes(A, B, mode="E"):
+    """Sorted bucket sizes of the pair values that the oracles compute."""
+    return sorted(Counter(_pair_keys(A, B, mode)).values())
+
+
+def _reader_cases():
+    """Random sets, grids and sets with repeated slopes over F_5, F_101,
+    F_1009 and Q, plus Q sets whose intercept differences are negative."""
+    cases = []
+    for field in (PrimeField(5), PrimeField(101), PrimeField(1009), Q):
+        cases += [seeded_random(n, seed, field, "affine") for n, seed in ((1, 0), (12, 1), (20, 2))]
+        cases.append(generate(GridSpec(4), field))
+        cases.append(aset([(a, b) for a in (1, 2, 4) for b in (0, 1, 3, 4)], field))
+    cases.append(aset([(Fraction(-3, 5), Fraction(-7, 3)), (Fraction(-3, 5), Fraction(5, 2)), (2, -1), (Fraction(1, 7), 0), (2, Fraction(-9, 4))]))
+    cases.append(aset([(Fraction(-1, 3), -4), (Fraction(-1, 3), 4), (1, -4), (1, 4)]))
+    return cases
+
+
+def test_sizes_reader_matches_block_reader_and_oracles():
+    for A in _reader_cases():
+        raw = [g.key() for g in A]
+        sizes = _pair_sizes(A.field, raw, raw)
+        buckets = _pair_blocks(A.field, raw, raw)[1]
+        assert sorted(sizes.values()) == sorted(sum(t.values()) for t in buckets.values()) == _oracle_sizes(A, A)
+        assert set(sizes) == set(buckets)
+        assert energy(A) == _energy(sizes.values()) == energy_bruteforce(A, "E")
+        products = _product_pass(A)
+        assert sorted(products.values()) == _oracle_sizes(A, A, "Estar")
+        assert energy_star(A) == energy_bruteforce(A, "Estar")
+        rep = main_bound_report(A)
+        assert (rep.E, rep.size_AinvA, rep.E_star, rep.size_AA) == (energy(A), len(sizes), energy_star(A), len(products))
+
+
+def test_sizes_reader_asym_matches_oracle():
+    cases = _reader_cases()
+    for A, B in zip(cases, cases[1:]):
+        if A.field == B.field:
+            assert energy_asym(A, B) == energy_asym_bruteforce(A, B)
+            assert sorted(_pair_sizes(A.field, [g.key() for g in A], [h.key() for h in B]).values()) == _oracle_sizes(A, B)
+
+
+def test_pair_key_extremes():
+    """The largest slope id alpha = K - 1, and over Q the intercept ints beta
+    at both ends of their range, where beta mod P must not wrap onto
+    another."""
+    for field in (PrimeField(101), Q):
+        A = aset([(1, 0), (2, 5)], field)
+        B = aset([(3, 1), (5, -2), (5, 7)], field)
+        G, H = [g.key() for g in A], [h.key() for h in B]
+        _, _, _, alphas, _ = _blocks(field, G, H)
+        K = len(alphas) * len(alphas[0])
+        assert max(map(max, alphas)) == K - 1  # the ratios 3, 5, 3/2, 5/2 differ
+        assert sorted(_pair_sizes(field, G, H).values()) == _oracle_sizes(A, B)
+    # slopes -1/3 and 1, intercepts -4 and 4: beta = (b_h - b_g)*L/x reaches
+    # +-8*3, twice the largest |b| times the largest |s|
+    A = aset([(Fraction(-1, 3), -4), (Fraction(-1, 3), 4), (1, -4), (1, 4)])
+    raw = [g.key() for g in A]
+    _, _, scales, alphas, m = _blocks(Q, raw, raw)
+    K = len(alphas) * len(alphas[0])
+    assert m == (4 * 3 * 4 + 1) * K and max(map(abs, scales)) == 3 * K
+    sizes = _pair_sizes(Q, raw, raw)
+    assert len(sizes) == len(set(_pair_keys(A, A, "E")))
+    assert energy(A) == energy_bruteforce(A, "E")
+
+
+def test_pair_ids_over_q():
+    """Reduced int pairs: inverses keep the sign on the numerator, equal
+    products share one id, and over F_p the values are field.mul."""
+    grid, values = _pair_ids(0, [Fraction(-3, 5)], [Fraction(1)], invert=True)
+    assert values == [(-5, 3)] == _pair_ids(0, [Fraction(5, -3)], [Fraction(1)])[1]
+    assert _pair_ids(0, [Fraction(-3, 5), Fraction(3, 5)], [Fraction(-1, 2)], invert=True)[1] == [(5, 6), (-5, 6)]
+    grid, values = _pair_ids(0, [Fraction(2, 3), Fraction(1)], [Fraction(3, 2), Fraction(1)])
+    assert grid[0][0] == grid[1][1] and values.count((1, 1)) == 1
+    assert [Fraction(*v) for v in values] == [1, Fraction(2, 3), Fraction(3, 2)]
+    F = PrimeField(101)
+    xs, ys = [3, 50, 100], [7, 3, 100]
+    grid, values = _pair_ids(101, xs, ys)
+    assert [[values[c] for c in row] for row in grid] == [[F.mul(x, y) for y in ys] for x in xs]
+    grid, values = _pair_ids(101, xs, ys, invert=True)
+    assert [[values[c] for c in row] for row in grid] == [[F.div(y, x) for y in ys] for x in xs]
+
+
+def test_slice_table_order_over_q():
+    """The C order equals sorted(..., key=field.sort_key) of the Fractions,
+    negatives included; past 1024 bits of the denominators' lcm the
+    Fractions are compared directly."""
+    low = aset([(Fraction(a), b) for a in ("-7/3", "1/2", "-1", "3", "5/6", "-2/9") for b in (0, 1)])
+    big = 10**60
+    high = aset([(Fraction(s * (k + 1), big + 7 * k), k) for k in range(6) for s in (1, -1)])
+    for A, wide in ((low, False), (high, True)):
+        per_c = quotient_stats(A)[2]
+        values = [C.value for C in per_c]
+        assert (lcm(*(v.denominator for v in values)).bit_length() > 1024) == wide
+        assert all(type(v) is Fraction for v in values)
+        assert values == sorted(values, key=Q.sort_key) and any(v < 0 for v in values)
+        assert per_c == {C: (len(c_slice(A, C)), q) for C, q in decompose_bruteforce(A).items()}
+    assert _sorted_values(0, [(3, 2), (-7, 3), (1, 1)]) == [(1, Fraction(-7, 3)), (2, Fraction(1)), (0, Fraction(3, 2))]

@@ -366,3 +366,48 @@ def test_console_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["size"] == 4
+
+
+def test_dump_json_matches_json_dumps(tmp_path, monkeypatch):
+    """The per_c writer is byte-equal to json.dumps(indent=2) on every report
+    that carries the block; the incidence report's other per_c shape and an
+    empty block take the json.dumps path, with the same bytes."""
+    import affine_energy.cli as cli_mod
+    from affine_energy.reports import dump_json
+
+    seen = []
+    monkeypatch.setattr(cli_mod, "dump_json", lambda obj: seen.append(obj) or dump_json(obj))
+    path = tmp_path / "q.txt"
+    path.write_text("field Q\n1 0\n-7/3 2\n1/2 -1\n-7/3 -5/4\n3 1/3\n")
+    sources = [("--input", str(path), "--field", "Q")]
+    sources += [("--gen", "randaff:14:seed=3", "--field", f) for f in ("Fp:1009", "Fp:2305843009213693951")]
+    for source in sources:
+        for cmd in ("energy", "decompose", "boundcheck", "incidence"):
+            seen.clear()
+            code, out = run_cli(cmd, *source)
+            assert code == 0 and len(seen) == 1
+            assert out == dump_json(seen[0]) == json.dumps(seen[0], indent=2) + "\n"
+    assert "-7/3" in json.loads(run_cli("energy", *sources[0])[1])["per_c"]
+    code, out = run_cli("energy", *sources[1], "--no-decomposition")
+    assert code == 0 and seen[-1]["per_c"] == {} and out == json.dumps(seen[-1], indent=2) + "\n"
+    odd = [
+        {"per_c": {"1": {"slice": True, "q": 2}}},
+        {"per_c": {"1": {"q": 2, "slice": 1}}},
+        {"per_c": {"1": {"slice": 1, "q": 2, "k": 3}}},
+        {"per_c": {"é\"\n": {"slice": 1, "q": -2}}, "x": "\n  \"per_c\": 0"},
+        {"a": {"per_c": {"1": {"slice": 1, "q": 2}}}, "per_c": {"2": {"slice": 3, "q": 4}}},
+        [1, {"per_c": {}}],
+    ]
+    for obj in odd:
+        assert dump_json(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+def test_cli_oracle_empty_set(tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text("field Q\n")
+    for cmd in ("energy", "decompose", "boundcheck", "incidence", "oracle"):
+        code, out = run_cli(cmd, "--input", str(path), "--field", "Q")
+        assert code == 0, cmd
+    payload = json.loads(out)
+    assert payload["all_equal"] is True and payload["size"] == 0
+    assert "quadrangles" not in payload and "pencil" not in payload
