@@ -112,8 +112,9 @@ def _blocks(field: Field, G: list, H: list):
     and over Q any P above twice the largest |beta|, so the key names t one
     to one over both fields and the readers never branch on the field.
 
-    Returns the slope classes of G and H, the scales s*K, the alpha grid and
-    the modulus P*K.
+    Returns the slope classes of G, the intercepts of H in class order with
+    the class index of each, the scales s*K, the alpha grid and the modulus
+    P*K.
     """
     p = field.characteristic
     if not p:
@@ -129,13 +130,9 @@ def _blocks(field: Field, G: list, H: list):
         L = lcm(*(x.numerator for x in xs))
         scales = [L * x.denominator // x.numerator for x in xs]
         P = 4 * max(map(abs, scales), default=0) * max((abs(b) for _, b in G + H), default=0) + 1
-    return rows, cols, [s * K for s in scales], alphas, P * K
-
-
-def _flat_cols(cols: list) -> Tuple[list, list]:
-    """The intercepts of the column classes in one list, and the class index
-    of each."""
-    return [b for _, bs in cols for b in bs], [j for j, (_, bs) in enumerate(cols) for _ in bs]
+    hs = [b for _, bs in cols for b in bs]
+    js = [j for j, (_, bs) in enumerate(cols) for _ in bs]
+    return rows, hs, js, [s * K for s in scales], alphas, P * K
 
 
 def _pair_sizes(field: Field, G: list, H: list) -> Counter:
@@ -146,8 +143,7 @@ def _pair_sizes(field: Field, G: list, H: list) -> Counter:
     |A^{-1}A|, E(A,B) and the E(A_P) term of quadrangles need only these
     sizes.
     """
-    rows, cols, scales, alphas, m = _blocks(field, G, H)
-    hs, js = _flat_cols(cols)
+    rows, hs, js, scales, alphas, m = _blocks(field, G, H)
     sizes: Counter = Counter()
     for (_, gs), s, arow in zip(rows, scales, alphas):
         ah = list(map(arow.__getitem__, js))
@@ -161,11 +157,10 @@ def _pair_blocks(field: Field, G: list, H: list):
 
     Returns the slope classes of G and {t key: {(i, j): count}}.
     """
-    rows, cols, scales, alphas, m = _blocks(field, G, H)
-    hs, js = _flat_cols(cols)
+    rows, hs, js, scales, alphas, m = _blocks(field, G, H)
     buckets: dict = {}
     for i, ((_, gs), s, arow) in enumerate(zip(rows, scales, alphas)):
-        blocks = [(i, j) for j in range(len(cols))]
+        blocks = [(i, j) for j in range(len(arow))]
         for bg in gs:
             for bh, j in zip(hs, js):
                 key = ((bh - bg) * s + arow[j]) % m

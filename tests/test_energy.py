@@ -249,7 +249,7 @@ def test_pair_key_extremes():
         A = aset([(1, 0), (2, 5)], field)
         B = aset([(3, 1), (5, -2), (5, 7)], field)
         G, H = [g.key() for g in A], [h.key() for h in B]
-        _, _, _, alphas, _ = _blocks(field, G, H)
+        alphas = _blocks(field, G, H)[4]
         K = len(alphas) * len(alphas[0])
         assert max(map(max, alphas)) == K - 1  # the ratios 3, 5, 3/2, 5/2 differ
         assert sorted(_pair_sizes(field, G, H).values()) == _oracle_sizes(A, B)
@@ -257,7 +257,7 @@ def test_pair_key_extremes():
     # +-8*3, twice the largest |b| times the largest |s|
     A = aset([(Fraction(-1, 3), -4), (Fraction(-1, 3), 4), (1, -4), (1, 4)])
     raw = [g.key() for g in A]
-    _, _, scales, alphas, m = _blocks(Q, raw, raw)
+    _, _, _, scales, alphas, m = _blocks(Q, raw, raw)
     K = len(alphas) * len(alphas[0])
     assert m == (4 * 3 * 4 + 1) * K and max(map(abs, scales)) == 3 * K
     sizes = _pair_sizes(Q, raw, raw)
