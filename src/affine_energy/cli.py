@@ -179,7 +179,7 @@ def _cmd_decompose(args) -> int:
         "decomposition_identity_ok": sum_q == E,
         "slice_l1_ok": sum(sizes) == n * n,
         "slice_linf_ok": all(s <= m * n for s in sizes),
-        "per_c": {field.render(C.value): {"slice": s, "q": q} for C, (s, q) in table.items()},
+        "per_c": reports.per_c_jsonable(table, field),
     }
     _emit(args, dump_json(payload))
     if not (payload["decomposition_identity_ok"] and payload["slice_l1_ok"] and payload["slice_linf_ok"]):

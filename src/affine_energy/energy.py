@@ -51,23 +51,18 @@ def _slope_classes(pairs) -> list:
     return list(classes.items())
 
 
-def _pair_ids(char: int, xs: list, ys: list, invert: bool = False) -> Tuple[list, list]:
-    """Ids of x*y, or of y/x when `invert`, for every x in xs and y in ys.
+def _pair_ids(char: int, xs: list, ys: list) -> Tuple[list, list]:
+    """Ids of x*y for every x in xs and y in ys.
 
     Returns the id grid, grid[i][j] for (xs[i], ys[j]), and the distinct
     values in id order.  Over F_p the values are residues (field.mul).  Over
-    Q they are reduced int pairs (numerator, denominator > 0): an inverse
-    swaps the pair and keeps the sign on the numerator, a product is reduced
-    by one gcd, and no Fraction is built.
+    Q they are reduced int pairs (numerator, denominator > 0): a product is
+    reduced by one gcd, and no Fraction is built.
     """
     ids: dict = {}
     if char:
-        if invert:
-            xs = [pow(x, -1, char) for x in xs]
         return [[ids.setdefault(x * y % char, len(ids)) for y in ys] for x in xs], list(ids)
     xs = [(x.numerator, x.denominator) for x in xs]
-    if invert:
-        xs = [(d, n) if n > 0 else (-d, -n) for n, d in xs]
     ys = [(y.numerator, y.denominator) for y in ys]
     grid = []
     for xn, xd in xs:
@@ -84,17 +79,11 @@ def _sorted_values(char: int, values: list) -> list:
     """(id, raw value) for the values of _pair_ids, in field.sort_key order.
 
     Over Q each reduced pair (n, d) becomes one Fraction, and the order is
-    that of the exact int n*(L/d), L the lcm of the denominators.  Past 1024
-    bits of L the Fractions themselves are compared, so the keys of a
-    high-height set stay small.
+    that of the exact int n*(L/d), L the lcm of the denominators.
     """
     if char:
         return sorted(enumerate(values), key=itemgetter(1))
-    L = 1
-    for d in {d for _, d in values}:
-        L = lcm(L, d)
-        if L.bit_length() > 1024:
-            return sorted(((c, Fraction(n, d)) for c, (n, d) in enumerate(values)), key=itemgetter(1))
+    L = lcm(*{d for _, d in values})
     order = sorted(range(len(values)), key=lambda c: values[c][0] * (L // values[c][1]))
     return [(c, Fraction(*values[c])) for c in order]
 
@@ -121,15 +110,16 @@ def _blocks(field: Field, G: list, H: list):
         D = lcm(*(b.denominator for _, b in G + H))
         G, H = ([(a, b.numerator * (D // b.denominator)) for a, b in pairs] for pairs in (G, H))
     rows, cols = _slope_classes(G), _slope_classes(H)
-    xs = [x for x, _ in rows]
-    alphas = _pair_ids(p, xs, [y for y, _ in cols], invert=True)[0]
-    K = len(rows) * len(cols)
     if p:
-        scales, P = [pow(x, -1, p) for x in xs], p
+        inverses = [pow(x, -1, p) for x, _ in rows]
+        scales, P = inverses, p
     else:
-        L = lcm(*(x.numerator for x in xs))
-        scales = [L * x.denominator // x.numerator for x in xs]
+        inverses = [1 / x for x, _ in rows]
+        L = lcm(*(r.denominator for r in inverses))
+        scales = [L // r.denominator * r.numerator for r in inverses]
         P = 4 * max(map(abs, scales), default=0) * max((abs(b) for _, b in G + H), default=0) + 1
+    alphas = _pair_ids(p, inverses, [y for y, _ in cols])[0]
+    K = len(rows) * len(cols)
     hs = [b for _, bs in cols for b in bs]
     js = [j for j, (_, bs) in enumerate(cols) for _ in bs]
     return rows, hs, js, [s * K for s in scales], alphas, P * K

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .energy import EnergyReport
 from .exactmath import render_fraction
@@ -36,10 +36,21 @@ def frac_pair(fr) -> Dict[str, str]:
     return {"exact": render_fraction(fr), "decimal": decimal(fr)}
 
 
+class PerC(dict):
+    """The per_c block of the energy, decompose and boundcheck reports:
+    rendered C -> {"slice": |C_C|, "q": Q_C}, built only by per_c_jsonable
+    and written by dump_json from _PER_C_ENTRY."""
+
+
+_PER_C_ENTRY = '    %s: {\n      "slice": %d,\n      "q": %d\n    }'
+
+
+def per_c_jsonable(table: Dict, field: Field) -> PerC:
+    """The per_c block of a C -> (|C_C|, Q_C) table, in the table's order."""
+    return PerC((field.render(C.value), {"slice": s, "q": q}) for C, (s, q) in table.items())
+
+
 def energy_report_jsonable(rep: EnergyReport, field: Field) -> dict:
-    per_c = {}
-    for C, (slice_size, q) in rep.per_c.items():
-        per_c[field.render(C.value)] = {"slice": slice_size, "q": q}
     return {
         "schema": f"energy-report/{SCHEMA_VERSION}",
         "field": render_field(field),
@@ -57,7 +68,7 @@ def energy_report_jsonable(rep: EnergyReport, field: Field) -> dict:
         "shkredov_ok": rep.shkredov_ok,
         "p_constraint_ok": rep.p_constraint_ok,
         "pp_correction": frac_pair(rep.pp_correction) if rep.pp_correction is not None else None,
-        "per_c": per_c,
+        "per_c": per_c_jsonable(rep.per_c, field),
     }
 
 
@@ -217,40 +228,21 @@ def elekes_report_jsonable(rep: ElekesReport) -> dict:
     }
 
 
-_PER_C_ENTRY = '    %s: {\n      "slice": %d,\n      "q": %d\n    }'
-
-
-def _per_c_text(per_c) -> Optional[str]:
-    """The indent=2 text of a top-level per_c block of {"slice": int, "q": int}
-    entries, one %-template per entry; None for any other shape and for the
-    empty block."""
-    if type(per_c) is not dict or not per_c:
-        return None
-    entries = []
-    for key, entry in per_c.items():
-        if type(key) is not str or type(entry) is not dict or list(entry) != ["slice", "q"]:
-            return None
-        s, q = entry.values()
-        if type(s) is not int or type(q) is not int:
-            return None
-        entries.append(_PER_C_ENTRY % (encode_basestring_ascii(key), s, q))
-    return "{\n" + ",\n".join(entries) + "\n  }"
-
-
 def dump_json(obj) -> str:
     """The report text: byte for byte json.dumps(obj, indent=2) plus a newline.
 
-    A top-level "per_c" block of {"slice": int, "q": int} entries (the
-    energy, decompose and boundcheck reports) is written by _per_c_text and
-    spliced in where json.dumps puts its value, instead of going through the
-    pure-Python indent encoder; the rest of the payload, and every other
-    shape, goes through json.dumps.
+    A non-empty top-level PerC block (the energy, decompose and boundcheck
+    reports) is written from _PER_C_ENTRY and spliced in where json.dumps
+    puts its value, instead of going through the pure-Python indent
+    encoder; the rest of the payload, and every other per_c, goes through
+    json.dumps.
     """
-    block = _per_c_text(obj.get("per_c")) if type(obj) is dict else None
-    if block is None:
+    per_c = obj.get("per_c") if type(obj) is dict else None
+    if type(per_c) is not PerC or not per_c:
         return json.dumps(obj, indent=2) + "\n"
+    block = ",\n".join(_PER_C_ENTRY % (encode_basestring_ascii(k), e["slice"], e["q"]) for k, e in per_c.items())
     head, tail = json.dumps({**obj, "per_c": 0}, indent=2).split('\n  "per_c": 0', 1)
-    return f'{head}\n  "per_c": {block}{tail}\n'
+    return f'{head}\n  "per_c": {{\n{block}\n  }}{tail}\n'
 
 
 def _csv_cell(cell: str) -> str:

@@ -2,7 +2,6 @@
 
 from collections import Counter
 from fractions import Fraction
-from math import lcm
 
 import pytest
 
@@ -266,11 +265,9 @@ def test_pair_key_extremes():
 
 
 def test_pair_ids_over_q():
-    """Reduced int pairs: inverses keep the sign on the numerator, equal
-    products share one id, and over F_p the values are field.mul."""
-    grid, values = _pair_ids(0, [Fraction(-3, 5)], [Fraction(1)], invert=True)
-    assert values == [(-5, 3)] == _pair_ids(0, [Fraction(5, -3)], [Fraction(1)])[1]
-    assert _pair_ids(0, [Fraction(-3, 5), Fraction(3, 5)], [Fraction(-1, 2)], invert=True)[1] == [(5, 6), (-5, 6)]
+    """Reduced int pairs: signs sit on the numerator, equal products share
+    one id, and over F_p the values are field.mul."""
+    assert _pair_ids(0, [1 / Fraction(-3, 5)], [Fraction(1)])[1] == [(-5, 3)] == _pair_ids(0, [Fraction(5, -3)], [Fraction(1)])[1]
     grid, values = _pair_ids(0, [Fraction(2, 3), Fraction(1)], [Fraction(3, 2), Fraction(1)])
     assert grid[0][0] == grid[1][1] and values.count((1, 1)) == 1
     assert [Fraction(*v) for v in values] == [1, Fraction(2, 3), Fraction(3, 2)]
@@ -278,21 +275,28 @@ def test_pair_ids_over_q():
     xs, ys = [3, 50, 100], [7, 3, 100]
     grid, values = _pair_ids(101, xs, ys)
     assert [[values[c] for c in row] for row in grid] == [[F.mul(x, y) for y in ys] for x in xs]
-    grid, values = _pair_ids(101, xs, ys, invert=True)
-    assert [[values[c] for c in row] for row in grid] == [[F.div(y, x) for y in ys] for x in xs]
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(101)])
+def test_blocks_slope_ids(field):
+    """The prologue's slope id alpha[i][j] names y_j/x_i: equal ids exactly
+    for equal slopes, negative slopes and inverses included."""
+    slopes = [field.reduce(Fraction(t)) for t in ("-3/5", "3/5", "-1/2", "5/3", "2", "-1")]
+    raw = [(a, field.reduce(Fraction(k - 2))) for k, a in enumerate(slopes)]
+    _, _, _, _, alphas, _ = _blocks(field, raw, raw)
+    cells = [(alphas[i][j], field.div(y, x)) for i, x in enumerate(slopes) for j, y in enumerate(slopes)]
+    assert all((c1 == c2) == (t1 == t2) for c1, t1 in cells for c2, t2 in cells)
 
 
 def test_slice_table_order_over_q():
     """The C order equals sorted(..., key=field.sort_key) of the Fractions,
-    negatives included; past 1024 bits of the denominators' lcm the
-    Fractions are compared directly."""
+    negatives included, at small height and at denominators near 10^60."""
     low = aset([(Fraction(a), b) for a in ("-7/3", "1/2", "-1", "3", "5/6", "-2/9") for b in (0, 1)])
     big = 10**60
     high = aset([(Fraction(s * (k + 1), big + 7 * k), k) for k in range(6) for s in (1, -1)])
-    for A, wide in ((low, False), (high, True)):
+    for A in (low, high):
         per_c = quotient_stats(A)[2]
         values = [C.value for C in per_c]
-        assert (lcm(*(v.denominator for v in values)).bit_length() > 1024) == wide
         assert all(type(v) is Fraction for v in values)
         assert values == sorted(values, key=Q.sort_key) and any(v < 0 for v in values)
         assert per_c == {C: (len(c_slice(A, C)), q) for C, q in decompose_bruteforce(A).items()}

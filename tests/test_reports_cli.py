@@ -373,7 +373,7 @@ def test_dump_json_matches_json_dumps(tmp_path, monkeypatch):
     that carries the block; the incidence report's other per_c shape and an
     empty block take the json.dumps path, with the same bytes."""
     import affine_energy.cli as cli_mod
-    from affine_energy.reports import dump_json
+    from affine_energy.reports import PerC, dump_json
 
     seen = []
     monkeypatch.setattr(cli_mod, "dump_json", lambda obj: seen.append(obj) or dump_json(obj))
@@ -387,16 +387,16 @@ def test_dump_json_matches_json_dumps(tmp_path, monkeypatch):
             code, out = run_cli(cmd, *source)
             assert code == 0 and len(seen) == 1
             assert out == dump_json(seen[0]) == json.dumps(seen[0], indent=2) + "\n"
+            assert (type(seen[0]["per_c"]) is PerC) == (cmd != "incidence")
     assert "-7/3" in json.loads(run_cli("energy", *sources[0])[1])["per_c"]
     code, out = run_cli("energy", *sources[1], "--no-decomposition")
     assert code == 0 and seen[-1]["per_c"] == {} and out == json.dumps(seen[-1], indent=2) + "\n"
     odd = [
-        {"per_c": {"1": {"slice": True, "q": 2}}},
-        {"per_c": {"1": {"q": 2, "slice": 1}}},
-        {"per_c": {"1": {"slice": 1, "q": 2, "k": 3}}},
-        {"per_c": {"é\"\n": {"slice": 1, "q": -2}}, "x": "\n  \"per_c\": 0"},
-        {"a": {"per_c": {"1": {"slice": 1, "q": 2}}}, "per_c": {"2": {"slice": 3, "q": 4}}},
-        [1, {"per_c": {}}],
+        {"per_c": {"1": {"slice": 1, "q": 2}}},
+        {"per_c": PerC({"é\"\n": {"slice": 1, "q": -2}}), "x": "\n  \"per_c\": 0"},
+        {"a": {"per_c": PerC({"1": {"slice": 1, "q": 2}})}, "per_c": PerC({"2": {"slice": 3, "q": 4}})},
+        {"per_c": PerC()},
+        [1, {"per_c": PerC({"1": {"slice": 1, "q": 2}})}],
     ]
     for obj in odd:
         assert dump_json(obj) == json.dumps(obj, indent=2) + "\n"
