@@ -7,8 +7,10 @@ the API edge.  Two readers share that prologue:
 
 - the sizes-only reader, _pair_sizes, tallies the keys in one Counter.  It
   serves E (energy, quotient_stats without the decomposition), E* and |AA|
-  (the product pass over A^{-1} x A), E(A,B) (energy_asym) and the E(A_P)
-  term of plane.quadrangles;
+  (the product pass over A^{-1} x A), E(A,B) (energy_asym), the E(A_P)
+  term of plane.quadrangles, the scalar energies E+ and E^x (E of the
+  translations x -> x + s and of the dilations x -> w*x) and every energy
+  of the rich-line chains in richlines.structure_report;
 - the block reader, _pair_blocks, tallies each bucket by slope-class block.
   Only quotient_stats with the decomposition uses it, because Q_C reads the
   blocks; it also gives E and |A^{-1}A| there.
@@ -225,7 +227,7 @@ def energy_asym(A: AffineSet, B: AffineSet) -> int:
     """E(A,B) with g,u in A and h,v in B."""
     if A.field != B.field:
         raise ValueError("energy of sets over different fields")
-    return _energy(_pair_sizes(A.field, [g.key() for g in A], [h.key() for h in B]).values())
+    return _pair_energy(A.field, [g.key() for g in A], [h.key() for h in B])
 
 
 def _flat_key(pair_key, char: int):
@@ -319,36 +321,49 @@ def decompose_bruteforce(A: AffineSet, cap: int = ORACLE_CAP_DEFAULT) -> Dict[Sc
     return {Scalar(field, v): q for v, q in sorted(tally.items(), key=lambda kv: field.sort_key(kv[0]))}
 
 
-def _scalar_op(S, name: str):
-    """Field operation `name` of the Scalars in S; plain arithmetic for raw values."""
-    fields = {s.field for s in S if isinstance(s, Scalar)}
-    return getattr(fields.pop(), name) if fields else getattr(operator, name)
+def _pair_energy(field: Field, G: list, H: list) -> int:
+    """E(G,H) = sum_t r(t)^2 over t = g^{-1} o h, G and H raw (a, b) lists."""
+    return _energy(_pair_sizes(field, G, H).values())
 
 
-def _table_energy(vals: list, op) -> int:
-    """sum_t r(t)^2 for r(t) = #{(x, y) in vals^2 : op(x, y) = t}."""
-    return sum(r * r for r in Counter(op(x, y) for x in vals for y in vals).values())
+def _translations(field: Field, xs) -> list:
+    """The raw maps x -> x + s; g^{-1} o h = (1, s_h - s_g), so E is E+."""
+    return [(field.reduce(1), s) for s in xs]
+
+
+def _dilations(field: Field, xs) -> list:
+    """The raw maps x -> w*x, w != 0; g^{-1} o h = (w_h/w_g, 0), so E is E^x."""
+    return [(w, field.reduce(0)) for w in xs]
 
 
 def scalar_energy_add(S) -> int:
-    """E+(S) = #{(a,b,c,d) in S^4 : a+b = c+d} via a sum-representation table."""
-    return _table_energy([s.value if isinstance(s, Scalar) else s for s in S], _scalar_op(S, "add"))
+    """E+(S) = #{(a,b,c,d) in S^4 : a+b = c+d} for Scalars S of one field."""
+    S = list(S)
+    if not S:
+        return 0
+    G = _translations(S[0].field, [s.value for s in S])
+    return _pair_energy(S[0].field, G, G)
 
 
 def scalar_energy_mul(S, shift: Optional[Scalar] = None) -> int:
-    """E^x of {x - shift : x in S, x != shift}; zero factors are dropped.
+    """E^x of {x - shift : x in S, x != shift} for Scalars S of one field;
+    zero factors are dropped.
 
     Use shifted_nonzero to recover how many elements the shift removed.
     """
-    return _table_energy(shifted_nonzero(S, shift)[0], _scalar_op(S, "mul"))
+    S = list(S)
+    if not S:
+        return 0
+    G = _dilations(S[0].field, shifted_nonzero(S, shift)[0])
+    return _pair_energy(S[0].field, G, G)
 
 
 def shifted_nonzero(S, shift: Optional[Scalar] = None) -> Tuple[list, int]:
-    """Raw values of {x - shift} with zeros removed, plus the dropped count."""
-    raw = [s.value if isinstance(s, Scalar) else s for s in S]
+    """Raw values of {x - shift} for the Scalars x of S with zeros removed,
+    plus the dropped count."""
+    raw = [s.value for s in S]
     if shift is not None:
-        sub = _scalar_op(S, "sub")
-        raw = [sub(x, shift.value) for x in raw]
+        raw = [shift.field.sub(x, shift.value) for x in raw]
     kept = [x for x in raw if x != 0]
     return kept, len(raw) - len(kept)
 

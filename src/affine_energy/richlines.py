@@ -3,11 +3,16 @@ pencils, and the exact Cauchy-Schwarz certificate chains.
 
 A line is the map (a, b) read as y = a*x + b (a != 0, so never horizontal,
 never vertical).  Richness threshold is ceil(alpha * min(|S|, |T|)).
+
+The chains run on the two raw kernels only: every energy is E(G,H) of raw
+affine maps from the pair kernel of `energy` (translations x -> x + a for
+E+, dilations x -> w*x for E^x), and every representation count on B is
+one grid count (see structure_report).
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import isqrt, lcm
@@ -15,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import projective
 from .affine import AffineMap, AffineSet, _chart_points
-from .energy import energy, scalar_energy_add, scalar_energy_mul, shifted_nonzero
+from .energy import _dilations, _pair_energy, _slope_classes, _translations, energy
 from .errors import InvariantViolation, TooFewLines
 from .exactmath import iroot, ratio, sqrt_floor_fraction
 from .fields import Field, Scalar
@@ -105,12 +110,10 @@ def max_parallel_family(lines: AffineSet) -> ParallelFamily:
     if not len(lines):
         return ParallelFamily(None, frozenset())
     field = lines.field
-    by_slope: dict = defaultdict(list)
-    for l in lines:
-        by_slope[l.a.value].append(l.b)
-    top = max(len(v) for v in by_slope.values())
-    slope = min((s for s, v in by_slope.items() if len(v) == top), key=field.sort_key)
-    return ParallelFamily(Scalar(field, slope), frozenset(by_slope[slope]))
+    classes = _slope_classes(l.key() for l in lines)
+    top = max(len(bs) for _, bs in classes)
+    slope, bs = min(((a, bs) for a, bs in classes if len(bs) == top), key=lambda c: field.sort_key(c[0]))
+    return ParallelFamily(Scalar(field, slope), frozenset(Scalar(field, b) for b in bs))
 
 
 @dataclass
@@ -199,37 +202,6 @@ def pencil_bruteforce(lines: AffineSet) -> Pencil:
     return Pencil((Scalar(field, x0), Scalar(field, y0)), frozenset(Scalar(field, s) for s in slopes))
 
 
-def difference_representation(A: Iterable, gamma, field: Field) -> Counter:
-    """r_{A - gamma*A}(beta) = #{(y, x) in A^2 : y - gamma*x = beta}."""
-    vals = [a.value if isinstance(a, Scalar) else field.reduce(a) for a in A]
-    g = gamma.value if isinstance(gamma, Scalar) else field.reduce(gamma)
-    out: Counter = Counter()
-    for y in vals:
-        for x in vals:
-            out[field.sub(y, field.mul(g, x))] += 1
-    return out
-
-
-def quotient_representation(A: Iterable, x0, y0, field: Field) -> Tuple[Counter, int]:
-    """r_{(A-y0)/(A-x0)}(beta) over pairs with both shifted entries nonzero.
-
-    Returns the counter and the number of pairs dropped for a zero entry.
-    """
-    vals = [a.value if isinstance(a, Scalar) else field.reduce(a) for a in A]
-    xv = x0.value if isinstance(x0, Scalar) else field.reduce(x0)
-    yv = y0.value if isinstance(y0, Scalar) else field.reduce(y0)
-    num = [field.sub(v, yv) for v in vals]
-    den = [field.sub(v, xv) for v in vals]
-    num = [v for v in num if v != 0]
-    den = [v for v in den if v != 0]
-    dropped = 2 * len(vals) - len(num) - len(den)
-    out: Counter = Counter()
-    for u in num:
-        for w in den:
-            out[field.div(u, w)] += 1
-    return out, dropped
-
-
 @dataclass
 class ChainCheck:
     """One exact Cauchy-Schwarz chain: every link is an integer inequality."""
@@ -266,6 +238,25 @@ class RichLineReport:
     measured_ratios: Dict[str, Fraction] = dc_field(default_factory=dict)
 
 
+def _chain(
+    field: Field, r_on_B: List[int], G: list, H: list, energies: Tuple[int, int], energy_bound: int, floor: int, name: str
+) -> ChainCheck:
+    """The links floor*|B| <= sum_B r, (sum_B r)^2 <= |B| sum_B r^2,
+    sum_B r^2 <= E(G,H) and E(G,H)^2 <= E(G) E(H) (Cauchy-Schwarz), where r
+    counts the pairs of G x H by g^{-1} o h, so sum r^2 = E(G,H)."""
+    sum_b, sum_sq = sum(r_on_B), sum(r * r for r in r_on_B)
+    mixed = _pair_energy(field, G, H)
+    links = (
+        floor * len(r_on_B) <= sum_b
+        and sum_b * sum_b <= len(r_on_B) * sum_sq
+        and sum_sq <= mixed
+        and mixed * mixed <= energies[0] * energies[1]
+    )
+    if not links:
+        raise InvariantViolation(f"{name} Cauchy-Schwarz chain violated")
+    return ChainCheck(sum_b, len(r_on_B), sum_sq, mixed, energy_bound, links)
+
+
 def structure_report(inst: GridInstance) -> RichLineReport:
     """RichLineReport for the square grid A x A with exact chain assertions.
 
@@ -274,42 +265,34 @@ def structure_report(inst: GridInstance) -> RichLineReport:
     Link 1 of the pencil chain (threshold*|B| <= sum_B r) is recorded but not
     asserted: the pencil point may itself lie in A x A and absorb one
     incidence per line.
+
+    With T(X) the translations x -> x + s and D(X) the dilations x -> w*x
+    by the elements of X, W = {a - x0 != 0} and U = {a - y0 != 0}:
+    E+(A) = E(T(A)), E^x(A - x0) = E(D(W)), E^x(A - y0) = E(D(U)); the
+    family of slope gamma has r(b) = #{x in A : gamma*x + b in A} and mixed
+    energy E(T(gamma*A), T(A)); the pencil has
+    r(beta) = #{w in W : beta*w + y0 in A} and mixed energy E(D(W), D(U)).
     """
     if inst.S != inst.T:
         raise ValueError("structure_report expects the square grid S = T = A")
     field = inst.field
-    n = len(inst.S)
+    S = inst.S
+    n = len(S)
     per_line, total = grid_incidences(inst)
     thresh = rich_threshold(inst)
     rich = AffineSet(field, (l for l, c in per_line.items() if c >= thresh))
     k_rich = len(rich)
 
-    e_plus = scalar_energy_add([Scalar(field, v) for v in inst.S])
+    translations = _translations(field, S)
+    e_plus = _pair_energy(field, translations, translations)
 
     family = max_parallel_family(rich)
     parallel_chain = None
     if family.slope is not None and family.size:
-        reps = difference_representation([Scalar(field, v) for v in inst.S], family.slope, field)
-        B = [b.value for b in family.intercepts]
-        sum_b = sum(reps.get(b, 0) for b in B)
-        sum_sq = sum(reps.get(b, 0) ** 2 for b in B)
-        mixed = sum(r * r for r in reps.values())
-        links = (
-            thresh * len(B) <= sum_b
-            and sum_b * sum_b <= len(B) * sum_sq
-            and sum_sq <= mixed
-            and mixed <= e_plus
-        )
-        if not links:
-            raise InvariantViolation("parallel-family Cauchy-Schwarz chain violated")
-        parallel_chain = ChainCheck(
-            sum_over_B=sum_b,
-            size_B=len(B),
-            sum_sq_over_B=sum_sq,
-            mixed_energy=mixed,
-            energy_bound=len(B) * e_plus,
-            links_hold=links,
-        )
+        gamma, B = family.slope.value, [b.value for b in family.intercepts]
+        r_on_B = _grid_counts(field, S, S, [(gamma, b) for b in B])
+        G = _translations(field, [field.mul(gamma, x) for x in S])
+        parallel_chain = _chain(field, r_on_B, G, translations, (e_plus, e_plus), len(B) * e_plus, thresh, "parallel-family")
 
     pencil = None
     pencil_chain = None
@@ -319,33 +302,16 @@ def structure_report(inst: GridInstance) -> RichLineReport:
     if k_rich >= 2:
         pencil = max_concurrent_pencil(rich)
         if pencil.point is not None:
-            x0, y0 = pencil.point
-            A_scalars = [Scalar(field, v) for v in inst.S]
-            e_mul_x0 = scalar_energy_mul(A_scalars, x0)
-            e_mul_y0 = scalar_energy_mul(A_scalars, y0)
-            _, dropped_x0 = shifted_nonzero(A_scalars, x0)
-            _, dropped_y0 = shifted_nonzero(A_scalars, y0)
-            reps, _ = quotient_representation(A_scalars, x0, y0, field)
+            x0, y0 = (v.value for v in pencil.point)
+            W = [field.sub(s, x0) for s in S if s != x0]
+            U = [field.sub(s, y0) for s in S if s != y0]
+            dropped_x0, dropped_y0 = n - len(W), n - len(U)
+            G, H = _dilations(field, W), _dilations(field, U)
+            e_mul_x0, e_mul_y0 = _pair_energy(field, G, G), _pair_energy(field, H, H)
             B = [s.value for s in pencil.slopes]
-            sum_b = sum(reps.get(b, 0) for b in B)
-            sum_sq = sum(reps.get(b, 0) ** 2 for b in B)
-            mixed = sum(r * r for r in reps.values())
-            link1 = thresh * len(B) <= sum_b
-            links = (
-                sum_b * sum_b <= len(B) * sum_sq
-                and sum_sq <= mixed
-                and mixed * mixed <= e_mul_x0 * e_mul_y0
-            )
-            if not links:
-                raise InvariantViolation("pencil Cauchy-Schwarz chain violated")
-            pencil_chain = ChainCheck(
-                sum_over_B=sum_b,
-                size_B=len(B),
-                sum_sq_over_B=sum_sq,
-                mixed_energy=mixed,
-                energy_bound=e_mul_x0 * e_mul_y0,
-                links_hold=links,
-            )
+            r_on_B = _grid_counts(field, W, S, [(beta, y0) for beta in B])
+            pencil_chain = _chain(field, r_on_B, G, H, (e_mul_x0, e_mul_y0), e_mul_x0 * e_mul_y0, 0, "pencil")
+            link1 = thresh * len(B) <= pencil_chain.sum_over_B
 
     alpha = inst.alpha
     alpha_ok = alpha * alpha * n >= 1

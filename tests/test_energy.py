@@ -137,12 +137,21 @@ def test_scalar_energy_add_examples(Q_=None):
     assert scalar_energy_add({Q.scalar(0)}) == 1
     assert scalar_energy_add({Q.scalar(v) for v in (1, 2, 3)}) == 19
     assert scalar_energy_add({Q.scalar(0), Q.scalar(1)}) == 6
+    F5 = PrimeField(5)
+    assert scalar_energy_add({F5.scalar(v) for v in range(5)}) == 125  # p^3: all of F_p
+    assert scalar_energy_add(set()) == 0
+    with pytest.raises(AttributeError):
+        scalar_energy_add([0, 1, 2, 3, 4])  # raw values carry no field
 
 
 def test_scalar_energy_mul_examples():
     assert scalar_energy_mul({Q.scalar(1)}) == 1
     assert scalar_energy_mul({Q.scalar(v) for v in (1, 2, 4)}) == 19
     assert scalar_energy_mul({Q.scalar(v) for v in (2, 3, 5)}, Q.scalar(1)) == 19
+    F5 = PrimeField(5)
+    assert scalar_energy_mul({F5.scalar(v) for v in range(1, 5)}) == 64  # (p-1)^3: all of F_p^*
+    assert scalar_energy_mul({F5.scalar(v) for v in range(5)}, F5.scalar(3)) == 64
+    assert scalar_energy_mul(set()) == 0
     vals, dropped = shifted_nonzero({Q.scalar(v) for v in (1, 2, 4)}, Q.scalar(2))
     assert dropped == 1 and len(vals) == 2
 

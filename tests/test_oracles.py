@@ -7,13 +7,20 @@ intersection, with the same pair keys and the same per-quadruple tests; on
 small sets both must give the same results.  The sets include rich lines,
 parallel families and collinear quadruples (grids, GP x AP products, small
 fields) and Q sets with unlike denominators.
+
+The rich-line chains read their energies off the pair kernel and their
+representation counts off the grid count.  The representation tallies and
+the energy tally below compute the same numbers in field arithmetic, one
+pair of grid values at a time.
 """
 
+import random
 from collections import Counter
 from fractions import Fraction
 
 from affine_energy import (
     AffineSet,
+    GridInstance,
     PlanePoint,
     PrimeField,
     RATIONALS,
@@ -24,13 +31,14 @@ from affine_energy import (
     pencil_bruteforce,
     quadrangles_bruteforce,
     seeded_random,
+    structure_report,
 )
 from affine_energy.affine import quotient
 from affine_energy.energy import _flat_key, _pair_keys
 from affine_energy.fields import Scalar
 from affine_energy.generators import APSpec, AffProductSpec, GPSpec, GridSpec, generate
 from affine_energy.plane import _canon_int, _cross, _dot, _quadrangle_setup
-from affine_energy.richlines import Pencil
+from affine_energy.richlines import ChainCheck, Pencil
 
 Q = RATIONALS
 FIELDS = [PrimeField(5), PrimeField(7), PrimeField(11), PrimeField(101), Q]
@@ -243,3 +251,134 @@ def test_pencil_oracle_divides_once_per_pair(monkeypatch):
             slopes = Counter(g.a for g in lines)
             k = len(lines)
             assert len(calls) == k * (k - 1) // 2 - sum(c * (c - 1) // 2 for c in slopes.values())
+
+
+def difference_representation(A, gamma, field):
+    """r_{A - gamma*A}(beta) = #{(y, x) in A^2 : y - gamma*x = beta}."""
+    vals = [a.value if isinstance(a, Scalar) else field.reduce(a) for a in A]
+    g = gamma.value if isinstance(gamma, Scalar) else field.reduce(gamma)
+    out: Counter = Counter()
+    for y in vals:
+        for x in vals:
+            out[field.sub(y, field.mul(g, x))] += 1
+    return out
+
+
+def quotient_representation(A, x0, y0, field):
+    """r_{(A-y0)/(A-x0)}(beta) over pairs with both shifted entries nonzero.
+
+    Returns the counter and the number of pairs dropped for a zero entry.
+    """
+    vals = [a.value if isinstance(a, Scalar) else field.reduce(a) for a in A]
+    xv = x0.value if isinstance(x0, Scalar) else field.reduce(x0)
+    yv = y0.value if isinstance(y0, Scalar) else field.reduce(y0)
+    num = [field.sub(v, yv) for v in vals]
+    den = [field.sub(v, xv) for v in vals]
+    num = [v for v in num if v != 0]
+    den = [v for v in den if v != 0]
+    dropped = 2 * len(vals) - len(num) - len(den)
+    out: Counter = Counter()
+    for u in num:
+        for w in den:
+            out[field.div(u, w)] += 1
+    return out, dropped
+
+
+def _table_energy(vals, op):
+    """sum_t r(t)^2 for r(t) = #{(x, y) in vals^2 : op(x, y) = t}."""
+    return sum(r * r for r in Counter(op(x, y) for x in vals for y in vals).values())
+
+
+def _chain_scan(reps, B, energy_bound):
+    sum_b = sum(reps.get(b, 0) for b in B)
+    sum_sq = sum(reps.get(b, 0) ** 2 for b in B)
+    mixed = sum(r * r for r in reps.values())
+    return ChainCheck(sum_b, len(B), sum_sq, mixed, energy_bound, True)
+
+
+def _structure_scan(rep, inst):
+    """The energies, dropped counts and chains of structure_report, from the
+    tallies above, for the family and pencil that rep found."""
+    field = inst.field
+    A = [Scalar(field, v) for v in inst.S]
+    e_plus = _table_energy(list(inst.S), field.add)
+    out = dict(e_plus=e_plus, e_mul_x0=None, e_mul_y0=None, mul_dropped_x0=0, mul_dropped_y0=0)
+    out.update(parallel_chain=None, pencil_chain=None, pencil_link1_holds=None)
+    if rep.family.slope is not None:
+        B = [b.value for b in rep.family.intercepts]
+        reps = difference_representation(A, rep.family.slope, field)
+        out["parallel_chain"] = _chain_scan(reps, B, len(B) * e_plus)
+    if rep.pencil is not None and rep.pencil.point is not None:
+        x0, y0 = rep.pencil.point
+        for name, shift in (("x0", x0), ("y0", y0)):
+            shifted = [field.sub(v, shift.value) for v in inst.S]
+            kept = [v for v in shifted if v != 0]
+            out["e_mul_" + name] = _table_energy(kept, field.mul)
+            out["mul_dropped_" + name] = len(shifted) - len(kept)
+        reps, _ = quotient_representation(A, x0, y0, field)
+        B = [s.value for s in rep.pencil.slopes]
+        chain = _chain_scan(reps, B, out["e_mul_x0"] * out["e_mul_y0"])
+        out["pencil_chain"] = chain
+        out["pencil_link1_holds"] = rep.threshold * len(B) <= chain.sum_over_B
+    return out
+
+
+def _random_grid(rng, field):
+    """A grid A x A with lines through one point (x0, y0), x0 and y0 each in
+    A or not, and one parallel family, plus random lines; every line that
+    meets the grid is rich."""
+    if field.characteristic:
+        value = lambda: rng.randrange(field.characteristic)
+    else:
+        value = lambda: Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 3, 4)))
+    A = {field.reduce(value()) for _ in range(rng.randint(3, 9))}
+    vals = sorted(A, key=field.sort_key)
+    x0, y0 = rng.choice(vals), rng.choice(vals)
+    where = rng.randrange(4)
+    if where & 1:
+        x0 = field.reduce(value())
+    if where & 2:
+        y0 = field.reduce(value())
+    lines = set()
+    for _ in range(rng.randint(2, 6)):
+        s, t = rng.choice(vals), rng.choice(vals)
+        if s != x0 and t != y0:
+            a = field.div(field.sub(t, y0), field.sub(s, x0))
+            lines.add((a, field.sub(y0, field.mul(a, x0))))
+    gamma = field.reduce(value())
+    if gamma:
+        for _ in range(rng.randint(1, 4)):
+            s, t = rng.choice(vals), rng.choice(vals)
+            lines.add((gamma, field.sub(t, field.mul(gamma, s))))
+    for _ in range(rng.randint(0, 3)):
+        a = field.reduce(value())
+        if a:
+            lines.add((a, field.reduce(value())))
+    return GridInstance.square(field, vals, AffineSet.from_pairs(field, lines), Fraction(1, len(vals)))
+
+
+def _chain_cases():
+    """Random grids over Q (fractional A and pencil points), F_5, F_7,
+    F_101 and F_1009; a pencil through a point of A x A whose rich lines
+    all sit at the threshold, so link 1 fails; and a family of slope -2/3."""
+    rng = random.Random(12)
+    cases = [_random_grid(rng, field) for field in (Q, PrimeField(5), PrimeField(7), PrimeField(101), PrimeField(1009)) for _ in range(12)]
+    for field in (Q, PrimeField(101), PrimeField(1009)):
+        # y = 2x - 2 and y = x/2 + 1 meet A = {0..4} in 3 points each, one of them (2, 2)
+        half = field.div(field.reduce(1), field.reduce(2))
+        cases.append(GridInstance.square(field, range(5), AffineSet.from_pairs(field, [(2, -2), (half, 1)]), Fraction(3, 5)))
+    family = [(Fraction(-2, 3), b) for b in (6, 7, 8, 9)] + [(Fraction(1, 2), 1), (3, -1)]
+    cases.append(GridInstance.square(Q, range(10), AffineSet.from_pairs(Q, family), Fraction(2, 5)))
+    return cases
+
+
+def test_structure_report_matches_scans():
+    seen = set()
+    for inst in _chain_cases():
+        rep = structure_report(inst)
+        scan = _structure_scan(rep, inst)
+        assert {name: getattr(rep, name) for name in scan} == scan
+        seen.add((rep.mul_dropped_x0, rep.mul_dropped_y0, rep.pencil_link1_holds))
+        if rep.family.slope is not None and rep.family.slope.value == Fraction(-2, 3):
+            seen.add("negative fractional slope")
+    assert {(1, 0, True), (0, 1, True), (1, 1, False), (0, 0, True), "negative fractional slope"} <= seen
