@@ -146,8 +146,12 @@ def max_on_line(A: AffineSet) -> int:
     return max_collinear(A.field.characteristic, _chart_points(A.field, [g.key() for g in A]))
 
 
+def _nonvertical_lines(field: Field, keys: Sequence[tuple]) -> List[list]:
+    """The non-vertical lines through two or more raw (a, b) keys, as index lists."""
+    groups = lines(field.characteristic, _chart_points(field, keys))
+    return [m for m in groups if keys[m[0]][0] != keys[m[1]][0]]
+
+
 def max_on_nonvertical_line(A: AffineSet) -> int:
     """Max maps on a single finite-slope line (torus-coset meets only)."""
-    keys = [g.key() for g in A]
-    groups = lines(A.field.characteristic, _chart_points(A.field, keys))
-    return max((len(m) for m in groups if keys[m[0]][0] != keys[m[1]][0]), default=min(len(A), 1))
+    return max(map(len, _nonvertical_lines(A.field, [g.key() for g in A])), default=min(len(A), 1))

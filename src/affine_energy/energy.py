@@ -3,17 +3,14 @@
 E(A) counts quadruples (g,h,u,v) in A^4 with g^{-1} o h = u^{-1} o v; E*(A)
 counts g o h = u o v.  The fast paths key the raw (a, b) values of all pairs
 g^{-1} o h by one int each (see _blocks); Scalar and AffineMap appear only at
-the API edge.  Two readers share that prologue:
-
-- the sizes-only reader, _pair_sizes, tallies the keys in one Counter.  It
-  serves E (energy, quotient_stats without the decomposition), E* and |AA|
-  (the product pass over A^{-1} x A), E(A,B) (energy_asym), the E(A_P)
-  term of plane.quadrangles, the scalar energies E+ and E^x (E of the
-  translations x -> x + s and of the dilations x -> w*x) and every energy
-  of the rich-line chains in richlines.structure_report;
-- the block reader, _pair_blocks, tallies each bucket by slope-class block.
-  Only quotient_stats with the decomposition uses it, because Q_C reads the
-  blocks; it also gives E and |A^{-1}A| there.
+the API edge.  One reader, _tally, counts those keys in one Counter.  It
+serves E and |A^{-1}A| (energy, quotient_stats), E* and |AA| (the product
+pass, the reader over the raw inverses (1/a, -b/a) x A), E(A,B)
+(energy_asym), the E(A_P) term of plane.quadrangles, the scalar energies E+
+and E^x (E of the translations x -> x + s and of the dilations x -> w*x) and
+every energy of the rich-line chains in richlines.structure_report.  For
+Q_C, quotient_stats tallies the same prologue a second time with the block
+index of each pair in place of its slope id (see _slice_table).
 
 The brute-force oracles compute every pair value g^{-1} o h (or g o h)
 through quotient/compose, which the fast paths never call, and count the
@@ -37,7 +34,7 @@ from math import gcd, isqrt, lcm
 from operator import itemgetter
 from typing import Dict, Optional, Tuple
 
-from .affine import AffineSet, compose, inverse, max_on_line, max_on_vertical, quotient
+from .affine import AffineSet, compose, max_on_line, max_on_vertical, quotient
 from .errors import OracleCapExceeded, ZeroC
 from .exactmath import ratio, sqrt_floor_fraction
 from .fields import Field, Scalar
@@ -90,8 +87,16 @@ def _sorted_values(char: int, values: list) -> list:
     return [(c, Fraction(*values[c])) for c in order]
 
 
+def _c_table(char: int, xs: list) -> Tuple[list, list]:
+    """The C values x*y over the slopes xs: the id grid c_of[i][j] of
+    _pair_ids and the (id, raw value) list of _sorted_values, in canonical
+    order.  Q_C (_slice_table) and the slices of incidence3d name C by it."""
+    c_of, values = _pair_ids(char, xs, xs)
+    return c_of, _sorted_values(char, values)
+
+
 def _blocks(field: Field, G: list, H: list):
-    """The prologue of both pair readers of t = g^{-1} o h over G x H.
+    """The prologue of the pair reader of t = g^{-1} o h over G x H.
 
     The raw (a, b) pairs fall in blocks, one per slope class x of G and y of
     H.  On a block the slope y/x of t is fixed and gets one id alpha below
@@ -101,7 +106,7 @@ def _blocks(field: Field, G: list, H: list):
     L the lcm of the slope numerators.  The key of t is
     beta*K + alpha mod P*K, which is (beta mod P)*K + alpha: P = p over F_p,
     and over Q any P above twice the largest |beta|, so the key names t one
-    to one over both fields and the readers never branch on the field.
+    to one over both fields and the reader never branches on the field.
 
     Returns the slope classes of G, the intercepts of H in class order with
     the class index of each, the scales s*K, the alpha grid and the modulus
@@ -127,48 +132,35 @@ def _blocks(field: Field, G: list, H: list):
     return rows, hs, js, [s * K for s in scales], alphas, P * K
 
 
-def _pair_sizes(field: Field, G: list, H: list) -> Counter:
-    """The sizes-only reader: r(t) for every t = g^{-1} o h over G x H.
-
-    One Counter tallies the int keys of all pairs at C speed, one row of
-    blocks per update; no per-bucket object is built.  E, E*, |AA|,
-    |A^{-1}A|, E(A,B) and the E(A_P) term of quadrangles need only these
-    sizes.
-    """
-    rows, hs, js, scales, alphas, m = _blocks(field, G, H)
+def _tally(rows, hs, js, scales, ids, m) -> Counter:
+    """The reader: the keys of a _blocks prologue, with `ids` in place of its
+    alpha grid, counted in one Counter at C speed, one row of blocks per
+    update.  With the alpha grid the counts are the bucket sizes r(t); with
+    the block index i*|cols| + j, also below K, a key names (t, block)."""
     sizes: Counter = Counter()
-    for (_, gs), s, arow in zip(rows, scales, alphas):
-        ah = list(map(arow.__getitem__, js))
-        sizes.update([((bh - bg) * s + a) % m for bg in gs for bh, a in zip(hs, ah)])
+    for (_, gs), s, row in zip(rows, scales, ids):
+        ih = list(map(row.__getitem__, js))
+        sizes.update([((bh - bg) * s + a) % m for bg in gs for bh, a in zip(hs, ih)])
     return sizes
 
 
-def _pair_blocks(field: Field, G: list, H: list):
-    """The block reader: the keys of _pair_sizes, each bucket tallying its
-    pairs by block (i, j), as Q_C reads them.
+def _pair_sizes(field: Field, G: list, H: list) -> Counter:
+    """r(t) for every t = g^{-1} o h over G x H."""
+    return _tally(*_blocks(field, G, H))
 
-    Returns the slope classes of G and {t key: {(i, j): count}}.
-    """
-    rows, hs, js, scales, alphas, m = _blocks(field, G, H)
-    buckets: dict = {}
-    for i, ((_, gs), s, arow) in enumerate(zip(rows, scales, alphas)):
-        blocks = [(i, j) for j in range(len(arow))]
-        for bg in gs:
-            for bh, j in zip(hs, js):
-                key = ((bh - bg) * s + arow[j]) % m
-                tally = buckets.get(key)
-                if tally is None:
-                    buckets[key] = {blocks[j]: 1}
-                else:
-                    block = blocks[j]
-                    tally[block] = tally.get(block, 0) + 1
-    return rows, buckets
+
+def _block_tally(rows, hs, js, scales, alphas, m) -> Counter:
+    """r(t, b) per bucket t and block b = i*|cols| + j, keyed key(t) - alpha[b] + b."""
+    n = len(alphas[0]) if alphas else 0
+    return _tally(rows, hs, js, scales, (list(range(i * n, i * n + n)) for i in range(len(rows))), m)
 
 
 def _product_pass(A: AffineSet) -> Counter:
-    """Bucket sizes of g o h over A x A: the sizes reader over A^{-1} x A."""
-    inverted = [(h.a.value, h.b.value) for h in map(inverse, A)]
-    return _pair_sizes(A.field, inverted, [g.key() for g in A])
+    """Bucket sizes of g o h over A x A: the reader over A^{-1} x A."""
+    field = A.field
+    raw = [g.key() for g in A]
+    inverted = [(ai := field.inv(a), field.neg(field.mul(b, ai))) for a, b in raw]
+    return _pair_sizes(field, inverted, raw)
 
 
 def _energy(sizes) -> int:
@@ -177,40 +169,50 @@ def _energy(sizes) -> int:
     return sum(map(operator.mul, sizes, sizes))
 
 
-def _slice_table(field: Field, classes: list, buckets: dict) -> Dict[Scalar, Tuple[int, int]]:
-    """C -> (|C_C|, Q_C) for every realized C = x*y, in canonical order.
+def _slice_table(field: Field, prologue: tuple, sizes: Counter) -> Dict[Scalar, Tuple[int, int]]:
+    """C -> (|C_C|, Q_C) for every realized C = x*y, in canonical order, from
+    the _blocks prologue of A x A and its bucket sizes r(t).
 
     |C_C| = sum_{xy=C} cnt(x)*cnt(y) over the slope histogram.  A quadruple
-    ((g,h),(u,v)) of one bucket has C = g1*v1, so Q_C pairs the g-slope
-    class of each block of the bucket with the h-slope class of each.
+    ((g,h),(u,v)) of bucket t has C = g1*v1, the row class of the block of
+    (g,h) times the column class of that of (u,v).  A block b with
+    r(t, b) = r(t) fills its bucket and adds r(t)^2 to its own C; only the
+    buckets shared by several blocks are grouped.
     """
-    xs = [x for x, _ in classes]
-    c_of, values = _pair_ids(field.characteristic, xs, xs)
-    sizes = [0] * len(values)
-    qs = [0] * len(values)
-    for (_, gs), row in zip(classes, c_of):
-        for (_, vs), c in zip(classes, row):
-            sizes[c] += len(gs) * len(vs)
-    for tally in buckets.values():
-        for (i, _), n1 in tally.items():
-            row = c_of[i]
-            for (_, j), n2 in tally.items():
-                qs[row[j]] += n1 * n2
-    return {Scalar(field, v): (sizes[c], qs[c]) for c, v in _sorted_values(field.characteristic, values)}
+    rows, alphas = prologue[0], prologue[4]
+    n = len(rows)  # A x A: the column classes are the row classes
+    c_of, order = _c_table(field.characteristic, [x for x, _ in rows])
+    flat_c = [c for row in c_of for c in row]
+    flat_alpha = [a for row in alphas for a in row]
+    K = len(flat_alpha)
+    counts = [0] * len(order)
+    qs = [0] * len(order)
+    for (_, gs), row in zip(rows, c_of):
+        for (_, vs), c in zip(rows, row):
+            counts[c] += len(gs) * len(vs)
+    shared: dict = defaultdict(list)
+    for key, r in _block_tally(*prologue).items():
+        b = key % K
+        t = key - b + flat_alpha[b]
+        if sizes[t] == r:
+            qs[flat_c[b]] += r * r
+        else:
+            shared[t].append((b, r))
+    for blocks in shared.values():
+        for b1, r1 in blocks:
+            row = c_of[b1 // n]
+            for b2, r2 in blocks:
+                qs[row[b2 % n]] += r1 * r2
+    return {Scalar(field, v): (counts[c], qs[c]) for c, v in order}
 
 
 def quotient_stats(A: AffineSet, include_decomposition: bool = True) -> Tuple[int, int, Dict[Scalar, Tuple[int, int]]]:
-    """E(A), |A^{-1}A| and, unless skipped, C -> (|C_C|, Q_C).
-
-    Only the decomposition reads the block tallies; without it the sizes
-    reader serves.
-    """
+    """E(A), |A^{-1}A| and, unless skipped, C -> (|C_C|, Q_C)."""
     raw = [g.key() for g in A]
-    if not include_decomposition:
-        sizes = _pair_sizes(A.field, raw, raw)
-        return _energy(sizes.values()), len(sizes), {}
-    classes, buckets = _pair_blocks(A.field, raw, raw)
-    return _energy(map(sum, map(dict.values, buckets.values()))), len(buckets), _slice_table(A.field, classes, buckets)
+    prologue = _blocks(A.field, raw, raw)
+    sizes = _tally(*prologue)
+    table = _slice_table(A.field, prologue, sizes) if include_decomposition else {}
+    return _energy(sizes.values()), len(sizes), table
 
 
 def energy(A: AffineSet) -> int:

@@ -8,10 +8,11 @@ slice fixes g1*v1 = h1*u1 = C.
 Every count runs in a private core on raw integer 4-tuples (residues over
 F_p, denominator-cleared primitive vectors over Q).  The slice pipelines
 (`q_c_incidence_table`, `top_slice_reports`, the CLI) build those tuples
-straight from the slope classes of A in `_raw_slices`; Point3/Plane3, which
-store the canonical projective form (first nonzero coordinate scaled to 1),
-exist only at the API edge, and each public function calls raw() once and
-delegates to its core.  The collinearity k and the lines of the Beck split
+straight from the slope classes of A in `_raw_slices`, which names and
+orders the C values by the pair kernel's C table (energy._c_table), as Q_C
+does.  Point3/Plane3, which store the canonical projective form (first
+nonzero coordinate scaled to 1), exist only at the API edge, and each public
+function calls raw() once and delegates to its core.  The collinearity k and the lines of the Beck split
 come from the shared line pass of `projective`.  In a slice, k comes from
 its layers: the points of one slope class pair form a product grid in one
 plane, so k is the larger of the largest grid row or column and the longest
@@ -27,7 +28,7 @@ from math import isqrt, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .affine import AffineMap, AffineSet
-from .energy import CSlice, _slope_classes
+from .energy import CSlice, _c_table, _slope_classes
 from .errors import InvariantViolation, ZeroC
 from .exactmath import ratio
 from .fields import Field, Scalar
@@ -206,7 +207,8 @@ def slice_planes(sl: CSlice) -> List[Plane3]:
 
 def _raw_slices(A: AffineSet, only: Optional[set] = None) -> Dict[object, Tuple[List[tuple], List[tuple], list]]:
     """{C value: (raw points, raw planes, layers)} for every realized C, or
-    for those among the C values `only`, in the field's canonical order.
+    for those among the C values `only`, in the canonical order of the
+    kernel's C table (energy._c_table).
 
     A pair (g, v) of slope classes x and y lands in C = x*y, and each class
     pair is one layer of its slice: the points with first coordinate x, the
@@ -222,20 +224,20 @@ def _raw_slices(A: AffineSet, only: Optional[set] = None) -> Dict[object, Tuple[
     Either way the tuples are the objects' raw().  Raises InvariantViolation
     unless both maps are injective on each slice.
     """
-    field = A.field
-    p = field.characteristic
+    p = A.field.characteristic
     classes = _slope_classes(g.key() for g in A)
+    c_of, order = _c_table(p, [x for x, _ in classes])
+    wanted = {c for c, v in order if only is None or v in only}
     D = 1 if p else lcm(*(v.denominator for x, bs in classes for v in (x, *bs)))
-    # each class as its slope and its cleared [X, b, b, ...]
-    cleared = [(x, [v if p else v.numerator * (D // v.denominator) for v in (x, *bs)]) for x, bs in classes]
+    # each class as its cleared [X, b, b, ...]
+    cleared = [[v if p else v.numerator * (D // v.denominator) for v in (x, *bs)] for x, bs in classes]
     DD = D * D
     inverse = {v: pow(v, -1, p) for x, bs in classes for v in (x, *bs) if v} if p else {}
     slices: dict = defaultdict(lambda: ([], [], []))
-    for x, (X, *gs) in cleared:
+    for (X, *gs), c_row in zip(cleared, c_of):
         xi = inverse.get(X)
-        for y, (_, *vs) in cleared:
-            c = field.mul(x, y)
-            if only is not None and c not in only:
+        for (_, *vs), c in zip(cleared, c_row):
+            if c not in wanted:
                 continue
             pts, planes, layers = slices[c]
             for bg in gs:
@@ -250,7 +252,7 @@ def _raw_slices(A: AffineSet, only: Optional[set] = None) -> Dict[object, Tuple[
             layers.append((len(pts), max(len(gs), len(vs))))
     if any(len(set(pts)) != len(pts) or len(set(planes)) != len(planes) for pts, planes, _ in slices.values()):
         raise InvariantViolation("slice-to-projective maps must be injective")
-    return {c: slices[c] for c in sorted(slices, key=field.sort_key)}
+    return {v: slices[c] for c, v in order if c in slices}
 
 
 def q_c_via_incidence(A: AffineSet, C: Scalar) -> int:
@@ -347,6 +349,9 @@ def top_slice_reports(A: AffineSet, per_c: Dict[Scalar, Tuple[int, int]], top: i
     return [(C, _pointplane_report(field.characteristic, *slices[C.value])) for C in ranked]
 
 
+_TYPE_I_SHARE = Fraction(1, 2)  # of a plane's ordered point pairs, on its largest line
+
+
 @dataclass
 class PlaneStats:
     """Per-plane pair statistics for the Beck-type (i)/(ii) split."""
@@ -359,9 +364,7 @@ class PlaneStats:
     label: str  # "type-i" | "type-ii" (reported statistics, not claims)
 
 
-def _beck_stats(
-    char: int, points: Iterable[tuple], planes: Iterable[tuple], cthresh: int = 4, dominance: Fraction = Fraction(1, 2)
-) -> List[PlaneStats]:
+def _beck_stats(char: int, points: Iterable[tuple], planes: Iterable[tuple], cthresh: int = 4) -> List[PlaneStats]:
     """The rows of beck_plane_classification on distinct raw points and
     planes, in the planes' order, each row's `plane` being the raw tuple."""
     if cthresh < 2:
@@ -377,20 +380,18 @@ def _beck_stats(
         total_pairs = t * (t - 1)
         max_line = max(s * (s - 1) for s in line_sizes)
         sparse_pairs = sum(s * (s - 1) for s in line_sizes if s < cthresh)
-        label = "type-i" if Fraction(max_line) >= dominance * total_pairs else "type-ii"
+        label = "type-i" if max_line >= _TYPE_I_SHARE * total_pairs else "type-ii"
         out.append(PlaneStats(plane, t, total_pairs, max_line, sparse_pairs, label))
     return out
 
 
-def beck_plane_classification(
-    P: Iterable[Point3], Pi: Iterable[Plane3], cthresh: int = 4, dominance: Fraction = Fraction(1, 2)
-) -> List[PlaneStats]:
+def beck_plane_classification(P: Iterable[Point3], Pi: Iterable[Plane3], cthresh: int = 4) -> List[PlaneStats]:
     """Per-plane line-pair statistics; planes with <= 1 point are excluded.
 
-    A plane is labeled type-i when a single line holds at least `dominance`
-    of its ordered point pairs, else type-ii.
+    A plane is labeled type-i when a single line holds at least half of its
+    ordered point pairs, else type-ii.
     """
     pts = set(P)
     planes = {c.raw(): c for c in sorted(set(Pi), key=lambda c: str(c))}
-    rows = _beck_stats(_characteristic(pts), [p.raw() for p in pts], planes, cthresh, dominance)
+    rows = _beck_stats(_characteristic(pts), [p.raw() for p in pts], planes, cthresh)
     return [replace(row, plane=planes[row.plane]) for row in rows]

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from typing import Dict, Iterable, List, Sequence, Set
 
-from .affine import AffineMap, AffineSet, quotient
+from .affine import AffineSet
 from .energy import ORACLE_CAP_DEFAULT, _pair_energy
 from .errors import (
     EqualLines,
@@ -43,7 +43,7 @@ from .errors import (
     PointOnYAxis,
     TooFewPoints,
 )
-from .fields import Field, Scalar
+from .fields import Field
 from . import projective
 from .projective import canon_int, canonical, int_coords
 from .richlines import _grid_counts
@@ -480,12 +480,7 @@ def quadrangles_bruteforce(P: Iterable[PlanePoint], cap: int = ORACLE_CAP_DEFAUL
                 for v in by_dir[u].get(dk, ()):
                     if v == h or mu_h[v] != mgu:
                         continue
-                    du = _dot(line_gh, raws[u])
-                    dv = _dot(line_gh, raws[v])
-                    if char:
-                        du %= char
-                        dv %= char
-                    if du == 0 and dv == 0:
+                    if _is_zero(char, _dot(line_gh, raws[u])) and _is_zero(char, _dot(line_gh, raws[v])):
                         continue  # all four collinear
                     count += 1
     return count
@@ -521,11 +516,11 @@ def quadrangle_energy_correspondence(P: Iterable[PlanePoint]) -> QuadrangleCorre
     energy-identity count quadrangles() stands in."""
     pts, field, char, raws = _quadrangle_setup(P)
     n = len(pts)
-    maps = [AffineMap(Scalar(field, p.coords[0]), Scalar(field, p.coords[1])) for p in pts]
-    buckets: dict = defaultdict(list)
-    for i in range(n):
-        for j in range(n):
-            buckets[quotient(maps[i], maps[j]).key()].append((i, j))
+    keys = [(field.inv(p.coords[0]), p.coords[1]) for p in pts]  # (1/a, b)
+    buckets: dict = defaultdict(list)  # by the raw key (a_h/a_g, (b_h - b_g)/a_g) of g^{-1} o h
+    for i, (ai, bg) in enumerate(keys):
+        for j, p in enumerate(pts):
+            buckets[field.mul(ai, p.coords[0]), field.mul(ai, field.sub(p.coords[1], bg))].append((i, j))
 
     # side keys of a pair, computed only for the geometric quadruples that read them
     @cache
@@ -551,12 +546,7 @@ def quadrangle_energy_correspondence(P: Iterable[PlanePoint]) -> QuadrangleCorre
                         raise InvariantViolation("energy relation must force u = v when g = h, and h = v when g = u")
                     trivial += 1
                     continue
-                du = _dot(line_gh, raws[u])
-                dv = _dot(line_gh, raws[v])
-                if char:
-                    du %= char
-                    dv %= char
-                if du == 0 and dv == 0:
+                if _is_zero(char, _dot(line_gh, raws[u])) and _is_zero(char, _dot(line_gh, raws[v])):
                     collinear += 1
                     continue
                 # must be a geometric quadrangle; verify both side conditions

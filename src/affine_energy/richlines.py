@@ -18,8 +18,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from . import projective
-from .affine import AffineMap, AffineSet, _chart_points
+from .affine import AffineMap, AffineSet, _nonvertical_lines
 from .energy import _dilations, _pair_energy, _slope_classes, _translations, energy
 from .errors import InvariantViolation, TooFewLines
 from .exactmath import iroot, ratio, sqrt_floor_fraction
@@ -139,8 +138,7 @@ def max_concurrent_pencil(lines: AffineSet) -> Pencil:
         raise TooFewLines("pencil detection needs at least two lines")
     field = lines.field
     keys = [l.key() for l in lines]
-    groups = projective.lines(field.characteristic, _chart_points(field, keys))
-    groups = [m for m in groups if keys[m[0]][0] != keys[m[1]][0]]
+    groups = _nonvertical_lines(field, keys)
     if not groups:
         slope = min((a for a, _ in keys), key=field.sort_key)
         return Pencil(None, frozenset({Scalar(field, slope)}))

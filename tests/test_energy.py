@@ -1,6 +1,6 @@
 """Energies, the C-decomposition, scalar energies, bound reports."""
 
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
@@ -20,15 +20,20 @@ from affine_energy import (
     main_bound_report,
     max_on_vertical,
     product_set,
+    q_c_incidence_table,
+    quadrangle_energy_correspondence,
+    quadrangles,
     quotient_stats,
     scalar_energy_add,
     scalar_energy_mul,
     seeded_random,
+    top_slice_reports,
 )
+from affine_energy.affine import AffineMap
 from affine_energy.energy import (
+    _block_tally,
     _blocks,
     _energy,
-    _pair_blocks,
     _pair_ids,
     _pair_keys,
     _pair_sizes,
@@ -226,19 +231,70 @@ def _reader_cases():
     return cases
 
 
+def _tagged_buckets(A):
+    """The block-tagged tally of A x A regrouped by bucket: {t: {(x_i, x_j):
+    r(t, b)}}, b = i*|cols| + j naming the slope classes x_i of g and x_j of h."""
+    raw = [g.key() for g in A]
+    prologue = _blocks(A.field, raw, raw)
+    rows, alphas = prologue[0], prologue[4]
+    flat = [a for row in alphas for a in row]
+    buckets = defaultdict(dict)
+    for key, r in _block_tally(*prologue).items():
+        b = key % len(flat)
+        buckets[key - b + flat[b]][rows[b // len(rows)][0], rows[b % len(rows)][0]] = r
+    return buckets
+
+
+def _oracle_blocks(A):
+    """The multiset of buckets of the oracle's pair values, each bucket as its
+    counts per (slope of g, slope of h)."""
+    slopes = [(g.a.value, h.a.value) for g in A for h in A]
+    buckets = defaultdict(Counter)
+    for key, block in zip(_pair_keys(A, A, "E"), slopes):
+        buckets[key][block] += 1
+    return Counter(frozenset(t.items()) for t in buckets.values())
+
+
 def test_sizes_reader_matches_block_reader_and_oracles():
     for A in _reader_cases():
         raw = [g.key() for g in A]
         sizes = _pair_sizes(A.field, raw, raw)
-        buckets = _pair_blocks(A.field, raw, raw)[1]
+        buckets = _tagged_buckets(A)
         assert sorted(sizes.values()) == sorted(sum(t.values()) for t in buckets.values()) == _oracle_sizes(A, A)
-        assert set(sizes) == set(buckets)
+        assert {t: sum(blocks.values()) for t, blocks in buckets.items()} == sizes
+        assert Counter(frozenset(blocks.items()) for blocks in buckets.values()) == _oracle_blocks(A)
         assert energy(A) == _energy(sizes.values()) == quotient_stats(A)[0] == energy_bruteforce(A, "E")
         products = _product_pass(A)
         assert sorted(products.values()) == _oracle_sizes(A, A, "Estar")
         assert energy_star(A) == energy_bruteforce(A, "Estar")
         rep = main_bound_report(A)
         assert (rep.E, rep.size_AinvA, rep.E_star, rep.size_AA) == (energy(A), len(sizes), energy_star(A), len(products))
+        assert rep.per_c == {C: (len(c_slice(A, C)), q) for C, q in decompose_bruteforce(A).items()}
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(101)])
+def test_fast_paths_build_no_affine_map(field, monkeypatch):
+    """Past the API edge no fast path builds an AffineMap: the sets are built
+    first, then every AffineMap construction raises."""
+    A = generate(GridSpec(5), field)
+    R = seeded_random(20, 3, field, "affine")
+    P = seeded_random(12, 4, field, "planar")
+
+    def refuse(self):
+        raise AssertionError("AffineMap built inside a fast path")
+
+    monkeypatch.setattr(AffineMap, "__post_init__", refuse)
+    for S in (A, R):
+        per_c = main_bound_report(S).per_c
+        main_bound_report(S, include_decomposition=False)
+        quotient_stats(S)
+        energy_star(S)
+        q_c_incidence_table(S)
+        top_slice_reports(S, per_c, 3)
+    quadrangles(P)
+    quadrangle_energy_correspondence(P)
+    with pytest.raises(AssertionError):
+        AffineMap(field.one(), field.zero())
 
 
 def test_sizes_reader_asym_matches_oracle():
