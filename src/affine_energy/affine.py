@@ -9,25 +9,32 @@ g^{-1} = (1/g.a, -g.b/g.a).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import lcm
 from typing import Iterable, Iterator, List, Sequence
 
 from .errors import SlopeZero
-from .fields import Field, Scalar
+from .fields import Field, Frozen, Scalar
 from .projective import lines, max_collinear
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(Frozen):
     """x -> a*x + b; slope a must be nonzero."""
 
-    a: Scalar
-    b: Scalar
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if not self.a:
-            raise SlopeZero(f"slope must be nonzero, got ({self.a}, {self.b})")
+    def __init__(self, a: Scalar, b: Scalar):
+        if not a:
+            raise SlopeZero(f"slope must be nonzero, got ({a}, {b})")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __eq__(self, other):
+        if type(other) is not AffineMap:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self):
+        return hash((self.a.value, self.b.value))
 
     @property
     def field(self) -> Field:

@@ -28,16 +28,15 @@ from __future__ import annotations
 
 import operator
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import itemgetter
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .affine import AffineSet, compose, max_on_line, max_on_vertical, quotient
 from .errors import OracleCapExceeded, ZeroC
 from .exactmath import ratio, sqrt_floor_fraction
-from .fields import Field, Scalar
+from .fields import Field, Frozen, Scalar
 
 ORACLE_CAP_DEFAULT = 64
 
@@ -169,9 +168,10 @@ def _energy(sizes) -> int:
     return sum(map(operator.mul, sizes, sizes))
 
 
-def _slice_table(field: Field, prologue: tuple, sizes: Counter) -> Dict[Scalar, Tuple[int, int]]:
-    """C -> (|C_C|, Q_C) for every realized C = x*y, in canonical order, from
-    the _blocks prologue of A x A and its bucket sizes r(t).
+def _slice_table(char: int, prologue: tuple, sizes: Counter) -> Tuple[list, list, list]:
+    """|C_C| and Q_C for every realized C = x*y, from the _blocks prologue of
+    A x A and its bucket sizes r(t): the (id, raw C) list of _c_table, in
+    canonical order, and the two counts indexed by id.
 
     |C_C| = sum_{xy=C} cnt(x)*cnt(y) over the slope histogram.  A quadruple
     ((g,h),(u,v)) of bucket t has C = g1*v1, the row class of the block of
@@ -181,7 +181,7 @@ def _slice_table(field: Field, prologue: tuple, sizes: Counter) -> Dict[Scalar, 
     """
     rows, alphas = prologue[0], prologue[4]
     n = len(rows)  # A x A: the column classes are the row classes
-    c_of, order = _c_table(field.characteristic, [x for x, _ in rows])
+    c_of, order = _c_table(char, [x for x, _ in rows])
     flat_c = [c for row in c_of for c in row]
     flat_alpha = [a for row in alphas for a in row]
     K = len(flat_alpha)
@@ -203,16 +203,19 @@ def _slice_table(field: Field, prologue: tuple, sizes: Counter) -> Dict[Scalar, 
             row = c_of[b1 // n]
             for b2, r2 in blocks:
                 qs[row[b2 % n]] += r1 * r2
-    return {Scalar(field, v): (counts[c], qs[c]) for c, v in order}
+    return order, counts, qs
 
 
 def quotient_stats(A: AffineSet, include_decomposition: bool = True) -> Tuple[int, int, Dict[Scalar, Tuple[int, int]]]:
-    """E(A), |A^{-1}A| and, unless skipped, C -> (|C_C|, Q_C)."""
+    """E(A), |A^{-1}A| and, unless skipped, C -> (|C_C|, Q_C).  The Scalars are
+    built after the tally is dropped, which each full collection would walk."""
     raw = [g.key() for g in A]
     prologue = _blocks(A.field, raw, raw)
     sizes = _tally(*prologue)
-    table = _slice_table(A.field, prologue, sizes) if include_decomposition else {}
-    return _energy(sizes.values()), len(sizes), table
+    order, counts, qs = _slice_table(A.field.characteristic, prologue, sizes) if include_decomposition else ((), (), ())
+    E, n_values = _energy(sizes.values()), len(sizes)
+    del sizes
+    return E, n_values, {Scalar(A.field, v): (counts[c], qs[c]) for c, v in order}
 
 
 def energy(A: AffineSet) -> int:
@@ -267,12 +270,13 @@ def energy_asym_bruteforce(A: AffineSet, B: AffineSet, cap: int = ORACLE_CAP_DEF
     return sum(r * r for r in Counter(_pair_keys(A, B, "E")).values())
 
 
-@dataclass(frozen=True)
-class CSlice:
+class CSlice(Frozen):
     """C_C = {(g,v) in A x A : g1*v1 = C} for a nonzero C."""
 
-    C: Scalar
-    pairs: frozenset  # of (AffineMap, AffineMap)
+    __slots__ = ("C", "pairs")
+
+    def __init__(self, C: Scalar, pairs: frozenset):
+        self._set(C, pairs)  # pairs: of (AffineMap, AffineMap)
 
     def __len__(self):
         return len(self.pairs)
@@ -370,8 +374,7 @@ def shifted_nonzero(S, shift: Optional[Scalar] = None) -> Tuple[list, int]:
     return kept, len(raw) - len(kept)
 
 
-@dataclass
-class EnergyReport:
+class EnergyReport(NamedTuple):
     """Everything main_bound_report computes for one affine set."""
 
     size: int

@@ -12,12 +12,11 @@ Rational random draws use integer coordinates from the window [-50, 50]
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Union
 
 from .affine import AffineSet, affine_map
 from .errors import CannotFill, InvalidSpec, ParseError, SlopeZero
-from .fields import Field, Scalar
+from .fields import Field, Frozen, Scalar
 from .plane import PlanePoint
 
 MASK64 = (1 << 64) - 1
@@ -47,46 +46,53 @@ class Xorshift64Star:
         return self.next_u64() % n
 
 
-@dataclass(frozen=True)
-class APSpec:
-    start: int
-    step: int
-    n: int
+class APSpec(Frozen):
+    __slots__ = ("start", "step", "n")
+
+    def __init__(self, start: int, step: int, n: int):
+        self._set(start, step, n)
 
 
-@dataclass(frozen=True)
-class GPSpec:
-    start: int
-    ratio: int
-    n: int
+class GPSpec(Frozen):
+    __slots__ = ("start", "ratio", "n")
+
+    def __init__(self, start: int, ratio: int, n: int):
+        self._set(start, ratio, n)
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    n: int
+class GridSpec(Frozen):
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self._set(n)
 
 
-@dataclass(frozen=True)
-class AffProductSpec:
-    slopes: Union[APSpec, GPSpec]
-    intercepts: Union[APSpec, GPSpec]
+class AffProductSpec(Frozen):
+    __slots__ = ("slopes", "intercepts")
+
+    def __init__(self, slopes: Union[APSpec, GPSpec], intercepts: Union[APSpec, GPSpec]):
+        self._set(slopes, intercepts)
 
 
-@dataclass(frozen=True)
-class ParabolaSpec:
-    values: Union[APSpec, GPSpec]
+class ParabolaSpec(Frozen):
+    __slots__ = ("values",)
+
+    def __init__(self, values: Union[APSpec, GPSpec]):
+        self._set(values)
 
 
-@dataclass(frozen=True)
-class RandomAffSpec:
-    n: int
-    seed: int
+class RandomAffSpec(Frozen):
+    __slots__ = ("n", "seed")
+
+    def __init__(self, n: int, seed: int):
+        self._set(n, seed)
 
 
-@dataclass(frozen=True)
-class RandomPlanarSpec:
-    n: int
-    seed: int
+class RandomPlanarSpec(Frozen):
+    __slots__ = ("n", "seed")
+
+    def __init__(self, n: int, seed: int):
+        self._set(n, seed)
 
 
 GenSpec = Union[APSpec, GPSpec, GridSpec, AffProductSpec, ParabolaSpec, RandomAffSpec, RandomPlanarSpec]

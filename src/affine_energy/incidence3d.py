@@ -22,25 +22,25 @@ line through points of different layers.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .affine import AffineMap, AffineSet
 from .energy import CSlice, _c_table, _slope_classes
 from .errors import InvariantViolation, ZeroC
 from .exactmath import ratio
-from .fields import Field, Scalar
+from .fields import Field, Frozen, Scalar
 from .projective import canon_int, canonical, int_coords, lines, max_collinear
 
 
-@dataclass(frozen=True)
-class Point3:
+class Point3(Frozen):
     """Projective point of P^3, canonically scaled."""
 
-    field: Field
-    coords: tuple  # 4 raw values, first nonzero = 1
+    __slots__ = ("field", "coords")
+
+    def __init__(self, field: Field, coords: tuple):
+        self._set(field, coords)  # 4 raw values, first nonzero = 1
 
     @classmethod
     def of(cls, field: Field, coords: Sequence) -> "Point3":
@@ -54,12 +54,13 @@ class Point3:
         return ":".join(self.field.render(c) for c in self.coords)
 
 
-@dataclass(frozen=True)
-class Plane3:
+class Plane3(Frozen):
     """Plane of the dual space: coefficients (a0 : a1 : a2 : a3)."""
 
-    field: Field
-    coeffs: tuple
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: Field, coeffs: tuple):
+        self._set(field, coeffs)
 
     @classmethod
     def of(cls, field: Field, coeffs: Sequence) -> "Plane3":
@@ -269,8 +270,7 @@ def q_c_incidence_table(A: AffineSet) -> Dict[Scalar, int]:
     return {Scalar(field, c): _incidences(field.characteristic, pts, pls) for c, (pts, pls, _) in _raw_slices(A).items()}
 
 
-@dataclass
-class IncidenceInstance:
+class IncidenceInstance(NamedTuple):
     """A point set, a plane set, and the collinearity statistic k."""
 
     points: frozenset
@@ -283,8 +283,7 @@ class IncidenceInstance:
         return cls(pts, frozenset(planes), max_collinear_3d(pts))
 
 
-@dataclass
-class PointPlaneReport:
+class PointPlaneReport(NamedTuple):
     incidence_count: int
     n_points: int
     n_planes: int
@@ -352,8 +351,7 @@ def top_slice_reports(A: AffineSet, per_c: Dict[Scalar, Tuple[int, int]], top: i
 _TYPE_I_SHARE = Fraction(1, 2)  # of a plane's ordered point pairs, on its largest line
 
 
-@dataclass
-class PlaneStats:
+class PlaneStats(NamedTuple):
     """Per-plane pair statistics for the Beck-type (i)/(ii) split."""
 
     plane: Plane3  # the raw tuple in the core's rows
@@ -394,4 +392,4 @@ def beck_plane_classification(P: Iterable[Point3], Pi: Iterable[Plane3], cthresh
     pts = set(P)
     planes = {c.raw(): c for c in sorted(set(Pi), key=lambda c: str(c))}
     rows = _beck_stats(_characteristic(pts), [p.raw() for p in pts], planes, cthresh)
-    return [replace(row, plane=planes[row.plane]) for row in rows]
+    return [row._replace(plane=planes[row.plane]) for row in rows]

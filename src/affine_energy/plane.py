@@ -28,10 +28,9 @@ collinear, which is how quadrangles() counts them.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
-from typing import Dict, Iterable, List, Sequence, Set
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Set
 
 from .affine import AffineSet
 from .energy import ORACLE_CAP_DEFAULT, _pair_energy
@@ -43,7 +42,7 @@ from .errors import (
     PointOnYAxis,
     TooFewPoints,
 )
-from .fields import Field
+from .fields import Field, Frozen
 from . import projective
 from .projective import canon_int, canonical, int_coords
 from .richlines import _grid_counts
@@ -83,10 +82,11 @@ def _mod(char: int, t: tuple) -> tuple:
     return tuple(v % char for v in t) if char else t
 
 
-@dataclass(frozen=True)
-class PlanePoint:
-    field: Field
-    coords: tuple  # canonical: z in {0,1}; z = 1 iff affine
+class PlanePoint(Frozen):
+    __slots__ = ("field", "coords")
+
+    def __init__(self, field: Field, coords: tuple):
+        self._set(field, coords)  # canonical: z in {0,1}; z = 1 iff affine
 
     @classmethod
     def of(cls, field: Field, coords: Sequence) -> "PlanePoint":
@@ -107,12 +107,13 @@ class PlanePoint:
         return ":".join(self.field.render(c) for c in self.coords)
 
 
-@dataclass(frozen=True)
-class PlaneLine:
+class PlaneLine(Frozen):
     """a*x + b*y + c*z = 0 with canonical (a : b : c)."""
 
-    field: Field
-    coeffs: tuple
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: Field, coeffs: tuple):
+        self._set(field, coeffs)
 
     @classmethod
     def of(cls, field: Field, coeffs: Sequence) -> "PlaneLine":
@@ -215,8 +216,7 @@ def incidence_count(P: Iterable[PlanePoint], lines: Iterable[PlaneLine]) -> int:
     return total
 
 
-@dataclass
-class BeckPointStats:
+class BeckPointStats(NamedTuple):
     lines_total: int
     per_point: Dict[PlanePoint, int]
     theta: Fraction
@@ -246,14 +246,13 @@ def beck_point_stats(P: Iterable[PlanePoint], theta: Fraction = Fraction(1, 2)) 
 # projective maps and two-line normalization
 
 
-@dataclass(frozen=True)
-class ProjectiveMap2:
+class ProjectiveMap2(Frozen):
     """Invertible 3x3 matrix acting on the projective plane."""
 
-    field: Field
-    rows: tuple  # 3 tuples of 3 raw values
+    __slots__ = ("field", "rows")
 
-    def __post_init__(self):
+    def __init__(self, field: Field, rows: tuple):
+        self._set(field, rows)  # 3 tuples of 3 raw values
         if self.det() == 0:
             raise ValueError("projective map must be invertible")
 
@@ -308,8 +307,7 @@ def normalize_two_lines(l1: PlaneLine, l2: PlaneLine) -> ProjectiveMap2:
 # shadow incidence check (two-line grid reduction)
 
 
-@dataclass
-class ShadowCheckReport:
+class ShadowCheckReport(NamedTuple):
     removed_points: int
     n_points: int
     lhs_total: int  # I(P', L(P'))
@@ -486,8 +484,7 @@ def quadrangles_bruteforce(P: Iterable[PlanePoint], cap: int = ORACLE_CAP_DEFAUL
     return count
 
 
-@dataclass
-class QuadrangleCorrespondence:
+class QuadrangleCorrespondence(NamedTuple):
     energy_total: int
     geometric: int
     trivial: int  # g = h (so u = v) or g = u (so h = v)

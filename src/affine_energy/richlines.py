@@ -13,31 +13,26 @@ one grid count (see structure_report).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .affine import AffineMap, AffineSet, _nonvertical_lines
 from .energy import _dilations, _pair_energy, _slope_classes, _translations, energy
 from .errors import InvariantViolation, TooFewLines
 from .exactmath import iroot, ratio, sqrt_floor_fraction
-from .fields import Field, Scalar
+from .fields import Field, Frozen, Scalar
 
 
-@dataclass(frozen=True)
-class GridInstance:
-    field: Field
-    S: frozenset  # raw scalar values
-    T: frozenset
-    lines: AffineSet
-    alpha: Fraction
+class GridInstance(Frozen):
+    __slots__ = ("field", "S", "T", "lines", "alpha")
 
-    def __post_init__(self):
-        if not self.S or not self.T:
+    def __init__(self, field: Field, S: frozenset, T: frozenset, lines: AffineSet, alpha: Fraction):
+        if not S or not T:
             raise ValueError("S and T must be nonempty")
-        if not (0 < self.alpha <= 1):
+        if not (0 < alpha <= 1):
             raise ValueError("alpha must lie in (0, 1]")
+        self._set(field, S, T, lines, alpha)  # S and T hold raw scalar values
 
     @classmethod
     def of(cls, field: Field, S: Iterable, T: Iterable, lines: AffineSet, alpha: Fraction) -> "GridInstance":
@@ -94,8 +89,7 @@ def rich_lines(inst: GridInstance) -> AffineSet:
     return AffineSet(inst.field, (l for l, c in per_line.items() if c >= thresh))
 
 
-@dataclass
-class ParallelFamily:
+class ParallelFamily(NamedTuple):
     slope: Optional[Scalar]
     intercepts: frozenset  # of Scalar
 
@@ -115,8 +109,7 @@ def max_parallel_family(lines: AffineSet) -> ParallelFamily:
     return ParallelFamily(Scalar(field, slope), frozenset(Scalar(field, b) for b in bs))
 
 
-@dataclass
-class Pencil:
+class Pencil(NamedTuple):
     point: Optional[Tuple[Scalar, Scalar]]  # None when all lines are parallel
     slopes: frozenset  # of Scalar
 
@@ -200,8 +193,7 @@ def pencil_bruteforce(lines: AffineSet) -> Pencil:
     return Pencil((Scalar(field, x0), Scalar(field, y0)), frozenset(Scalar(field, s) for s in slopes))
 
 
-@dataclass
-class ChainCheck:
+class ChainCheck(NamedTuple):
     """One exact Cauchy-Schwarz chain: every link is an integer inequality."""
 
     sum_over_B: int
@@ -212,8 +204,7 @@ class ChainCheck:
     links_hold: bool
 
 
-@dataclass
-class RichLineReport:
+class RichLineReport(NamedTuple):
     n: int
     k_lines: int
     k_rich: int
@@ -233,7 +224,7 @@ class RichLineReport:
     pencil_link1_holds: Optional[bool]
     alpha_guard_ok: bool  # alpha >= n^{-1/2}
     p_guard_ok: Optional[bool]  # p >= max(k, alpha^{-2} n)
-    measured_ratios: Dict[str, Fraction] = dc_field(default_factory=dict)
+    measured_ratios: Dict[str, Fraction]
 
 
 def _chain(
@@ -354,8 +345,7 @@ def structure_report(inst: GridInstance) -> RichLineReport:
     )
 
 
-@dataclass
-class ElekesReport:
+class ElekesReport(NamedTuple):
     incidence_count: int
     energy: int
     n_lines: int

@@ -1,12 +1,36 @@
 """Field backends: canonical forms, inverses, parsing, axioms."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affine_energy import PrimeField, RATIONALS, field_inv, parse_field, parse_scalar
+from affine_energy import (
+    APSpec,
+    AffProductSpec,
+    AffineSet,
+    CSlice,
+    GPSpec,
+    GridInstance,
+    GridSpec,
+    ParabolaSpec,
+    Plane3,
+    PlaneLine,
+    PlanePoint,
+    Point3,
+    PrimeField,
+    ProjectiveMap2,
+    RATIONALS,
+    RandomAffSpec,
+    RandomPlanarSpec,
+    affine_map,
+    field_inv,
+    parse_field,
+    parse_scalar,
+)
 from affine_energy.errors import NotInField, ParseError, ZeroDenominator, ZeroInverse
 from affine_energy.fields import _is_prime
 from affine_energy.generators import Xorshift64Star
@@ -121,3 +145,41 @@ def test_scalars_hashable_on_canonical_form(Q):
     assert Q.scalar(Fraction(2, 4)) == Q.scalar(Fraction(1, 2))
     s = {Q.scalar(Fraction(k, 2)) for k in range(4)}
     assert len(s) == 4
+
+
+def _value_objects():
+    """One instance of every immutable value type, over F_7 and Q."""
+    F7, Q = PrimeField(7), RATIONALS
+    ap = APSpec(1, 2, 3)
+    out = [F7, Q, ap, GPSpec(1, 2, 3), GridSpec(4), AffProductSpec(ap, ap), ParabolaSpec(ap)]
+    out += [RandomAffSpec(5, 1), RandomPlanarSpec(5, 1)]
+    for f in (F7, Q):
+        g = affine_map(f, 2, 3)
+        lines = AffineSet(f, [g])
+        out += [f.scalar(3), g, PlanePoint.affine(f, 1, 2), PlaneLine.y_axis(f), Point3.of(f, (1, 2, 3, 4))]
+        out += [Plane3.of(f, (0, 1, 2, 3)), CSlice(f.scalar(4), frozenset({(g, g)}))]
+        out += [GridInstance.of(f, [1, 2], [3], lines, Fraction(1, 2)), ProjectiveMap2(f, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))]
+    return out
+
+
+def test_value_objects_are_immutable_and_compare_within_one_field():
+    """Equality includes the field, while the hash of a Scalar reads its raw
+    value only; no value object takes an assignment, to its own attributes
+    or to new ones."""
+    F7 = PrimeField(7)
+    assert F7.scalar(1) != RATIONALS.scalar(1) and hash(F7.scalar(1)) == hash(RATIONALS.scalar(1))
+    assert affine_map(F7, 1, 2) != affine_map(RATIONALS, 1, 2)
+    assert affine_map(F7, 1, 2) == affine_map(PrimeField(7), 8, 9)
+    assert APSpec(1, 2, 3) != GPSpec(1, 2, 3)
+    for v in _value_objects():
+        for name in type(v).__slots__ + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(v, name, None)
+
+
+def test_value_objects_pickle_and_copy():
+    """Each value object survives pickle, copy and deepcopy as an equal
+    object of its own class with an equal hash."""
+    for v in _value_objects():
+        for twin in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
+            assert type(twin) is type(v) and twin == v and hash(twin) == hash(v)

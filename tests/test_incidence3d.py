@@ -183,7 +183,7 @@ def test_lines_match_rank_test(field):
     char = field.characteristic
     for _ in range(30):
         a, b = _random_coords(rng, field, 2, zero_at=3)
-        rich = [[x + t * y for x, y in zip(a, b)] for t in (0, 1, 2, 3)] + [b]
+        rich = [[field.reduce(x + t * y) for x, y in zip(a, b)] for t in (0, 1, 2, 3)] + [b]
         coords = _random_coords(rng, field, rng.randint(0, 12), zero_at=3) + [v for v in rich if any(v)]
         raws = list({Point3.of(field, v).raw(): None for v in coords})
         rng.shuffle(raws)

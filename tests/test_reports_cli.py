@@ -368,6 +368,16 @@ def test_console_entrypoint_runs():
     assert json.loads(proc.stdout)["size"] == 4
 
 
+def test_import_builds_no_dataclass():
+    """A fresh interpreter imports the CLI without loading dataclasses: the
+    value types are slotted classes and the records NamedTuples."""
+    src = str(Path(affine_energy.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, affine_energy.cli; print(sorted({'dataclasses', 'affine_energy.cli'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stdout.split() == ["['affine_energy.cli']"]
+
+
 def test_dump_json_matches_json_dumps(tmp_path, monkeypatch):
     """The per_c writer is byte-equal to json.dumps(indent=2) on every report
     that carries the block; the incidence report's other per_c shape and an
