@@ -33,8 +33,6 @@ from .files import read_affine_set, read_grid_instance, read_planar_set
 from .generators import (
     APSpec,
     GPSpec,
-    RandomAffSpec,
-    RandomPlanarSpec,
     generate_with_stats,
     parse_gen_spec,
     render_gen_spec,
@@ -78,7 +76,7 @@ def _resolve_field(args) -> Field:
     return parse_field(text)
 
 
-def _load(args, field: Field, read, random_spec):
+def _load(args, field: Field, read):
     """The object named by --input (parsed by `read`) or by --gen."""
     if bool(args.gen) == bool(args.input):
         raise ConfigError("exactly one of --gen and --input is required")
@@ -89,21 +87,18 @@ def _load(args, field: Field, read, random_spec):
             source = "--field" if args.field else FIELD_ENV
             raise ConfigError(f"{source} disagrees with the input file header")
         return obj
-    spec = parse_gen_spec(args.gen)
-    if isinstance(spec, random_spec) and args.seed:
-        spec = random_spec(spec.n, spec.seed + args.seed)
-    return generate_with_stats(spec, field)[0]
+    return generate_with_stats(parse_gen_spec(args.gen), field)[0]
 
 
 def _load_affine(args, field: Field) -> AffineSet:
-    obj = _load(args, field, read_affine_set, RandomAffSpec)
+    obj = _load(args, field, read_affine_set)
     if not isinstance(obj, AffineSet):
         raise ConfigError(f"generator {args.gen!r} does not produce an affine set")
     return obj
 
 
 def _load_planar(args, field: Field) -> set:
-    obj = _load(args, field, read_planar_set, RandomPlanarSpec)
+    obj = _load(args, field, read_planar_set)
     if isinstance(obj, AffineSet):
         return {PlanePoint.affine(field, g.a.value, g.b.value) for g in obj}
     if isinstance(obj, set) and all(isinstance(p, PlanePoint) for p in obj):
@@ -275,7 +270,7 @@ def _cmd_richlines(args) -> int:
         inst = GridInstance.square(field, A, lines_obj, _fraction_flag(args.alpha, "--alpha"))
         rejected = 0
     else:  # --input alone; _load rejects no source or both
-        inst, rejected = _load(args, field, _read_grid, None)
+        inst, rejected = _load(args, field, _read_grid)
     rep = structure_report(inst)
     payload = reports.richline_report_jsonable(rep, field)
     payload["rejected_horizontal_rows"] = rejected
@@ -439,12 +434,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, planar=False):
+    def common(p):
         p.add_argument("--gen", help="generator spec, e.g. grid:5, affprod:gp(1,2,6)xap(0,1,6), randaff:20:seed=1")
         p.add_argument("--input", help="input file path")
         p.add_argument("--field", help="Q or Fp:<prime> (default from AFFINE_ENERGY_FIELD)")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0, help="seed offset for random generator specs")
 
     p = sub.add_parser("energy", help="energy/bound report for an affine set")
     common(p)

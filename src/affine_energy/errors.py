@@ -23,6 +23,10 @@ class NotInField(ValueError):
     """Literal denominator vanishes in the target prime field."""
 
 
+class InexactValue(ValueError):
+    """A float where an exact value (int or Fraction) is needed."""
+
+
 class SlopeZero(ValueError):
     """Affine map with slope 0 (not a group element)."""
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .errors import NotInField, ParseError, ZeroDenominator, ZeroInverse
+from .errors import InexactValue, NotInField, ParseError, ZeroDenominator, ZeroInverse
 
 Raw = Union[int, Fraction]
 
@@ -48,16 +48,21 @@ class Frozen:
     """Base of the immutable value types.  A subclass names its attributes in
     __slots__ and sets them in __init__, through _set unless it is hot.  An
     instance equals only one of its own class with equal attributes, hashes
-    on them, refuses assignment, and pickles and copies through __init__."""
+    on them, refuses assignment, and pickles and copies through __init__.
+    The attributes are the slots of the class and of its bases, base first."""
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for c in reversed(cls.__mro__) for name in vars(c).get("__slots__", ()))
+
     def _set(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
+        for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -74,7 +79,7 @@ class Frozen:
         return type(self), self._values()
 
     def __repr__(self):
-        return f"{type(self).__name__}({', '.join(f'{n}={v!r}' for n, v in zip(self.__slots__, self._values()))})"
+        return f"{type(self).__name__}({', '.join(f'{n}={v!r}' for n, v in zip(self._fields, self._values()))})"
 
 
 class Field(Frozen):
@@ -137,11 +142,12 @@ class PrimeField(Field):
         return self.p
 
     def reduce(self, value) -> int:
-        if isinstance(value, Fraction):
+        if not isinstance(value, int):
+            value = RATIONALS.reduce(value)  # a Fraction; a float raises InexactValue
             if value.denominator % self.p == 0:
                 raise NotInField(f"denominator {value.denominator} vanishes mod {self.p}")
             return (value.numerator * pow(value.denominator, -1, self.p)) % self.p
-        return int(value) % self.p
+        return value % self.p
 
     def add(self, x, y):
         return (x + y) % self.p
@@ -177,6 +183,8 @@ class RationalField(Field):
         return 0
 
     def reduce(self, value) -> Fraction:
+        if isinstance(value, float):  # truncated mod p, or its binary fraction over Q: not the number meant
+            raise InexactValue(f"{value!r} is a float; use an int or a Fraction")
         return Fraction(value)
 
     def add(self, x, y):

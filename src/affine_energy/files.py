@@ -73,9 +73,7 @@ def read_planar_set(text: str) -> Tuple[Field, Set[PlanePoint]]:
 
 
 def write_planar_set(field: Field, pts) -> str:
-    rows = [f"field {render_field(field)}"]
-    for p in sorted(pts, key=lambda q: str(q)):
-        rows.append(":".join(field.render(c) for c in p.coords))
+    rows = [f"field {render_field(field)}", *sorted(map(str, pts))]
     return "\n".join(rows) + "\n"
 
 

@@ -10,13 +10,13 @@ F_p, denominator-cleared primitive vectors over Q).  The slice pipelines
 (`q_c_incidence_table`, `top_slice_reports`, the CLI) build those tuples
 straight from the slope classes of A in `_raw_slices`, which names and
 orders the C values by the pair kernel's C table (energy._c_table), as Q_C
-does.  Point3/Plane3, which store the canonical projective form (first
-nonzero coordinate scaled to 1), exist only at the API edge, and each public
-function calls raw() once and delegates to its core.  The collinearity k and the lines of the Beck split
-come from the shared line pass of `projective`.  In a slice, k comes from
-its layers: the points of one slope class pair form a product grid in one
-plane, so k is the larger of the largest grid row or column and the longest
-line through points of different layers.
+does.  Point3/Plane3, `projective.Homogeneous` with the first nonzero
+coordinate as pivot, exist only at the API edge, and each public function
+calls raw() once and delegates to its core.  The collinearity k and the
+lines of the Beck split come from the shared line pass of `projective`.
+In a slice, k comes from its layers: the points of one slope class pair
+form a product grid in one plane, so k is the larger of the largest grid
+row or column and the longest line through points of different layers.
 """
 
 from __future__ import annotations
@@ -30,47 +30,22 @@ from .affine import AffineMap, AffineSet
 from .energy import CSlice, _c_table, _slope_classes
 from .errors import InvariantViolation, ZeroC
 from .exactmath import ratio
-from .fields import Field, Frozen, Scalar
-from .projective import canon_int, canonical, int_coords, lines, max_collinear
+from .fields import Scalar
+from .projective import Homogeneous, canon_int, lines, max_collinear
 
 
-class Point3(Frozen):
-    """Projective point of P^3, canonically scaled."""
+class Point3(Homogeneous):
+    """Projective point of P^3, first nonzero coordinate scaled to 1."""
 
-    __slots__ = ("field", "coords")
-
-    def __init__(self, field: Field, coords: tuple):
-        self._set(field, coords)  # 4 raw values, first nonzero = 1
-
-    @classmethod
-    def of(cls, field: Field, coords: Sequence) -> "Point3":
-        return cls(field, canonical(field, coords))
-
-    def raw(self) -> tuple:
-        """Integer representative (F_p residues or cleared denominators)."""
-        return int_coords(self.field, self.coords)
-
-    def __str__(self):
-        return ":".join(self.field.render(c) for c in self.coords)
+    __slots__ = ()
 
 
-class Plane3(Frozen):
+class Plane3(Homogeneous):
     """Plane of the dual space: coefficients (a0 : a1 : a2 : a3)."""
 
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: Field, coeffs: tuple):
-        self._set(field, coeffs)
-
-    @classmethod
-    def of(cls, field: Field, coeffs: Sequence) -> "Plane3":
-        return cls(field, canonical(field, coeffs))
-
-    def raw(self) -> tuple:
-        return int_coords(self.field, self.coeffs)
-
-    def __str__(self):
-        return ":".join(self.field.render(c) for c in self.coeffs)
+    __slots__ = ()
+    _name = "coeffs"
+    coeffs = Homogeneous.coords
 
 
 def build_point(g: AffineMap, v: AffineMap) -> Point3:

@@ -1,10 +1,10 @@
 """Projective plane machinery: spanned lines, shadows, two-line normalization,
 Beck-point statistics and quadrangle counting.
 
-Points and lines are homogeneous triples in canonical form (last nonzero
-coordinate scaled to 1, so affine points are exactly those with z = 1 and the
-line at infinity is (0:0:1)).  Hot loops run on denominator-cleared integer
-triples; cross products implement meet and join.  One span pass groups the
+Points and lines are homogeneous triples, `projective.Homogeneous` with the
+last nonzero coordinate as pivot, so affine points are exactly those with
+z = 1 and the line at infinity is (0:0:1).  Hot loops run on their raw
+integer triples; cross products implement meet and join.  One span pass groups the
 points by the shared line pass of `projective`, the plane embedded in P^3 as
 x2 = 0, and keys each spanned line once by the raw join of its first two
 points, with no canonical form: every reader is scale-free.  Spanned lines,
@@ -44,18 +44,12 @@ from .errors import (
 )
 from .fields import Field, Frozen
 from . import projective
-from .projective import canon_int, canonical, int_coords
+from .projective import Homogeneous, canon_int
 from .richlines import _grid_counts
 
 
 # ---------------------------------------------------------------------------
-# canonical homogeneous triples
-
-
-def _canon_int(char: int, t: tuple) -> tuple:
-    """Canonical hashable key of a nonzero integer triple, last nonzero
-    coordinate as pivot."""
-    return canon_int(char, t, last=True)
+# homogeneous triples
 
 
 def _is_zero(char: int, s: int) -> bool:
@@ -82,56 +76,36 @@ def _mod(char: int, t: tuple) -> tuple:
     return tuple(v % char for v in t) if char else t
 
 
-class PlanePoint(Frozen):
-    __slots__ = ("field", "coords")
+class PlanePoint(Homogeneous):
+    """(x : y : z) with the last nonzero coordinate 1: z = 1 iff affine."""
 
-    def __init__(self, field: Field, coords: tuple):
-        self._set(field, coords)  # canonical: z in {0,1}; z = 1 iff affine
-
-    @classmethod
-    def of(cls, field: Field, coords: Sequence) -> "PlanePoint":
-        return cls(field, canonical(field, coords, last=True))
+    __slots__ = ()
+    last = True
 
     @classmethod
     def affine(cls, field: Field, x, y) -> "PlanePoint":
-        return cls.of(field, (x, y, 1))
+        return cls(field, (x, y, 1))
 
     @property
     def is_affine(self) -> bool:
         return self.coords[2] != 0
 
-    def raw(self) -> tuple:
-        return int_coords(self.field, self.coords)
 
-    def __str__(self):
-        return ":".join(self.field.render(c) for c in self.coords)
-
-
-class PlaneLine(Frozen):
+class PlaneLine(Homogeneous):
     """a*x + b*y + c*z = 0 with canonical (a : b : c)."""
 
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: Field, coeffs: tuple):
-        self._set(field, coeffs)
-
-    @classmethod
-    def of(cls, field: Field, coeffs: Sequence) -> "PlaneLine":
-        return cls(field, canonical(field, coeffs, last=True))
+    __slots__ = ()
+    last = True
+    _name = "coeffs"
+    coeffs = Homogeneous.coords
 
     @classmethod
     def infinity(cls, field: Field) -> "PlaneLine":
-        return cls.of(field, (0, 0, 1))
+        return cls(field, (0, 0, 1))
 
     @classmethod
     def y_axis(cls, field: Field) -> "PlaneLine":
-        return cls.of(field, (1, 0, 0))
-
-    def raw(self) -> tuple:
-        return int_coords(self.field, self.coeffs)
-
-    def __str__(self):
-        return ":".join(self.field.render(c) for c in self.coeffs)
+        return cls(field, (1, 0, 0))
 
 
 def incident(p: PlanePoint, l: PlaneLine) -> bool:
@@ -152,15 +126,11 @@ def meet_lines(l1: PlaneLine, l2: PlaneLine) -> PlanePoint:
     return PlanePoint.of(l1.field, c)
 
 
-def reflect_point(p: PlanePoint) -> PlanePoint:
-    """Reflection in y = x: (x : y : z) -> (y : x : z)."""
-    x, y, z = p.coords
-    return PlanePoint.of(p.field, (y, x, z))
-
-
-def reflect_line(l: PlaneLine) -> PlaneLine:
-    a, b, c = l.coeffs
-    return PlaneLine.of(l.field, (b, a, c))
+def reflect(x: Homogeneous) -> Homogeneous:
+    """Reflection in y = x of a point, (x : y : z) -> (y : x : z), or of a
+    line, whose coefficients swap the same way."""
+    a, b, c = x.coords
+    return type(x)(x.field, (b, a, c))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +169,7 @@ def shadow(P: Iterable[PlanePoint], l: PlaneLine) -> Set[PlanePoint]:
         if _is_zero(char, _dot(r, lraw)):
             raise LineMeetsP(f"shadow line passes through {p}")
     _distinct_points(pts, "need at least two points to span lines")
-    meets = {_canon_int(char, _cross(k, lraw)) for k in _span_pass(char, raws)}
+    meets = {canon_int(char, _cross(k, lraw), last=True) for k in _span_pass(char, raws)}
     return {PlanePoint.of(l.field, k) for k in meets}
 
 
@@ -336,7 +306,8 @@ def shadow_incidence_check(P: Iterable[PlanePoint], l1: PlaneLine, l2: PlaneLine
         raise TooFewPoints("need two points off the two lines")
     field = pts[0].field
     char = field.characteristic
-    rows = [int_coords(field, row) for row in normalize_two_lines(l1, l2).rows]
+    e = normalize_two_lines(l1, l2).rows[1]  # a unit row: its entries are 0 and 1
+    rows = [l1.raw(), tuple(v.numerator for v in e), l2.raw()]
     img = [_mod(char, tuple(_dot(row, p.raw()) for row in rows)) for p in pts]
     if any(_is_zero(char, x) or _is_zero(char, z) for x, _, z in img):
         raise InvariantViolation("normalized points must avoid both special lines")
@@ -455,11 +426,11 @@ def quadrangles_bruteforce(P: Iterable[PlanePoint], cap: int = ORACLE_CAP_DEFAUL
             if i == j:
                 continue
             xj, yj, zj = raws[j]
-            dk = _canon_int(char, (xj * zi - xi * zj, yj * zi - yi * zj, 0))
+            dk = canon_int(char, (xj * zi - xi * zj, yj * zi - yi * zj, 0), last=True)
             d = dir_k[i][j] = dir_ids.setdefault(dk, len(dir_ids))
             by_dir[i].setdefault(d, []).append(j)
             line = _cross(raws[i], raws[j])
-            mk = _canon_int(char, (0, line[2], -line[1]))
+            mk = canon_int(char, (0, line[2], -line[1]), last=True)
             mu_k[i][j] = mu_ids.setdefault(mk, len(mu_ids))
     count = 0
     for g in range(n):
@@ -524,12 +495,12 @@ def quadrangle_energy_correspondence(P: Iterable[PlanePoint]) -> QuadrangleCorre
     def dir_key(i, j):
         xi, yi, zi = raws[i]
         xj, yj, zj = raws[j]
-        return _canon_int(char, (xj * zi - xi * zj, yj * zi - yi * zj, 0))
+        return canon_int(char, (xj * zi - xi * zj, yj * zi - yi * zj, 0), last=True)
 
     @cache
     def mu_key(i, j):
         line = _cross(raws[i], raws[j])
-        return _canon_int(char, (0, line[2], -line[1]))
+        return canon_int(char, (0, line[2], -line[1]), last=True)
 
     total = geometric = trivial = collinear = 0
     for entries in buckets.values():

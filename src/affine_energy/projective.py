@@ -1,11 +1,12 @@
-"""Canonical forms of projective coordinate vectors, and the one line pass,
+"""The one canonical form of projective coordinate vectors, the base class
+of the plane and 3-space points, lines and planes, and the one line pass,
 shared by the plane and 3-space layers.
 
-A vector is scaled so that its pivot, its first nonzero coordinate or (with
-last=True) its last one, becomes 1.  Hot loops work on integer vectors:
-residues over F_p, denominator-cleared coordinates over Q; their hashable
-keys take the pivot to 1 mod p, or divide out the gcd and make the pivot
-positive over Q.
+`canon_int` keys a nonzero integer vector: over F_p its residues scaled so
+the pivot, its first nonzero coordinate or (with last=True) its last one, is
+1; over Q, with the gcd divided out and the pivot positive.  Hot loops work
+on these keys, with residues over F_p and denominator-cleared coordinates
+over Q; `Homogeneous` objects store the key of their vector.
 
 Every line statistic groups raw points of P^3 by `_line_keys` and reads the
 groups in one of two ways: `max_collinear` gives only the size of the largest
@@ -24,33 +25,11 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .fields import Field
+from .fields import Field, Frozen
 
 
 def _pivot(vals: Sequence, last: bool):
     return next((v for v in (reversed(vals) if last else vals) if v), None)
-
-
-def canonical(field: Field, coords: Sequence, last: bool = False) -> tuple:
-    """Field coordinates scaled so the pivot is 1; rejects the zero vector."""
-    vals = [field.reduce(c) for c in coords]
-    pivot = _pivot(vals, last)
-    if pivot is None:
-        raise ValueError("projective coordinates cannot all vanish")
-    inv = field.inv(pivot)
-    return tuple(field.mul(inv, v) for v in vals)
-
-
-def int_coords(field: Field, coords: Sequence) -> tuple:
-    """Integer representative: residues over F_p; over Q, the denominators
-    cleared and the gcd divided out."""
-    if field.characteristic:
-        return tuple(coords)
-    fracs = [Fraction(c) for c in coords]
-    den = lcm(*(f.denominator for f in fracs))
-    ints = [f.numerator * (den // f.denominator) for f in fracs]
-    g = gcd(*ints)
-    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
 
 
 def canon_int(char: int, t: Sequence, last: bool = False) -> tuple:
@@ -58,17 +37,63 @@ def canon_int(char: int, t: Sequence, last: bool = False) -> tuple:
     point."""
     if char:
         t = [v % char for v in t]
-        pivot = _pivot(t, last)
-        if pivot is None:
-            raise ValueError("zero vector has no canonical form")
+    pivot = _pivot(t, last)
+    if pivot is None:
+        raise ValueError("projective coordinates cannot all vanish")
+    if char:
         inv = pow(pivot, -1, char)
         return tuple(v * inv % char for v in t)
-    g = gcd(*t)
-    if not g:
-        raise ValueError("zero vector has no canonical form")
-    if _pivot(t, last) < 0:
-        g = -g
+    g = gcd(*t) if pivot > 0 else -gcd(*t)
     return tuple(v // g for v in t)
+
+
+class Homogeneous(Frozen):
+    """A nonzero vector over a field up to scale: a point, line or plane of
+    projective space.  The constructor reduces the coordinates into the
+    field, clears their denominators over Q and stores the canon_int key,
+    pivot on the first nonzero coordinate or, where the class sets `last`,
+    on the last one; equality and hash read that key.  `raw()` is the key,
+    and `coords` the key scaled so the pivot is 1: the key itself over F_p,
+    Fractions over Q.  `of` is the constructor's other spelling."""
+
+    __slots__ = ("field", "coords", "_key")
+    last = False
+    _name = "coords"  # the name of coords in the repr
+
+    def __init__(self, field: Field, coords: Sequence):
+        char = field.characteristic
+        vals = [field.reduce(c) for c in coords]
+        if not char:
+            den = lcm(*(v.denominator for v in vals))
+            vals = [v.numerator * (den // v.denominator) for v in vals]
+        key = canon_int(char, vals, self.last)
+        pivot = _pivot(key, self.last)
+        self._set(field, key if char else tuple(Fraction(v, pivot) for v in key), key)
+
+    @classmethod
+    def of(cls, field: Field, coords: Sequence):
+        return cls(field, coords)
+
+    def raw(self) -> tuple:
+        """Integer representative: F_p residues, or a primitive vector over Q."""
+        return self._key
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key == other._key and (self.field is other.field or self.field == other.field)
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __reduce__(self):
+        return type(self), (self.field, self._key)
+
+    def __str__(self):
+        return ":".join(self.field.render(c) for c in self.coords)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(field={self.field!r}, {self._name}={self.coords!r})"
 
 
 def _direction_key(char: int, p: tuple, q: tuple) -> tuple:

@@ -21,13 +21,14 @@ from .affine import AffineMap, AffineSet, _nonvertical_lines
 from .energy import _dilations, _pair_energy, _slope_classes, _translations, energy
 from .errors import InvariantViolation, TooFewLines
 from .exactmath import iroot, ratio, sqrt_floor_fraction
-from .fields import Field, Frozen, Scalar
+from .fields import RATIONALS, Field, Frozen, Scalar
 
 
 class GridInstance(Frozen):
     __slots__ = ("field", "S", "T", "lines", "alpha")
 
     def __init__(self, field: Field, S: frozenset, T: frozenset, lines: AffineSet, alpha: Fraction):
+        alpha = RATIONALS.reduce(alpha)  # a Fraction; a float raises InexactValue
         if not S or not T:
             raise ValueError("S and T must be nonempty")
         if not (0 < alpha <= 1):
@@ -38,7 +39,7 @@ class GridInstance(Frozen):
     def of(cls, field: Field, S: Iterable, T: Iterable, lines: AffineSet, alpha: Fraction) -> "GridInstance":
         sv = frozenset(field.reduce(s.value if isinstance(s, Scalar) else s) for s in S)
         tv = frozenset(field.reduce(t.value if isinstance(t, Scalar) else t) for t in T)
-        return cls(field, sv, tv, lines, Fraction(alpha))
+        return cls(field, sv, tv, lines, alpha)
 
     @classmethod
     def square(cls, field: Field, A: Iterable, lines: AffineSet, alpha: Fraction) -> "GridInstance":

@@ -53,7 +53,7 @@ from affine_energy import (
     shadow_incidence_check,
     structure_report,
 )
-from affine_energy.plane import plane_points_as_affine_set, reflect_line
+from affine_energy.plane import plane_points_as_affine_set, reflect
 from affine_energy.richlines import GridInstance
 from affine_energy.cli import main as cli_main
 
@@ -259,7 +259,7 @@ def test_criterion_9_shadow_machinery():
         P = {PlanePoint.affine(Q, x.value, y.value) for x in avals for y in avals}
         coeffs = (1 + rng.below(9), 2 + rng.below(9), 1 + rng.below(50))
         l = PlaneLine.of(Q, coeffs)
-        gl = reflect_line(l)
+        gl = reflect(l)
         if l == gl or any(incident(p, l) or incident(p, gl) for p in P):
             continue
         assert len(shadow(P, l)) == len(shadow(P, gl))

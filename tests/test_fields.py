@@ -31,7 +31,7 @@ from affine_energy import (
     parse_field,
     parse_scalar,
 )
-from affine_energy.errors import NotInField, ParseError, ZeroDenominator, ZeroInverse
+from affine_energy.errors import InexactValue, NotInField, ParseError, ZeroDenominator, ZeroInverse
 from affine_energy.fields import _is_prime
 from affine_energy.generators import Xorshift64Star
 
@@ -59,6 +59,32 @@ def test_parse_examples(F5, Q):
     assert parse_scalar("1/2", F5) == F5.scalar(3)
     with pytest.raises(NotInField):
         parse_scalar("1/5", F5)
+
+
+def test_floats_never_enter_a_field():
+    """A float is truncated by int() mod p and kept as its binary fraction
+    over Q, so no field takes one; the error is a ValueError, which the CLI
+    reports with exit 2.  Ints and Fractions still reduce."""
+    F7 = PrimeField(7)
+    lines = AffineSet(RATIONALS, [affine_map(RATIONALS, 1, 0)])
+    makers = [
+        lambda: affine_map(F7, 1.5, 2.9),
+        lambda: F7.reduce(2.0),
+        lambda: RATIONALS.reduce(0.1),
+        lambda: RATIONALS.scalar(1.0),
+        lambda: PlanePoint.affine(RATIONALS, 0.5, 1),
+        lambda: Point3.of(F7, (1, 2, 3, 4.0)),
+        lambda: GridInstance.of(RATIONALS, [1], [1], lines, 0.5),
+        lambda: GridInstance(RATIONALS, frozenset({Fraction(1)}), frozenset({Fraction(1)}), lines, 0.5),
+        lambda: GridInstance.of(RATIONALS, [1.0], [1], lines, Fraction(1, 2)),
+    ]
+    for make in makers:
+        with pytest.raises(InexactValue, match="float"):
+            make()
+    assert issubclass(InexactValue, ValueError)
+    assert affine_map(F7, Fraction(3, 2), 9) == affine_map(F7, 5, 2)
+    assert RATIONALS.reduce(Fraction(1, 10)) == Fraction(1, 10) and F7.reduce(True) == 1
+    assert GridInstance.of(RATIONALS, [1], [1], lines, 1).alpha == 1
 
 
 def test_parse_field():
@@ -172,7 +198,8 @@ def test_value_objects_are_immutable_and_compare_within_one_field():
     assert affine_map(F7, 1, 2) == affine_map(PrimeField(7), 8, 9)
     assert APSpec(1, 2, 3) != GPSpec(1, 2, 3)
     for v in _value_objects():
-        for name in type(v).__slots__ + ("extra",):
+        slots = [name for c in type(v).__mro__ for name in getattr(c, "__slots__", ())]
+        for name in slots + ["extra"]:
             with pytest.raises(AttributeError):
                 setattr(v, name, None)
 

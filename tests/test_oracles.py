@@ -37,7 +37,8 @@ from affine_energy.affine import quotient
 from affine_energy.energy import _flat_key, _pair_keys
 from affine_energy.fields import Scalar
 from affine_energy.generators import APSpec, AffProductSpec, GPSpec, GridSpec, generate
-from affine_energy.plane import _canon_int, _cross, _dot, _quadrangle_setup
+from affine_energy.plane import _cross, _dot, _quadrangle_setup
+from affine_energy.projective import canon_int
 from affine_energy.richlines import ChainCheck, Pencil
 
 Q = RATIONALS
@@ -88,10 +89,10 @@ def _quadrangles_scan(P):
             if i == j:
                 continue
             xj, yj, zj = raws[j]
-            dk = _canon_int(char, (xj * zi - xi * zj, yj * zi - yi * zj, 0))
+            dk = canon_int(char, (xj * zi - xi * zj, yj * zi - yi * zj, 0), last=True)
             dir_k[i][j] = dir_ids.setdefault(dk, len(dir_ids))
             line = _cross(raws[i], raws[j])
-            mk = _canon_int(char, (0, line[2], -line[1]))
+            mk = canon_int(char, (0, line[2], -line[1]), last=True)
             mu_k[i][j] = mu_ids.setdefault(mk, len(mu_ids))
     count = 0
     for g in range(n):

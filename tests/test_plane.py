@@ -27,7 +27,7 @@ from affine_energy import (
     span_lines,
 )
 from affine_energy.errors import EqualLines, LineMeetsP, PointOnYAxis, TooFewPoints
-from affine_energy.plane import reflect_line, reflect_point
+from affine_energy.plane import reflect
 
 Q = RATIONALS
 
@@ -367,17 +367,17 @@ def test_reflection_symmetry_of_grid_shadows():
     P = {pt(x, y) for x in avals for y in avals}
     for coeffs in ((2, 5, 1), (1, 3, -17), (4, 9, 2)):
         l = PlaneLine.of(Q, coeffs)
-        gl = reflect_line(l)
+        gl = reflect(l)
         assert len(shadow(P, l)) == len(shadow(P, gl))
 
 
 def test_reflect_involution():
     p = pt(3, 5)
-    assert reflect_point(reflect_point(p)) == p
+    assert reflect(reflect(p)) == p
     l = PlaneLine.of(Q, (1, 2, 3))
-    assert reflect_line(reflect_line(l)) == l
+    assert reflect(reflect(l)) == l
     # gamma maps incidences to incidences
-    assert incident(p, l) == incident(reflect_point(p), reflect_line(l))
+    assert incident(p, l) == incident(reflect(p), reflect(l))
 
 
 def _collinear_rich_sets():

@@ -232,6 +232,19 @@ def run_cli_err(*argv):
     return code, buf.getvalue()
 
 
+def test_cli_zero_line_exits_2():
+    code, err = run_cli_err("shadow", "--gen", "grid:3", "--field", "Q", "--l1", "0:0:0")
+    assert code == 2 and err == "error: projective coordinates cannot all vanish\n"
+
+
+def test_cli_has_no_seed_offset():
+    """Random specs carry their own seed (randaff:N:seed=S); there is no
+    separate --seed option."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli_err("energy", "--gen", "randaff:5:seed=1", "--field", "Q", "--seed", "2")
+    assert exc.value.code == 2
+
+
 def test_cli_invalid_spec_exits_2():
     code, err = run_cli_err("energy", "--gen", "grid:0", "--field", "Q")
     assert code == 2 and err.startswith("error:") and "Traceback" not in err
