@@ -60,21 +60,35 @@ def identity(field: Field) -> AffineMap:
     return affine_map(field, 1, 0)
 
 
+def compose_raw(field: Field, g: tuple, h: tuple) -> tuple:
+    """g o h on raw (a, b) pairs: (g.a*h.a, g.a*h.b + g.b)."""
+    (ga, gb), (ha, hb) = g, h
+    return field.mul(ga, ha), field.add(field.mul(ga, hb), gb)
+
+
+def inverse_raw(field: Field, g: tuple) -> tuple:
+    """g^{-1} on a raw (a, b) pair: (1/a, -b/a)."""
+    a_inv = field.inv(g[0])
+    return a_inv, field.neg(field.mul(g[1], a_inv))
+
+
+def _lift(field: Field, pair: tuple) -> AffineMap:
+    return AffineMap(Scalar(field, pair[0]), Scalar(field, pair[1]))
+
+
 def compose(g: AffineMap, h: AffineMap) -> AffineMap:
     """g o h, the map x -> g(h(x))."""
-    return AffineMap(g.a * h.a, g.a * h.b + g.b)
+    return _lift(g.field, compose_raw(g.field, g.key(), h.key()))
 
 
 def inverse(g: AffineMap) -> AffineMap:
     """The map with compose(inverse(g), g) = identity."""
-    a_inv = g.a.inv()
-    return AffineMap(a_inv, -(g.b * a_inv))
+    return _lift(g.field, inverse_raw(g.field, g.key()))
 
 
 def quotient(g: AffineMap, h: AffineMap) -> AffineMap:
     """g^{-1} o h, the pair difference the energy counts."""
-    a_inv = g.a.inv()
-    return AffineMap(a_inv * h.a, a_inv * (h.b - g.b))
+    return _lift(g.field, compose_raw(g.field, inverse_raw(g.field, g.key()), h.key()))
 
 
 class AffineSet:

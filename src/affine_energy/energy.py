@@ -12,12 +12,12 @@ every energy of the rich-line chains in richlines.structure_report.  For
 Q_C, quotient_stats tallies the same prologue a second time with the block
 index of each pair in place of its slope id (see _slice_table).
 
-The brute-force oracles compute every pair value g^{-1} o h (or g o h)
-through quotient/compose, which the fast paths never call, and count the
-quadruples whose two pair values are equal.  They find the partner pairs by
-hash lookup on those values rather than by a linear scan: E and E* tally the
-|A|^2 values in one Counter (O(|A|^2)), and the Q_C oracle checks the
-relation per triple (g, v, u) against one Counter of g's row (O(|A|^3)).
+The brute-force oracles compute every pair value g^{-1} o h (or g o h) by
+the raw group law compose_raw/inverse_raw, which no fast path calls, and
+count the quadruples whose pair values are equal, finding partners by hash
+lookup rather than by a scan: E and E* tally the |A|^2 values in one Counter
+(O(|A|^2)); the Q_C oracle buckets them and counts each bucket's pairs of
+pairs under their slopes (O(|A|^2 + E(A)), E(A) <= |A|^3).
 
 The C-decomposition splits E(A) by the invariant C = g1*v1 (= h1*u1 for every
 energy quadruple); slices C_C = {(g,v) : g1*v1 = C} carry the identities
@@ -33,7 +33,7 @@ from math import gcd, isqrt, lcm
 from operator import itemgetter
 from typing import Dict, NamedTuple, Optional, Tuple
 
-from .affine import AffineSet, compose, max_on_line, max_on_vertical, quotient
+from .affine import AffineSet, compose_raw, inverse_raw, max_on_line, max_on_vertical
 from .errors import OracleCapExceeded, ZeroC
 from .exactmath import ratio, sqrt_floor_fraction
 from .fields import Field, Frozen, Scalar
@@ -245,9 +245,12 @@ def _flat_key(pair_key, char: int):
 
 
 def _pair_keys(A: AffineSet, B: AffineSet, mode: str) -> list:
-    op = quotient if mode == "E" else compose
-    char = A.field.characteristic
-    return [_flat_key(op(g, h).key(), char) for g in A for h in B]
+    """The flat keys of g^{-1} o h (mode "E") or g o h over A x B, g major,
+    by the raw group law with each row inverted once."""
+    field, char = A.field, A.field.characteristic
+    rows = [inverse_raw(field, g.key()) if mode == "E" else g.key() for g in A]
+    cols = [h.key() for h in B]
+    return [_flat_key(compose_raw(field, g, h), char) for g in rows for h in cols]
 
 
 def energy_bruteforce(A: AffineSet, mode: str = "E", cap: int = ORACLE_CAP_DEFAULT) -> int:
@@ -300,31 +303,34 @@ def decompose_by_C(A: AffineSet) -> Dict[Scalar, int]:
 
 
 def decompose_bruteforce(A: AffineSet, cap: int = ORACLE_CAP_DEFAULT) -> Dict[Scalar, int]:
-    """Oracle for decompose_by_C, in O(|A|^3).
+    """Oracle for decompose_by_C, in O(|A|^2 + E(A)).
 
-    For every triple (g, v, u), with C = g1*v1, it counts the h whose pair
-    value quotient(g, h) equals quotient(u, v): each row g is tallied once in
-    a Counter, and the h are found by hash lookup instead of a scan of the row.
+    The |A|^2 pair values g^{-1} o h are bucketed, and every pair of pairs
+    ((g,h),(u,v)) of one bucket is counted under the slope indices of g and
+    v, one Counter update per bucket (all one-pair buckets in one update);
+    each slope pair then maps to its C = g1*v1 through a table of field.mul
+    over the distinct slopes.
     """
     if len(A) > cap:
         raise OracleCapExceeded(f"|A| = {len(A)} above oracle cap {cap}")
     field = A.field
-    char = field.characteristic
-    elems = list(A)
-    n = len(elems)
-    qkey = [[_flat_key(quotient(g, h).key(), char) for h in elems] for g in elems]
-    cval = [[field.mul(g.a.value, v.a.value) for v in elems] for g in elems]
-    cols = list(zip(*qkey))  # cols[v][u] = qkey[u][v]
-    zeros = [0] * n
-    tally: Counter = Counter()
-    for gi in range(n):
-        count_h = Counter(qkey[gi]).get
-        crow = cval[gi]
-        for vi in range(n):
-            hits = sum(map(count_h, cols[vi], zeros))  # sum over u of #{h : qkey[g][h] = qkey[u][v]}
-            if hits:
-                tally[crow[vi]] += hits
-    return {Scalar(field, v): q for v, q in sorted(tally.items(), key=lambda kv: field.sort_key(kv[0]))}
+    sid: dict = {}
+    ids = [sid.setdefault(g.a.value, len(sid)) for g in A]
+    xs, k = list(sid), len(sid)
+    buckets: dict = defaultdict(list)
+    for t, b in zip(_pair_keys(A, A, "E"), [i * k + j for i in ids for j in ids]):
+        buckets[t].append(b)  # b = i*k + j: the slope indices of g and h
+    tally: Counter = Counter([bs[0] for bs in buckets.values() if len(bs) == 1])
+    for bs in buckets.values():
+        if len(bs) > 1:
+            cols = [b % k for b in bs]
+            rows = [b - j for b, j in zip(bs, cols)]
+            tally.update([i + j for i in rows for j in cols])  # slope of g, slope of v
+    c_of = [field.mul(x, y) for x in xs for y in xs]
+    per_c: Counter = Counter()
+    for b, q in tally.items():
+        per_c[c_of[b]] += q
+    return {Scalar(field, v): q for v, q in sorted(per_c.items(), key=lambda kv: field.sort_key(kv[0]))}
 
 
 def _pair_energy(field: Field, G: list, H: list) -> int:

@@ -222,6 +222,8 @@ class Scalar(Frozen):
     __slots__ = ("field", "value")
 
     def __init__(self, field: Field, value: Raw):
+        if type(value) is float:
+            raise InexactValue(f"{value!r} is a float; use an int or a Fraction")
         _set_field(self, field)
         _set_value(self, value)
 

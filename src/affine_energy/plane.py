@@ -371,8 +371,9 @@ def _table_energy(vals: list, op) -> int:
     costs more than the tally.  With the kernel per line, quadrangles took
     41.4 ms instead of 23.9 ms on grid:8 over Q, and 15.9 ms instead of
     5.6 ms on randaff:40 over F_1009 (in-process, best of 7, 2-vCPU VM,
-    Python 3.11.7).  Two-point lines are not skipped: E^x({a, -a}) = 8, not
-    the 6 of a generic pair.
+    Python 3.11.7).  quadrangles() calls it only on lines of three or more
+    points; two-point lines take a closed form that keeps E^x({a, -a}) = 8,
+    not the 6 of a generic pair.
     """
     return sum(r * r for r in Counter(op(x, y) for x in vals for y in vals).values())
 
@@ -386,13 +387,17 @@ def quadrangles(P: Iterable[PlanePoint]) -> int:
     collinear; the rest are the quadrangles.  On a vertical line the maps
     share their slope and E(L) is the additive energy of the intercepts; on
     the line b = m*a + c they are x -> a*(x + m) + c and E(L) is the
-    multiplicative energy of the slopes.
+    multiplicative energy of the slopes.  A two-point line has E(L) = 6,
+    except a non-vertical one with slopes a and -a, where E^x({a, -a}) = 8.
     """
     pts, field, char, raws = _quadrangle_setup(P)
     n = len(pts)
     pairs = [p.coords[:2] for p in pts]
     count = _pair_energy(field, pairs, pairs) - (2 * n * n - n)
     for key, members in _span_pass(char, raws).items():
+        if len(members) == 2:
+            count -= 2 if key[1] and field.add(*(pairs[i][0] for i in members)) == 0 else 0
+            continue
         if key[1]:  # non-vertical
             e = _table_energy([pairs[i][0] for i in members], field.mul)
         else:
@@ -403,55 +408,42 @@ def quadrangles(P: Iterable[PlanePoint]) -> int:
 
 
 def quadrangles_bruteforce(P: Iterable[PlanePoint], cap: int = ORACLE_CAP_DEFAULT) -> int:
-    """Quadruple-enumeration oracle, in O(n^3) for points in general position.
+    """Quadruple-enumeration oracle over the pairs of pairs of one direction.
 
-    Direction and y-axis-meet keys are interned to small ints.  For each
-    (g, h, u) the partners v with dir(u, v) = dir(g, h) are looked up in an
-    index of u's pairs by direction, rather than scanned over all v; the
-    tests v != h, mu(h, v) = mu(g, u) and not all four collinear are made
-    per quadruple.
+    The direction and y-axis-meet keys are projective, hence symmetric, and
+    are computed once per unordered pair; the meets are interned to small
+    ints.  The ordered pairs are grouped by direction, and every pair of
+    pairs ((g,h),(u,v)) of one group is tested for u != g, v != h,
+    mu(g, u) = mu(h, v) and not all four collinear.  The cost is O(n^2) plus
+    the sum of the squared group sizes: O(n^2) in general position, where a
+    group holds one pair and its reverse.
     """
     pts, field, char, raws = _quadrangle_setup(P)
     n = len(raws)
     if n > cap:
         raise OracleCapExceeded(f"|P| = {n} above oracle cap {cap}")
-    dir_ids: dict = {}
     mu_ids: dict = {}
-    dir_k = [[-1] * n for _ in range(n)]
-    by_dir: list = [{} for _ in range(n)]  # u -> {direction id: [v != u]}
     mu_k = [[-1] * n for _ in range(n)]
+    by_dir: dict = defaultdict(list)  # direction -> ordered pairs (i, j), i != j
     for i in range(n):
         xi, yi, zi = raws[i]
-        for j in range(n):
-            if i == j:
-                continue
+        for j in range(i + 1, n):
             xj, yj, zj = raws[j]
-            dk = canon_int(char, (xj * zi - xi * zj, yj * zi - yi * zj, 0), last=True)
-            d = dir_k[i][j] = dir_ids.setdefault(dk, len(dir_ids))
-            by_dir[i].setdefault(d, []).append(j)
+            by_dir[canon_int(char, (xj * zi - xi * zj, yj * zi - yi * zj, 0), last=True)] += [(i, j), (j, i)]
             line = _cross(raws[i], raws[j])
             mk = canon_int(char, (0, line[2], -line[1]), last=True)
-            mu_k[i][j] = mu_ids.setdefault(mk, len(mu_ids))
+            mu_k[i][j] = mu_k[j][i] = mu_ids.setdefault(mk, len(mu_ids))
     count = 0
-    for g in range(n):
-        dir_g = dir_k[g]
-        mu_g = mu_k[g]
-        for h in range(n):
-            if h == g:
-                continue
-            dk = dir_g[h]
-            mu_h = mu_k[h]
+    for pairs in by_dir.values():
+        for g, h in pairs:
+            mu_g, mu_h = mu_k[g], mu_k[h]
             line_gh = _cross(raws[g], raws[h])
-            for u in range(n):
-                if u == g:
+            for u, v in pairs:
+                if u == g or v == h or mu_g[u] != mu_h[v]:
                     continue
-                mgu = mu_g[u]
-                for v in by_dir[u].get(dk, ()):
-                    if v == h or mu_h[v] != mgu:
-                        continue
-                    if _is_zero(char, _dot(line_gh, raws[u])) and _is_zero(char, _dot(line_gh, raws[v])):
-                        continue  # all four collinear
-                    count += 1
+                if _is_zero(char, _dot(line_gh, raws[u])) and _is_zero(char, _dot(line_gh, raws[v])):
+                    continue  # all four collinear
+                count += 1
     return count
 
 

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from affine_energy import PrimeField, RATIONALS
@@ -29,3 +31,21 @@ def F5():
 @pytest.fixture
 def Q():
     return RATIONALS
+
+
+@pytest.fixture
+def refuse(monkeypatch):
+    """refuse(fn, message): every binding of fn in the package's modules
+    raises AssertionError(message) for the rest of the test."""
+
+    def patch(fn, message):
+        def raise_(*args, **kwargs):
+            raise AssertionError(message)
+
+        for name, module in list(sys.modules.items()):
+            if name == "affine_energy" or name.startswith("affine_energy."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, raise_)
+
+    return patch

@@ -20,7 +20,7 @@ from affine_energy import (
     quotient,
     seeded_random,
 )
-from affine_energy.affine import max_on_nonvertical_line
+from affine_energy.affine import compose_raw, inverse_raw, max_on_nonvertical_line
 from affine_energy.errors import SlopeZero
 
 Q = RATIONALS
@@ -140,6 +140,28 @@ def test_group_axioms(any_field):
         for h in maps[:6]:
             for k in maps[:6]:
                 assert compose(compose(g, h), k) == compose(g, compose(h, k))
+
+
+@pytest.mark.parametrize("field", [PrimeField(7), PrimeField(101), Q], ids=repr)
+def test_raw_group_law(field):
+    """compose_raw and inverse_raw on raw (a, b) pairs against the formulas
+    in Scalar arithmetic and the AffineMap law, and the group axioms on raw
+    pairs: identity, inverse, associativity, quotient = inverse then compose."""
+    maps = _random_maps(field, 7, 10)
+    raws = [g.key() for g in maps]
+    e = identity(field).key()
+    for g, r in zip(maps, raws):
+        ri = inverse_raw(field, r)
+        assert ri == (g.a.inv().value, (-(g.b / g.a)).value) == inverse(g).key()
+        assert compose_raw(field, e, r) == r == compose_raw(field, r, e)
+        assert compose_raw(field, ri, r) == e == compose_raw(field, r, ri)
+        assert inverse_raw(field, ri) == r
+    for g, r in zip(maps, raws):
+        for h, s in zip(maps, raws):
+            assert compose_raw(field, r, s) == ((g.a * h.a).value, (g.a * h.b + g.b).value) == compose(g, h).key()
+            assert compose_raw(field, inverse_raw(field, r), s) == quotient(g, h).key()
+            for t in raws[:5]:
+                assert compose_raw(field, compose_raw(field, r, s), t) == compose_raw(field, r, compose_raw(field, s, t))
 
 
 @given(st.integers(1, 1000), st.integers(0, 1008), st.integers(1, 1000), st.integers(0, 1008))

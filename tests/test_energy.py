@@ -29,7 +29,7 @@ from affine_energy import (
     seeded_random,
     top_slice_reports,
 )
-from affine_energy.affine import AffineMap
+from affine_energy.affine import AffineMap, compose_raw, inverse_raw
 from affine_energy.energy import (
     _block_tally,
     _blocks,
@@ -273,17 +273,20 @@ def test_sizes_reader_matches_block_reader_and_oracles():
 
 
 @pytest.mark.parametrize("field", [Q, PrimeField(101)])
-def test_fast_paths_build_no_affine_map(field, monkeypatch):
-    """Past the API edge no fast path builds an AffineMap: the sets are built
-    first, then every AffineMap construction raises."""
+def test_fast_paths_build_no_affine_map(field, monkeypatch, refuse):
+    """Past the API edge no fast path builds an AffineMap or calls the raw
+    group law of the oracles: the sets are built first, then every AffineMap
+    construction and every compose_raw or inverse_raw call raises."""
     A = generate(GridSpec(5), field)
     R = seeded_random(20, 3, field, "affine")
     P = seeded_random(12, 4, field, "planar")
 
-    def refuse(self, *args):
+    def refuse_map(self, *args):
         raise AssertionError("AffineMap built inside a fast path")
 
-    monkeypatch.setattr(AffineMap, "__init__", refuse)
+    monkeypatch.setattr(AffineMap, "__init__", refuse_map)
+    for fn in (compose_raw, inverse_raw):
+        refuse(fn, "raw group law called inside a fast path")
     for S in (A, R):
         per_c = main_bound_report(S).per_c
         main_bound_report(S, include_decomposition=False)

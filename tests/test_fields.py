@@ -32,7 +32,7 @@ from affine_energy import (
     parse_scalar,
 )
 from affine_energy.errors import InexactValue, NotInField, ParseError, ZeroDenominator, ZeroInverse
-from affine_energy.fields import _is_prime
+from affine_energy.fields import Scalar, _is_prime
 from affine_energy.generators import Xorshift64Star
 
 
@@ -63,8 +63,9 @@ def test_parse_examples(F5, Q):
 
 def test_floats_never_enter_a_field():
     """A float is truncated by int() mod p and kept as its binary fraction
-    over Q, so no field takes one; the error is a ValueError, which the CLI
-    reports with exit 2.  Ints and Fractions still reduce."""
+    over Q, so no field and no raw Scalar takes one; the error is a
+    ValueError, which the CLI reports with exit 2.  Ints and Fractions still
+    reduce."""
     F7 = PrimeField(7)
     lines = AffineSet(RATIONALS, [affine_map(RATIONALS, 1, 0)])
     makers = [
@@ -72,6 +73,8 @@ def test_floats_never_enter_a_field():
         lambda: F7.reduce(2.0),
         lambda: RATIONALS.reduce(0.1),
         lambda: RATIONALS.scalar(1.0),
+        lambda: Scalar(RATIONALS, 0.5),
+        lambda: Scalar(F7, 2.0),
         lambda: PlanePoint.affine(RATIONALS, 0.5, 1),
         lambda: Point3.of(F7, (1, 2, 3, 4.0)),
         lambda: GridInstance.of(RATIONALS, [1], [1], lines, 0.5),

@@ -3,7 +3,8 @@
 The oracles find the partner pairs of a quadruple by hash lookup, and the
 pencil oracle tallies intersections per anchor line.  The helpers below scan
 instead, one comparison per quadruple or one rescan of all lines per
-intersection, with the same pair keys and the same per-quadruple tests; on
+intersection, with the same per-quadruple tests; their pair values come from
+the AffineMap law (quotient, compose), not from the oracles' raw law.  On
 small sets both must give the same results.  The sets include rich lines,
 parallel families and collinear quadruples (grids, GP x AP products, small
 fields) and Q sets with unlike denominators.
@@ -18,6 +19,8 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
 from affine_energy import (
     AffineSet,
     GridInstance,
@@ -25,19 +28,21 @@ from affine_energy import (
     PrimeField,
     RATIONALS,
     decompose_bruteforce,
+    energy,
     energy_asym_bruteforce,
     energy_bruteforce,
     max_concurrent_pencil,
     pencil_bruteforce,
+    quadrangles,
     quadrangles_bruteforce,
     seeded_random,
     structure_report,
 )
-from affine_energy.affine import quotient
-from affine_energy.energy import _flat_key, _pair_keys
+from affine_energy.affine import compose, quotient
+from affine_energy.energy import _blocks, _flat_key, _pair_energy, _pair_ids, _tally
 from affine_energy.fields import Scalar
 from affine_energy.generators import APSpec, AffProductSpec, GPSpec, GridSpec, generate
-from affine_energy.plane import _cross, _dot, _quadrangle_setup
+from affine_energy.plane import _cross, _dot, _quadrangle_setup, _span_pass
 from affine_energy.projective import canon_int
 from affine_energy.richlines import ChainCheck, Pencil
 
@@ -45,13 +50,19 @@ Q = RATIONALS
 FIELDS = [PrimeField(5), PrimeField(7), PrimeField(11), PrimeField(101), Q]
 
 
+def _map_keys(A, B, op):
+    """Flat keys of op(g, h) over A x B, through the AffineMap law."""
+    char = A.field.characteristic
+    return [_flat_key(op(g, h).key(), char) for g in A for h in B]
+
+
 def _energy_scan(A, mode="E"):
-    keys = _pair_keys(A, A, mode)
+    keys = _map_keys(A, A, quotient if mode == "E" else compose)
     return sum(keys.count(k) for k in keys)
 
 
 def _energy_asym_scan(A, B):
-    keys = _pair_keys(A, B, "E")
+    keys = _map_keys(A, B, quotient)
     return sum(keys.count(k) for k in keys)
 
 
@@ -203,6 +214,27 @@ def test_quadrangles_oracle_matches_scan():
     cases = planar + [_as_points(A) for A in _structured_sets()] + [lines]
     for P in cases:
         assert quadrangles_bruteforce(P) == _quadrangles_scan(P)
+
+
+def test_oracles_stay_off_the_fast_paths(refuse):
+    """No oracle reads the pair kernel or the energy identity: with the
+    kernel's prologue, reader and id grid and the planar pair energy and span
+    pass all raising, every oracle still runs, while energy and quadrangles,
+    which read them, raise."""
+    for fn in (_blocks, _tally, _pair_ids, _pair_energy, _span_pass):
+        refuse(fn, f"an oracle called {fn.__module__}.{fn.__name__}")
+    for field in (PrimeField(7), PrimeField(101), Q):
+        A = seeded_random(12, 21, field, "affine")
+        B = seeded_random(9, 22, field, "affine")
+        energy_bruteforce(A, "E")
+        energy_bruteforce(A, "Estar")
+        energy_asym_bruteforce(A, B)
+        decompose_bruteforce(A)
+        quadrangles_bruteforce(_as_points(A))
+        pencil_bruteforce(A)
+        for fast in (lambda: energy(A), lambda: quadrangles(_as_points(A))):
+            with pytest.raises(AssertionError):
+                fast()
 
 
 def _pencil_cases():

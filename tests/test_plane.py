@@ -13,6 +13,7 @@ from affine_energy import (
     RATIONALS,
     apply_projective,
     beck_point_stats,
+    energy,
     incidence_count,
     incident,
     join_points,
@@ -27,7 +28,7 @@ from affine_energy import (
     span_lines,
 )
 from affine_energy.errors import EqualLines, LineMeetsP, PointOnYAxis, TooFewPoints
-from affine_energy.plane import reflect
+from affine_energy.plane import plane_points_as_affine_set, reflect
 
 Q = RATIONALS
 
@@ -315,6 +316,26 @@ def test_quadrangles_match_oracle_on_grids_and_lines():
         {pt(x, 2 * x + 1) for x in range(1, 7)} | {pt(3, y) for y in range(5)} | {pt(5, 5)},
     ]
     for P in sets:
+        assert quadrangles(P) == quadrangles_bruteforce(P)
+
+
+def test_quadrangles_two_point_lines():
+    """A two-point line has E(L) = 6, or 8 when it is non-vertical with
+    slopes a and -a: (3, 0) and (4, 5) over F_7, where 3 + 4 wraps to 0, and
+    (2, 1) and (-2, 3) over Q.  Alone, each pair spans no quadrangle; among
+    three more points off its line, the count must match the oracle."""
+    F7 = PrimeField(7)
+    pinned = [
+        ({pt(3, 0, F7), pt(4, 5, F7)}, {pt(1, 1, F7), pt(2, 6, F7), pt(5, 2, F7)}),
+        ({pt(2, 1), pt(-2, 3)}, {pt(1, 1), pt(3, 7), pt(5, -2)}),
+    ]
+    cases = []
+    for pair, rest in pinned:
+        assert energy(plane_points_as_affine_set(pair)) == 8
+        assert quadrangles(pair) == quadrangles_bruteforce(pair) == 0
+        cases.append(pair | rest)
+    cases += [seeded_random(n, seed, field, "planar") for field in (F7, PrimeField(101), Q) for n, seed in ((5, 1), (12, 2), (20, 3))]
+    for P in cases:
         assert quadrangles(P) == quadrangles_bruteforce(P)
 
 
