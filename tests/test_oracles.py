@@ -4,8 +4,9 @@ The oracles find the partner pairs of a quadruple by hash lookup, and the
 pencil oracle tallies intersections per anchor line.  The helpers below scan
 instead, one comparison per quadruple or one rescan of all lines per
 intersection, with the same per-quadruple tests; their pair values come from
-the AffineMap law (quotient, compose), not from the oracles' raw law.  On
-small sets both must give the same results.  The sets include rich lines,
+quotient and compose on AffineMaps, not from the oracles' pair path
+(_pair_keys), and test_affine checks the raw law under both against Scalar
+arithmetic.  On small sets both must give the same results.  The sets include rich lines,
 parallel families and collinear quadruples (grids, GP x AP products, small
 fields) and Q sets with unlike denominators.
 
