@@ -9,8 +9,9 @@ pass, the reader over the raw inverses (1/a, -b/a) x A), E(A,B)
 (energy_asym), the E(A_P) term of plane.quadrangles, the scalar energies E+
 and E^x (E of the translations x -> x + s and of the dilations x -> w*x) and
 every energy of the rich-line chains in richlines.structure_report.  For
-Q_C, quotient_stats tallies the same prologue a second time with the block
-index of each pair in place of its slope id (see _slice_table).
+Q_C, quotient_stats keeps the key list of each row from that one tally and
+reads again only the rows that meet a bucket other than the identity's with
+two pairs or more (see _slice_table).
 
 The brute-force oracles compute every pair value g^{-1} o h (or g o h) by
 the raw group law compose_raw/inverse_raw, which no fast path calls, and
@@ -29,6 +30,7 @@ from __future__ import annotations
 import operator
 from collections import Counter, defaultdict
 from fractions import Fraction
+from itertools import compress, cycle
 from math import gcd, isqrt, lcm
 from operator import itemgetter
 from typing import Dict, NamedTuple, Optional, Tuple
@@ -131,27 +133,25 @@ def _blocks(field: Field, G: list, H: list):
     return rows, hs, js, [s * K for s in scales], alphas, P * K
 
 
-def _tally(rows, hs, js, scales, ids, m) -> Counter:
+def _tally(rows, hs, js, scales, ids, m, keys: Optional[list] = None) -> Counter:
     """The reader: the keys of a _blocks prologue, with `ids` in place of its
     alpha grid, counted in one Counter at C speed, one row of blocks per
     update.  With the alpha grid the counts are the bucket sizes r(t); with
-    the block index i*|cols| + j, also below K, a key names (t, block)."""
+    the block index i*|cols| + j, also below K, a key names (t, block).  Each
+    row's key list is appended to `keys` when one is given."""
     sizes: Counter = Counter()
     for (_, gs), s, row in zip(rows, scales, ids):
         ih = list(map(row.__getitem__, js))
-        sizes.update([((bh - bg) * s + a) % m for bg in gs for bh, a in zip(hs, ih)])
+        row_keys = [((bh - bg) * s + a) % m for bg in gs for bh, a in zip(hs, ih)]
+        sizes.update(row_keys)
+        if keys is not None:
+            keys.append(row_keys)
     return sizes
 
 
 def _pair_sizes(field: Field, G: list, H: list) -> Counter:
     """r(t) for every t = g^{-1} o h over G x H."""
     return _tally(*_blocks(field, G, H))
-
-
-def _block_tally(rows, hs, js, scales, alphas, m) -> Counter:
-    """r(t, b) per bucket t and block b = i*|cols| + j, keyed key(t) - alpha[b] + b."""
-    n = len(alphas[0]) if alphas else 0
-    return _tally(rows, hs, js, scales, (list(range(i * n, i * n + n)) for i in range(len(rows))), m)
 
 
 def _product_pass(A: AffineSet) -> Counter:
@@ -168,53 +168,71 @@ def _energy(sizes) -> int:
     return sum(map(operator.mul, sizes, sizes))
 
 
-def _slice_table(char: int, prologue: tuple, sizes: Counter) -> Tuple[list, list, list]:
+def _slice_table(char: int, prologue: tuple, sizes: Counter, keys: list) -> Tuple[list, list, list]:
     """|C_C| and Q_C for every realized C = x*y, from the _blocks prologue of
-    A x A and its bucket sizes r(t): the (id, raw C) list of _c_table, in
-    canonical order, and the two counts indexed by id.
+    A x A, its bucket sizes r(t) and the key list of each row from _tally:
+    the (id, raw C) list of _c_table, in canonical order, and the two counts
+    indexed by id.
 
     |C_C| = sum_{xy=C} cnt(x)*cnt(y) over the slope histogram.  A quadruple
     ((g,h),(u,v)) of bucket t has C = g1*v1, the row class of the block of
-    (g,h) times the column class of that of (u,v).  A block b with
-    r(t, b) = r(t) fills its bucket and adds r(t)^2 to its own C; only the
-    buckets shared by several blocks are grouped.
+    (g,h) times the column class of that of (u,v).  Two groups of quadruples
+    number |C_C| each: the diagonal ones ((g,h),(g,h)), and those
+    ((g,g),(u,u)) of the identity bucket, all n pairs (g,g), whose key is
+    beta = 0 plus the id of slope 1, alphas[0][0].  The groups share the
+    sq(C) = #{g : g1^2 = C} quadruples ((g,g),(g,g)).  So
+    Q_C = 2|C_C| - sq(C) + R_C, where R_C counts the off-diagonal quadruples
+    of the other buckets with r(t) >= 2, the shared ones.
+
+    Rows that meet no shared bucket are skipped.  In the others, one Counter
+    of the row gives r(t, b) for each shared t, and the column class j of
+    its block b is the one with slope id t mod K in that row.  A block with
+    r(t, b) = r(t) fills its bucket and adds r^2 - r to its own C; only the
+    buckets spread over several blocks are grouped.
     """
     rows, alphas = prologue[0], prologue[4]
     n = len(rows)  # A x A: the column classes are the row classes
     c_of, order = _c_table(char, [x for x, _ in rows])
-    flat_c = [c for row in c_of for c in row]
-    flat_alpha = [a for row in alphas for a in row]
-    K = len(flat_alpha)
+    K = n * n
     counts = [0] * len(order)
-    qs = [0] * len(order)
     for (_, gs), row in zip(rows, c_of):
         for (_, vs), c in zip(rows, row):
             counts[c] += len(gs) * len(vs)
-    shared: dict = defaultdict(list)
-    for key, r in _block_tally(*prologue).items():
-        b = key % K
-        t = key - b + flat_alpha[b]
-        if sizes[t] == r:
-            qs[flat_c[b]] += r * r
-        else:
-            shared[t].append((b, r))
-    for blocks in shared.values():
-        for b1, r1 in blocks:
-            row = c_of[b1 // n]
-            for b2, r2 in blocks:
-                qs[row[b2 % n]] += r1 * r2
+    qs = [2 * count for count in counts]
+    for i, ((_, gs), row) in enumerate(zip(rows, c_of)):
+        qs[row[i]] -= len(gs)
+    shared = set(compress(sizes, map((1).__lt__, sizes.values())))
+    shared.discard(alphas[0][0] if alphas else None)
+    grouped: dict = defaultdict(list)
+    for row_keys, row, c_row in zip(keys, alphas, c_of):
+        hits = shared.intersection(row_keys)
+        if hits:
+            r_row = Counter(row_keys)
+            for t in hits:
+                r, j = r_row[t], row.index(t % K)
+                if sizes[t] == r:
+                    qs[c_row[j]] += r * r - r
+                else:
+                    qs[c_row[j]] -= r
+                    grouped[t].append((c_row, j, r))
+    for blocks in grouped.values():
+        for c_row, _, r1 in blocks:
+            for _, j, r2 in blocks:
+                qs[c_row[j]] += r1 * r2
     return order, counts, qs
 
 
 def quotient_stats(A: AffineSet, include_decomposition: bool = True) -> Tuple[int, int, Dict[Scalar, Tuple[int, int]]]:
     """E(A), |A^{-1}A| and, unless skipped, C -> (|C_C|, Q_C).  The Scalars are
-    built after the tally is dropped, which each full collection would walk."""
+    built after the tally and the row key lists are dropped, which each full
+    collection would walk."""
     raw = [g.key() for g in A]
     prologue = _blocks(A.field, raw, raw)
-    sizes = _tally(*prologue)
-    order, counts, qs = _slice_table(A.field.characteristic, prologue, sizes) if include_decomposition else ((), (), ())
+    keys: Optional[list] = [] if include_decomposition else None
+    sizes = _tally(*prologue, keys)
+    order, counts, qs = _slice_table(A.field.characteristic, prologue, sizes, keys) if include_decomposition else ((), (), ())
     E, n_values = _energy(sizes.values()), len(sizes)
-    del sizes
+    del sizes, keys
     return E, n_values, {Scalar(A.field, v): (counts[c], qs[c]) for c, v in order}
 
 

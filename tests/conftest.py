@@ -33,6 +33,15 @@ def Q():
     return RATIONALS
 
 
+def _rebind(monkeypatch, fn, replacement):
+    """Patch every binding of fn in the package's modules to replacement."""
+    for name, module in list(sys.modules.items()):
+        if name == "affine_energy" or name.startswith("affine_energy."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 @pytest.fixture
 def refuse(monkeypatch):
     """refuse(fn, message): every binding of fn in the package's modules
@@ -42,10 +51,25 @@ def refuse(monkeypatch):
         def raise_(*args, **kwargs):
             raise AssertionError(message)
 
-        for name, module in list(sys.modules.items()):
-            if name == "affine_energy" or name.startswith("affine_energy."):
-                for attr, value in list(vars(module).items()):
-                    if value is fn:
-                        monkeypatch.setattr(module, attr, raise_)
+        _rebind(monkeypatch, fn, raise_)
+
+    return patch
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(fn): every binding of fn in the package's modules appends
+    to the returned list on each call, then calls fn, for the rest of the
+    test."""
+
+    def patch(fn):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return fn(*args, **kwargs)
+
+        _rebind(monkeypatch, fn, counted)
+        return calls
 
     return patch

@@ -31,7 +31,6 @@ from affine_energy import (
 )
 from affine_energy.affine import AffineMap, compose_raw, inverse_raw
 from affine_energy.energy import (
-    _block_tally,
     _blocks,
     _energy,
     _pair_ids,
@@ -39,6 +38,7 @@ from affine_energy.energy import (
     _pair_sizes,
     _product_pass,
     _sorted_values,
+    _tally,
     shifted_nonzero,
 )
 from affine_energy.errors import OracleCapExceeded, ZeroC
@@ -232,16 +232,18 @@ def _reader_cases():
 
 
 def _tagged_buckets(A):
-    """The block-tagged tally of A x A regrouped by bucket: {t: {(x_i, x_j):
-    r(t, b)}}, b = i*|cols| + j naming the slope classes x_i of g and x_j of h."""
+    """The tally of A x A with the block index b = i*|cols| + j in place of
+    the slope id, regrouped by bucket: {t: {(x_i, x_j): r(t, b)}}, naming
+    the slope classes x_i of g and x_j of h."""
     raw = [g.key() for g in A]
-    prologue = _blocks(A.field, raw, raw)
-    rows, alphas = prologue[0], prologue[4]
+    rows, hs, js, scales, alphas, m = _blocks(A.field, raw, raw)
+    n = len(rows)
     flat = [a for row in alphas for a in row]
+    block_ids = [list(range(i * n, i * n + n)) for i in range(n)]
     buckets = defaultdict(dict)
-    for key, r in _block_tally(*prologue).items():
+    for key, r in _tally(rows, hs, js, scales, block_ids, m).items():
         b = key % len(flat)
-        buckets[key - b + flat[b]][rows[b // len(rows)][0], rows[b % len(rows)][0]] = r
+        buckets[key - b + flat[b]][rows[b // n][0], rows[b % n][0]] = r
     return buckets
 
 
@@ -270,6 +272,41 @@ def test_sizes_reader_matches_block_reader_and_oracles():
         rep = main_bound_report(A)
         assert (rep.E, rep.size_AinvA, rep.E_star, rep.size_AA) == (energy(A), len(sizes), energy_star(A), len(products))
         assert rep.per_c == {C: (len(c_slice(A, C)), q) for C, q in decompose_bruteforce(A).items()}
+
+
+def test_q_c_identity():
+    """Q_C = 2|C_C| - sq(C) + R_C as quotient_stats counts it, against the
+    oracle and the slice sizes: every bucket shared (the whole affine group
+    over F_7), only the identity bucket shared, grids and GP x AP products,
+    a row that meets one shared bucket twice, n = 1 and Q sets with negative
+    fractions."""
+    F7, F101, F_big = PrimeField(7), PrimeField(101), PrimeField(1000003)
+    group = aset([(a, b) for a in range(1, 7) for b in range(7)], F7)
+    assert set(_pair_sizes(F7, *[[g.key() for g in group]] * 2).values()) == {42}
+    random = seeded_random(40, 5, F_big, "affine")
+    assert sorted(_pair_sizes(F_big, *[[g.key() for g in random]] * 2).values())[-2:] == [1, 40]
+    cases = [group, random]
+    for field in (F101, Q):
+        cases += [generate(GridSpec(6), field), generate(AffProductSpec(GPSpec(1, 2, 5), APSpec(0, 1, 5)), field)]
+    for field in (F7, F101, F_big, Q):
+        # (1,0)^{-1}(2,0) = (1,1)^{-1}(2,1) = (3,0)^{-1}(6,0): two pairs in one block
+        twice = aset([(1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (6, 0)], field)
+        assert any(len(blocks) > 1 and max(blocks.values()) == 2 for blocks in _tagged_buckets(twice).values())
+        cases += [twice, seeded_random(1, 2, field, "affine")]
+    cases += _reader_cases()[-2:]
+    for A in cases:
+        assert quotient_stats(A)[2] == {C: (len(c_slice(A, C)), q) for C, q in decompose_bruteforce(A).items()}
+
+
+def test_quotient_stats_tallies_once(count_calls):
+    """quotient_stats reads the pair keys in one _tally, with or without the
+    decomposition."""
+    calls = count_calls(_tally)
+    for A in (seeded_random(40, 2, PrimeField(1000003), "affine"), generate(GridSpec(6), Q)):
+        for include_decomposition in (True, False):
+            calls.clear()
+            quotient_stats(A, include_decomposition)
+            assert len(calls) == 1
 
 
 @pytest.mark.parametrize("field", [Q, PrimeField(101)])
