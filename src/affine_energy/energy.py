@@ -30,7 +30,7 @@ from __future__ import annotations
 import operator
 from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import compress, cycle
+from itertools import compress
 from math import gcd, isqrt, lcm
 from operator import itemgetter
 from typing import Dict, NamedTuple, Optional, Tuple
