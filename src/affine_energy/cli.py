@@ -20,15 +20,14 @@ from .energy import (
     ORACLE_CAP_DEFAULT,
     decompose_by_C,
     decompose_bruteforce,
-    energy,
     energy_bruteforce,
     energy_star,
     main_bound_report,
     quotient_stats,
+    slice_identities,
 )
 from .errors import InvariantViolation
-from .exactmath import render_fraction
-from .fields import Field, parse_field, parse_scalar
+from .fields import RATIONALS, Field, parse_field, parse_scalar
 from .files import read_affine_set, read_grid_instance, read_planar_set
 from .generators import (
     APSpec,
@@ -55,7 +54,7 @@ from .richlines import (
     structure_report,
 )
 from . import reports
-from .reports import dump_csv, dump_json, render_field
+from .reports import csv_cells, dump_csv, dump_json, render_field, schema_tag
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -106,6 +105,14 @@ def _load_planar(args, field: Field) -> set:
     raise ConfigError(f"generator {args.gen!r} does not produce a planar set")
 
 
+def _invariant_exit(ok: bool, what: str) -> int:
+    """EXIT_OK, or an InvariantViolation naming `what` (exit 4 in main) when
+    a check of the report just written failed."""
+    if not ok:
+        raise InvariantViolation(what)
+    return EXIT_OK
+
+
 def _emit(args, text: str) -> None:
     if args.out:
         with open(args.out, "w") as fh:
@@ -123,9 +130,10 @@ def _progression(text: str, flag: str, field: Field) -> list:
 
 
 def _fraction_flag(text: str, flag: str) -> Fraction:
+    """An integer or num/den literal, the scalar grammar over Q."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return parse_scalar(text, RATIONALS).value
+    except ValueError:
         raise ConfigError(f"{flag} must be a fraction such as 1/2, got {text!r}")
 
 
@@ -154,33 +162,24 @@ def _cmd_energy(args) -> int:
         _emit(args, dump_json(reports.energy_report_jsonable(rep, field)))
     else:
         _emit(args, dump_csv(reports.ENERGY_CSV_COLUMNS, [reports.energy_report_csv_row(rep, field)], "energy-report-csv"))
-    return EXIT_OK
+    return _invariant_exit(rep.identities_hold(), "energy identities or inequalities")
 
 
 def _cmd_decompose(args) -> int:
     field = _resolve_field(args)
     A = _load_affine(args, field)
     E, _, table = quotient_stats(A)
-    n, m = len(A), max_on_vertical(A)
-    sizes = [s for s, _ in table.values()]
-    sum_q = sum(q for _, q in table.values())
+    checks = slice_identities(table, E, len(A), max_on_vertical(A))
     payload = {
-        "schema": "decompose-report/1",
+        "schema": schema_tag("decompose-report"),
         "field": render_field(field),
-        "size": n,
+        "size": len(A),
         "E": E,
-        "sum_q": sum_q,
-        "sum_slices": sum(sizes),
-        "decomposition_identity_ok": sum_q == E,
-        "slice_l1_ok": sum(sizes) == n * n,
-        "slice_linf_ok": all(s <= m * n for s in sizes),
+        **checks._asdict(),
         "per_c": reports.per_c_jsonable(table, field),
     }
     _emit(args, dump_json(payload))
-    if not (payload["decomposition_identity_ok"] and payload["slice_l1_ok"] and payload["slice_linf_ok"]):
-        print("invariant violation in decomposition identities", file=sys.stderr)
-        return EXIT_INVARIANT
-    return EXIT_OK
+    return _invariant_exit(checks.hold, "decomposition identities")
 
 
 def _cmd_incidence(args) -> int:
@@ -205,7 +204,7 @@ def _cmd_incidence(args) -> int:
             "theorem_ratio": reports.frac_pair(pp.ratio),
         }
     payload = {
-        "schema": "incidence-report/1",
+        "schema": schema_tag("incidence-report"),
         "field": render_field(field),
         "size": len(A),
         "mismatches": mismatches,
@@ -223,10 +222,7 @@ def _cmd_incidence(args) -> int:
             "planes_with_pairs": len(stats),
         }
     _emit(args, dump_json(payload))
-    if mismatches:
-        print(f"{mismatches} slice(s) disagree between decomposition and incidence route", file=sys.stderr)
-        return EXIT_INVARIANT
-    return EXIT_OK
+    return _invariant_exit(not mismatches, f"{mismatches} slice(s) disagree between decomposition and incidence route")
 
 
 def _cmd_shadow(args) -> int:
@@ -252,10 +248,7 @@ def _cmd_quadrangles(args) -> int:
     pts = _load_planar(args, field)
     rep = quadrangle_energy_correspondence(pts)
     _emit(args, dump_json(reports.quadrangle_report_jsonable(rep)))
-    if not rep.exhaustive:
-        print("energy quadruples do not partition into quadrangles + degenerate", file=sys.stderr)
-        return EXIT_INVARIANT
-    return EXIT_OK
+    return _invariant_exit(rep.exhaustive, "energy quadruples do not partition into quadrangles + degenerate")
 
 
 def _cmd_richlines(args) -> int:
@@ -297,7 +290,7 @@ def _cmd_boundcheck(args) -> int:
     if grid:
         payload["elekes"] = reports.elekes_report_jsonable(elekes_incidence_bound_check(*grid, A, field))
     _emit(args, dump_json(payload))
-    return EXIT_OK
+    return _invariant_exit(rep.identities_hold(), "energy identities or inequalities")
 
 
 def _cmd_oracle(args) -> int:
@@ -316,14 +309,15 @@ def _cmd_oracle(args) -> int:
     def check(name, fast, brute):
         return {"fast": fast, "oracle": brute, **same(name, fast, brute)}
 
+    E, _, table = quotient_stats(A)
     results = {
-        "schema": "oracle-report/1",
+        "schema": schema_tag("oracle-report"),
         "field": render_field(field),
         "size": len(A),
-        "energy": check("energy", energy(A), energy_bruteforce(A, "E", cap)),
+        "energy": check("energy", E, energy_bruteforce(A, "E", cap)),
         "energy_star": check("energy_star", energy_star(A), energy_bruteforce(A, "Estar", cap)),
     }
-    dec_fast = {field.render(k.value): v for k, v in decompose_by_C(A).items()}
+    dec_fast = {field.render(k.value): q for k, (_, q) in table.items()}
     dec_brute = {field.render(k.value): v for k, v in decompose_bruteforce(A, cap).items()}
     results["decompose"] = same("decompose", dec_fast, dec_brute)
     inc = {field.render(k.value): v for k, v in q_c_incidence_table(A).items()}
@@ -351,24 +345,10 @@ def _sweep_row(template: str, n: int, field_text: str) -> List[str]:
     pp_ratio = max((r.ratio for _, r in top_slice_reports(obj, rep.per_c, 3)), default=Fraction(0))
     scalars = [field.reduce(v) for v in range(1, n + 1)]
     el = elekes_incidence_bound_check(scalars, scalars, obj, field)
-    return [
-        render_gen_spec(spec),
-        render_field(field),
-        str(n),
-        str(rep.size),
-        str(rep.m),
-        str(rep.M),
-        str(rep.E),
-        str(rep.E_star),
-        render_fraction(rep.ratio_main),
-        reports.decimal(rep.ratio_main),
-        render_fraction(rep.ratio_growth),
-        reports.decimal(rep.ratio_growth),
-        render_fraction(pp_ratio),
-        reports.decimal(pp_ratio),
-        render_fraction(el.ratio),
-        reports.decimal(el.ratio),
-    ]
+    return csv_cells(
+        render_gen_spec(spec), render_field(field), n, rep.size, rep.m, rep.M, rep.E, rep.E_star,
+        rep.ratio_main, rep.ratio_growth, pp_ratio, el.ratio,
+    )
 
 
 SWEEP_COLUMNS = [

@@ -398,6 +398,28 @@ def shifted_nonzero(S, shift: Optional[Scalar] = None) -> Tuple[list, int]:
     return kept, len(raw) - len(kept)
 
 
+class SliceIdentities(NamedTuple):
+    """The slice identities of a C -> (|C_C|, Q_C) table, in decompose-report order."""
+
+    sum_q: int
+    sum_slices: int
+    decomposition_identity_ok: bool  # sum_C Q_C = E
+    slice_l1_ok: bool  # sum_C |C_C| = |A|^2
+    slice_linf_ok: bool  # |C_C| <= m|A|
+
+    @property
+    def hold(self) -> bool:
+        return self.decomposition_identity_ok and self.slice_l1_ok and self.slice_linf_ok
+
+
+def slice_identities(per_c: Dict[Scalar, Tuple[int, int]], E: int, n: int, m: int) -> SliceIdentities:
+    """The identities of the per-C table of a set of n maps with energy E and
+    at most m maps on a vertical line."""
+    sizes = [s for s, _ in per_c.values()]
+    sum_q, sum_slices = sum(q for _, q in per_c.values()), sum(sizes)
+    return SliceIdentities(sum_q, sum_slices, sum_q == E, sum_slices == n * n, all(s <= m * n for s in sizes))
+
+
 class EnergyReport(NamedTuple):
     """Everything main_bound_report computes for one affine set."""
 
@@ -419,11 +441,9 @@ class EnergyReport(NamedTuple):
     pp_correction: Optional[Fraction] = None  # m|A|^3 / p, None over Q
 
     def identities_hold(self) -> bool:
-        n = self.size
-        slice_l1 = sum(s for s, _ in self.per_c.values()) == n * n
-        q_sum = sum(q for _, q in self.per_c.values()) == self.E
-        linf = all(s <= self.m * n for s, _ in self.per_c.values())
-        return slice_l1 and q_sum and linf and self.shkredov_ok and self.cs_quotient_ok and self.cs_product_ok
+        """The three inequalities, and the slice identities if per_c was computed."""
+        slices_ok = not self.per_c or slice_identities(self.per_c, self.E, self.size, self.m).hold
+        return slices_ok and self.shkredov_ok and self.cs_quotient_ok and self.cs_product_ok
 
 
 def main_bound_report(A: AffineSet, include_decomposition: bool = True) -> EnergyReport:

@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import InexactValue, NotInField, ParseError, ZeroDenominator, ZeroInverse
+from .exactmath import render_fraction
 
 Raw = Union[int, Fraction]
 
@@ -204,9 +205,7 @@ class RationalField(Field):
             raise ZeroInverse("0 has no inverse")
         return 1 / Fraction(x)
 
-    def render(self, x) -> str:
-        f = Fraction(x)
-        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    render = staticmethod(render_fraction)
 
     def __repr__(self):
         return "Q"

@@ -9,12 +9,11 @@ docs/formats.md.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List, Set, Tuple
 
 from .affine import AffineSet, affine_map
 from .errors import ParseError
-from .fields import Field, parse_field, parse_scalar
+from .fields import RATIONALS, Field, parse_field, parse_scalar
 from .plane import PlanePoint
 from .reports import render_field
 from .richlines import GridInstance
@@ -32,7 +31,7 @@ def _content_lines(text: str) -> List[str]:
 def _read_header(lines: List[str]) -> Tuple[Field, List[str]]:
     if not lines or not lines[0].lower().startswith("field"):
         raise ParseError("input must start with a 'field <spec>' header line")
-    field = parse_field(lines[0].split(None, 1)[1])
+    field = parse_field(lines[0][len("field") :])
     return field, lines[1:]
 
 
@@ -83,10 +82,10 @@ def read_grid_instance(text: str) -> Tuple[GridInstance, int]:
     field, rows = _read_header(_content_lines(text))
     if not rows or not rows[0].lower().startswith("alpha"):
         raise ParseError("grid instance needs an 'alpha <num/den>' line")
-    alpha_text = rows[0].split(None, 1)[1]
+    alpha_text = rows[0][len("alpha") :].strip()
     try:
-        alpha = Fraction(alpha_text)
-    except (ValueError, ZeroDivisionError) as exc:
+        alpha = parse_scalar(alpha_text, RATIONALS).value
+    except ValueError as exc:
         raise ParseError(f"malformed alpha {alpha_text!r}") from exc
     rows = rows[1:]
     S = T = None

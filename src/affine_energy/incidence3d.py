@@ -236,7 +236,8 @@ def q_c_via_incidence(A: AffineSet, C: Scalar) -> int:
     Raises ZeroC on C = 0."""
     if not C:
         raise ZeroC("slice parameter C must be nonzero")
-    return q_c_incidence_table(A).get(C, 0)
+    pts, pls, _ = _raw_slices(A, {C.value}).get(C.value, ((), (), ()))
+    return _incidences(A.field.characteristic, pts, pls)
 
 
 def q_c_incidence_table(A: AffineSet) -> Dict[Scalar, int]:

@@ -29,8 +29,8 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from fractions import Fraction
-from functools import cache, reduce
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Set
+from functools import cache
+from typing import Dict, Iterable, List, NamedTuple, Set
 
 from .affine import AffineSet
 from .energy import ORACLE_CAP_DEFAULT, _pair_energy
@@ -66,10 +66,6 @@ def _cross(a: tuple, b: tuple) -> tuple:
 
 def _dot(a: tuple, b: tuple) -> int:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _field_dot(field: Field, u: Sequence, v: Sequence):
-    return reduce(field.add, map(field.mul, u, v))
 
 
 def _mod(char: int, t: tuple) -> tuple:
@@ -227,26 +223,17 @@ class ProjectiveMap2(Frozen):
             raise ValueError("projective map must be invertible")
 
     def det(self):
-        return _field_dot(self.field, self.rows[0], [r[0] for r in self.adjugate_rows()])
+        r0, r1, r2 = self.rows
+        return self.field.reduce(_dot(r0, _cross(r1, r2)))
 
     def apply_point(self, p: PlanePoint) -> PlanePoint:
-        return PlanePoint.of(self.field, [_field_dot(self.field, row, p.coords) for row in self.rows])
-
-    def adjugate_rows(self) -> tuple:
-        f = self.field
-        (a, b, c), (d, e, g), (h, i, j) = self.rows
-        m = lambda x, y: f.mul(x, y)
-        s = lambda x, y: f.sub(x, y)
-        return (
-            (s(m(e, j), m(g, i)), s(m(c, i), m(b, j)), s(m(b, g), m(c, e))),
-            (s(m(g, h), m(d, j)), s(m(a, j), m(c, h)), s(m(c, d), m(a, g))),
-            (s(m(d, i), m(e, h)), s(m(b, h), m(a, i)), s(m(a, e), m(b, d))),
-        )
+        return PlanePoint.of(self.field, [_dot(row, p.coords) for row in self.rows])
 
     def apply_line(self, l: PlaneLine) -> PlaneLine:
-        """Image line: coefficients transform by the adjugate transpose."""
-        f = self.field
-        return PlaneLine.of(f, [_field_dot(f, col, l.coeffs) for col in zip(*self.adjugate_rows())])
+        """Image line: coefficients transform by the adjugate transpose,
+        whose rows are the adjugate columns r1 x r2, r2 x r0, r0 x r1."""
+        r0, r1, r2 = self.rows
+        return PlaneLine.of(self.field, [_dot(_cross(u, v), l.coeffs) for u, v in ((r1, r2), (r2, r0), (r0, r1))])
 
 
 def apply_projective(T: ProjectiveMap2, P: Iterable[PlanePoint]) -> Set[PlanePoint]:
@@ -287,10 +274,6 @@ class ShadowCheckReport(NamedTuple):
     t_size: int
     s_dropped_infinite: int
     t_dropped_infinite: int
-
-    @property
-    def inequality_holds(self) -> bool:
-        return self.lhs_total <= self.rhs
 
 
 def shadow_incidence_check(P: Iterable[PlanePoint], l1: PlaneLine, l2: PlaneLine) -> ShadowCheckReport:

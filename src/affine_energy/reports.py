@@ -1,9 +1,11 @@
 """Report serialization: canonical JSON and flat CSV, byte-stable.
 
-Every ratio is stored twice: exact as "num/den" and as a 12-significant-digit
-decimal convenience column.  JSON objects use a fixed key order (documented
-in docs/formats.md); map-valued fields are sorted by the canonical scalar
-order, so identical configurations always serialize to identical bytes.
+Every ratio is stored twice, by frac_pair in JSON and csv_cells in CSV: exact
+as "num/den" and as a 12-significant-digit decimal convenience column.  JSON
+objects use a fixed key order (documented in docs/formats.md): a flat report
+lists its record's fields in order (record_jsonable), and map-valued fields
+are sorted by the canonical scalar order, so identical configurations always
+serialize to identical bytes.  Every schema tag is schema_tag(name).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Dict, List, Sequence
+from typing import Dict, List, NamedTuple, Sequence
 
 from .energy import EnergyReport
 from .exactmath import render_fraction
@@ -23,17 +25,38 @@ from .richlines import ElekesReport, RichLineReport
 SCHEMA_VERSION = 1
 
 
+def schema_tag(name: str) -> str:
+    """The `<name>/<version>` tag of every JSON and CSV report."""
+    return f"{name}/{SCHEMA_VERSION}"
+
+
 def render_field(field: Field) -> str:
     return f"Fp:{field.p}" if isinstance(field, PrimeField) else "Q"
 
 
-def decimal(fr) -> str:
-    return format(float(Fraction(fr)), ".12g")
-
-
 def frac_pair(fr) -> Dict[str, str]:
+    """A ratio's exact form and its 12-significant-digit decimal."""
     fr = Fraction(fr)
-    return {"exact": render_fraction(fr), "decimal": decimal(fr)}
+    return {"exact": render_fraction(fr), "decimal": format(float(fr), ".12g")}
+
+
+def csv_cells(*values) -> List[str]:
+    """CSV cells of `values`: a Fraction gives the two cells of its
+    frac_pair, anything else its str()."""
+    cells = []
+    for v in values:
+        cells.extend(frac_pair(v).values() if isinstance(v, Fraction) else (str(v),))
+    return cells
+
+
+def record_jsonable(schema: str, rep: NamedTuple, **names) -> dict:
+    """A flat report: the schema tag, then the fields of the record `rep` in
+    order, each under its name in `names` or else its own, with every
+    Fraction as a frac_pair."""
+    out = {"schema": schema_tag(schema)}
+    for name, v in zip(rep._fields, rep):
+        out[names.get(name, name)] = frac_pair(v) if isinstance(v, Fraction) else v
+    return out
 
 
 class PerC(dict):
@@ -52,7 +75,7 @@ def per_c_jsonable(table: Dict, field: Field) -> PerC:
 
 def energy_report_jsonable(rep: EnergyReport, field: Field) -> dict:
     return {
-        "schema": f"energy-report/{SCHEMA_VERSION}",
+        "schema": schema_tag("energy-report"),
         "field": render_field(field),
         "size": rep.size,
         "m": rep.m,
@@ -93,87 +116,31 @@ ENERGY_CSV_COLUMNS = [
 
 
 def energy_report_csv_row(rep: EnergyReport, field: Field) -> List[str]:
-    return [
-        render_field(field),
-        str(rep.size),
-        str(rep.m),
-        str(rep.M),
-        str(rep.E),
-        str(rep.E_star),
-        str(rep.size_AA),
-        str(rep.size_AinvA),
-        render_fraction(rep.ratio_main),
-        decimal(rep.ratio_main),
-        render_fraction(rep.ratio_growth),
-        decimal(rep.ratio_growth),
-        str(rep.cs_quotient_ok),
-        str(rep.cs_product_ok),
-        str(rep.shkredov_ok),
-        str(rep.p_constraint_ok),
-    ]
+    return csv_cells(
+        render_field(field), rep.size, rep.m, rep.M, rep.E, rep.E_star, rep.size_AA, rep.size_AinvA,
+        rep.ratio_main, rep.ratio_growth, rep.cs_quotient_ok, rep.cs_product_ok, rep.shkredov_ok, rep.p_constraint_ok,
+    )
 
 
 def pointplane_report_jsonable(rep: PointPlaneReport) -> dict:
-    return {
-        "schema": f"pointplane-report/{SCHEMA_VERSION}",
-        "incidences": rep.incidence_count,
-        "points": rep.n_points,
-        "planes": rep.n_planes,
-        "k": rep.k,
-        "swapped": rep.swapped,
-        "rhs": rep.rhs,
-        "ratio": frac_pair(rep.ratio),
-        "characteristic": rep.characteristic,
-        "p_constraint_ok": rep.p_constraint_ok,
-        "ratio_corrected": frac_pair(rep.ratio_corrected) if rep.ratio_corrected is not None else None,
-    }
+    return record_jsonable("pointplane-report", rep, incidence_count="incidences", n_points="points", n_planes="planes")
 
 
 def shadow_report_jsonable(rep: ShadowCheckReport) -> dict:
-    return {
-        "schema": f"shadow-check/{SCHEMA_VERSION}",
-        "removed_points": rep.removed_points,
-        "points": rep.n_points,
-        "lhs_total": rep.lhs_total,
-        "lhs_nonvertical": rep.lhs_nonvertical,
-        "rhs": rep.rhs,
-        "s_size": rep.s_size,
-        "t_size": rep.t_size,
-        "s_dropped_infinite": rep.s_dropped_infinite,
-        "t_dropped_infinite": rep.t_dropped_infinite,
-        "nonvertical_inequality_holds": rep.lhs_nonvertical <= rep.rhs,
-        "total_inequality_holds": rep.inequality_holds,
-    }
+    out = record_jsonable("shadow-check", rep, n_points="points")
+    out["nonvertical_inequality_holds"] = rep.lhs_nonvertical <= rep.rhs
+    out["total_inequality_holds"] = rep.lhs_total <= rep.rhs
+    return out
 
 
 def quadrangle_report_jsonable(rep: QuadrangleCorrespondence) -> dict:
-    return {
-        "schema": f"quadrangle-report/{SCHEMA_VERSION}",
-        "energy_total": rep.energy_total,
-        "geometric": rep.geometric,
-        "trivial": rep.trivial,
-        "collinear": rep.collinear,
-        "quadrangle_count": rep.quadrangle_count,
-        "exhaustive": rep.exhaustive,
-    }
+    return {**record_jsonable("quadrangle-report", rep), "exhaustive": rep.exhaustive}
 
 
 def richline_report_jsonable(rep: RichLineReport, field: Field) -> dict:
     per_line = {}
     for line in sorted(rep.per_line, key=lambda l: (field.sort_key(l.a.value), field.sort_key(l.b.value))):
         per_line[f"{field.render(line.a.value)} {field.render(line.b.value)}"] = rep.per_line[line]
-
-    def chain(c):
-        if c is None:
-            return None
-        return {
-            "sum_over_B": c.sum_over_B,
-            "size_B": c.size_B,
-            "sum_sq_over_B": c.sum_sq_over_B,
-            "mixed_energy": c.mixed_energy,
-            "energy_bound": c.energy_bound,
-            "links_hold": c.links_hold,
-        }
 
     pencil = None
     if rep.pencil is not None:
@@ -185,7 +152,7 @@ def richline_report_jsonable(rep: RichLineReport, field: Field) -> dict:
             "slopes": sorted((field.render(s.value) for s in rep.pencil.slopes)),
         }
     return {
-        "schema": f"richline-report/{SCHEMA_VERSION}",
+        "schema": schema_tag("richline-report"),
         "field": render_field(field),
         "n": rep.n,
         "k_lines": rep.k_lines,
@@ -205,8 +172,8 @@ def richline_report_jsonable(rep: RichLineReport, field: Field) -> dict:
         "e_mul_y0": rep.e_mul_y0,
         "mul_dropped_x0": rep.mul_dropped_x0,
         "mul_dropped_y0": rep.mul_dropped_y0,
-        "parallel_chain": chain(rep.parallel_chain),
-        "pencil_chain": chain(rep.pencil_chain),
+        "parallel_chain": rep.parallel_chain and rep.parallel_chain._asdict(),
+        "pencil_chain": rep.pencil_chain and rep.pencil_chain._asdict(),
         "pencil_link1_holds": rep.pencil_link1_holds,
         "alpha_guard_ok": rep.alpha_guard_ok,
         "p_guard_ok": rep.p_guard_ok,
@@ -215,17 +182,7 @@ def richline_report_jsonable(rep: RichLineReport, field: Field) -> dict:
 
 
 def elekes_report_jsonable(rep: ElekesReport) -> dict:
-    return {
-        "schema": f"elekes-check/{SCHEMA_VERSION}",
-        "incidences": rep.incidence_count,
-        "energy": rep.energy,
-        "lines": rep.n_lines,
-        "s_size": rep.s_size,
-        "t_size": rep.t_size,
-        "characteristic": rep.characteristic,
-        "rhs": frac_pair(rep.rhs),
-        "ratio": frac_pair(rep.ratio),
-    }
+    return record_jsonable("elekes-check", rep, incidence_count="incidences", n_lines="lines")
 
 
 def dump_json(obj) -> str:
@@ -252,7 +209,7 @@ def _csv_cell(cell: str) -> str:
 
 
 def dump_csv(columns: Sequence[str], rows: Sequence[Sequence[str]], schema: str) -> str:
-    out = [f"# schema: {schema}/{SCHEMA_VERSION}"]
+    out = [f"# schema: {schema_tag(schema)}"]
     out.append(",".join(_csv_cell(c) for c in columns))
     for row in rows:
         out.append(",".join(_csv_cell(c) for c in row))

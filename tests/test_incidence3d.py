@@ -221,6 +221,18 @@ def test_q_c_via_incidence_examples():
         q_c_via_incidence(A, Q.scalar(0))
 
 
+def test_q_c_via_incidence_counts_one_slice(count_calls):
+    """q_c_via_incidence builds and counts only the slice of its C."""
+    import affine_energy.incidence3d as inc
+
+    A = AffineSet.from_pairs(Q, [(a, b) for a in (1, 2, 3) for b in (0, 1, 5)])
+    calls = count_calls(inc._incidences)
+    for C, q in decompose_by_C(A).items():
+        before = len(calls)
+        assert q_c_via_incidence(A, C) == q
+        assert len(calls) == before + 1
+
+
 def test_q_c_incidence_matches_decomposition_grid4():
     grid4 = generate(GridSpec(4), Q)
     dec = decompose_by_C(grid4)

@@ -76,6 +76,10 @@ def test_read_errors():
         read_affine_set("1 0\n")
     with pytest.raises(ParseError):
         read_grid_instance("field Q\nS: 1\nT: 1\n1 0\n")
+    with pytest.raises(ParseError):
+        read_grid_instance("field Q\nalpha\nS: 1\nT: 1\n1 0\n")
+    with pytest.raises(ParseError):
+        read_affine_set("field\n1 0\n")
 
 
 def run_cli(*argv):
@@ -263,6 +267,125 @@ def test_cli_unreadable_input_exits_2(tmp_path):
 def test_cli_bad_alpha_exits_2():
     code, err = run_cli_err("richlines", "--gen", "grid:3", "--set-a", "ap(0,1,3)", "--alpha", "2", "--field", "Q")
     assert code == 2 and "alpha" in err
+
+
+def test_fraction_flags_take_literals_only(tmp_path):
+    """--theta, --alpha and the grid file's alpha line take an integer or
+    num/den, so an exponent literal exits 2 at once instead of being
+    expanded."""
+    import time
+
+    grid = tmp_path / "grid.txt"
+    grid.write_text(GRID_FILE.replace("alpha 2/3", "alpha 1e-30000000"))
+    for argv, named in (
+        (["shadow", "--gen", "randplanar:8:seed=1", "--field", "Q", "--theta", "1e-30000000"], "--theta"),
+        (["richlines", "--gen", "grid:3", "--set-a", "ap(0,1,3)", "--field", "Q", "--alpha", "1e-30000000"], "--alpha"),
+        (["richlines", "--input", str(grid), "--field", "Q"], "malformed alpha"),
+    ):
+        start = time.perf_counter()
+        code, err = run_cli_err(*argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and err.startswith("error:") and named in err and "Traceback" not in err
+
+
+def _one_q_off(slice_table):
+    """_slice_table with the first Q_C off by one, so sum_C Q_C != E."""
+
+    def corrupted(*args):
+        order, counts, qs = slice_table(*args)
+        qs[order[0][0]] += 1
+        return order, counts, qs
+
+    return corrupted
+
+
+_SLICE_BREACH = """
+import sys
+import affine_energy.cli as cli
+
+energy = sys.modules["affine_energy.energy"]
+real = energy._slice_table
+
+
+def corrupted(*args):
+    order, counts, qs = real(*args)
+    qs[order[0][0]] += 1
+    return order, counts, qs
+
+
+energy._slice_table = corrupted
+print("optimize", sys.flags.optimize)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+_BREACH_RUNS = (["decompose"], ["energy"], ["boundcheck"], ["energy", "--format", "csv"])
+
+
+def test_cli_slice_identity_breach_exits_4(monkeypatch):
+    """One Q_C off by one breaks sum_C Q_C = E: decompose, energy and
+    boundcheck still write their report, then exit 4 with an error line, in
+    process and under python -O.  --no-decomposition skips the check."""
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+
+    energy_mod = sys.modules["affine_energy.energy"]
+    source = ["--gen", "randaff:9:seed=2", "--field", "Fp:1009"]
+    monkeypatch.setattr(energy_mod, "_slice_table", _one_q_off(energy_mod._slice_table))
+    for argv in _BREACH_RUNS:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv + source)
+        assert code == 4 and out.getvalue() and err.getvalue().startswith("error: invariant violation")
+    assert json.loads(run_cli("decompose", *source)[1])["decomposition_identity_ok"] is False
+    assert run_cli("energy", *source, "--no-decomposition")[0] == 0
+
+    src = str(Path(affine_energy.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for argv in _BREACH_RUNS:
+        proc = subprocess.run([sys.executable, "-O", "-c", _SLICE_BREACH, *argv, *source], capture_output=True, text=True, env=env)
+        assert proc.stdout.startswith("optimize 1\n") and proc.returncode == 4
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def test_cli_oracle_tallies_pair_keys_once(count_calls):
+    """One oracle job takes E and the per-C table from one quotient_stats."""
+    from affine_energy.energy import quotient_stats
+
+    calls = count_calls(quotient_stats)
+    code, out = run_cli("oracle", "--gen", "randaff:12:seed=1", "--field", "Q")
+    assert code == 0 and json.loads(out)["all_equal"] is True
+    assert len(calls) == 1
+
+
+def _documented_keys(schema: str) -> list:
+    """The key list docs/formats.md gives for `schema`: the first code span
+    after the schema's bullet."""
+    text = (Path(__file__).resolve().parent.parent / "docs" / "formats.md").read_text()
+    span = text.split(f"- `{schema}` — ", 1)[1].split("`")[1]
+    return [k.strip() for k in span.split(",")]
+
+
+def test_flat_report_keys_match_docs():
+    """The flat reports and the CSV headers list exactly the keys of
+    docs/formats.md, in order, so a new record field cannot reach a report
+    unnoticed."""
+    bound = ["boundcheck", "--gen", "grid:3", "--field", "Q", "--set-s", "ap(1,1,3)", "--set-t", "ap(1,1,3)"]
+    bound = json.loads(run_cli(*bound)[1])
+    flat = {
+        "pointplane-report/1": next(iter(bound["pointplane"].values())),
+        "elekes-check/1": bound["elekes"],
+        "shadow-check/1": json.loads(run_cli("shadow", "--gen", "grid:3", "--field", "Q")[1]),
+        "quadrangle-report/1": json.loads(run_cli("quadrangles", "--gen", "randplanar:8:seed=1", "--field", "Q")[1]),
+    }
+    for schema, rep in flat.items():
+        assert rep["schema"] == schema
+        assert [k for k in rep if k not in ("schema", "beck_points")] == _documented_keys(schema)  # the CLI adds beck_points
+    for schema, argv in (
+        ("energy-report-csv/1", ["energy", "--gen", "grid:3", "--format", "csv"]),
+        ("sweep-csv/1", ["sweep", "--gen", "grid:N", "--range", "N=2..2"]),
+    ):
+        lines = run_cli(*argv, "--field", "Q")[1].splitlines()
+        assert lines[0] == f"# schema: {schema}" and lines[1].split(",") == _documented_keys(schema)
 
 
 def test_cli_sweep_row_contract(tmp_path):
