@@ -9,11 +9,10 @@ g^{-1} = (1/g.a, -g.b/g.a).
 from __future__ import annotations
 
 from collections import Counter
-from math import lcm
 from typing import Iterable, Iterator, List, Sequence
 
 from .errors import SlopeZero
-from .fields import Field, Frozen, Scalar
+from .fields import Field, Frozen, Scalar, cleared
 from .projective import lines, max_collinear
 
 
@@ -151,12 +150,10 @@ def max_on_vertical(A: AffineSet) -> int:
 
 def _chart_points(field: Field, keys: Sequence[tuple]) -> List[tuple]:
     """The raw (a, b) keys as the integer points (a, b, 0, 1) of P^3, the
-    (a, b)-plane embedded as x2 = 0; over Q all scaled by one common
-    denominator."""
-    if field.characteristic:
-        return [(a, b, 0, 1) for a, b in keys]
-    den = lcm(*(v.denominator for pt in keys for v in pt))
-    return [(a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), 0, den) for a, b in keys]
+    (a, b)-plane embedded as x2 = 0; over Q each point scaled by its own
+    denominator, so its entries keep the height of its key."""
+    char = field.characteristic
+    return [(a, b, 0, d) for (a, b), d in (cleared(char, key) for key in keys)]
 
 
 def max_on_line(A: AffineSet) -> int:

@@ -48,7 +48,7 @@ from .plane import (
 )
 from .richlines import (
     GridInstance,
-    elekes_incidence_bound_check,
+    _elekes_report,
     max_concurrent_pencil,
     pencil_bruteforce,
     structure_report,
@@ -288,7 +288,7 @@ def _cmd_boundcheck(args) -> int:
         field.render(C.value): reports.pointplane_report_jsonable(r) for C, r in top_slice_reports(A, rep.per_c, args.top_slices)
     }
     if grid:
-        payload["elekes"] = reports.elekes_report_jsonable(elekes_incidence_bound_check(*grid, A, field))
+        payload["elekes"] = reports.elekes_report_jsonable(_elekes_report(*grid, A, field, rep.E))
     _emit(args, dump_json(payload))
     return _invariant_exit(rep.identities_hold(), "energy identities or inequalities")
 
@@ -344,7 +344,7 @@ def _sweep_row(template: str, n: int, field_text: str) -> List[str]:
     rep = main_bound_report(obj)
     pp_ratio = max((r.ratio for _, r in top_slice_reports(obj, rep.per_c, 3)), default=Fraction(0))
     scalars = [field.reduce(v) for v in range(1, n + 1)]
-    el = elekes_incidence_bound_check(scalars, scalars, obj, field)
+    el = _elekes_report(scalars, scalars, obj, field, rep.E)
     return csv_cells(
         render_gen_spec(spec), render_field(field), n, rep.size, rep.m, rep.M, rep.E, rep.E_star,
         rep.ratio_main, rep.ratio_growth, pp_ratio, el.ratio,

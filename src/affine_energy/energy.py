@@ -31,14 +31,14 @@ import operator
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import compress
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from operator import itemgetter
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from .affine import AffineSet, compose_raw, inverse_raw, max_on_line, max_on_vertical
 from .errors import OracleCapExceeded, ZeroC
 from .exactmath import ratio, sqrt_floor_fraction
-from .fields import Field, Frozen, Scalar
+from .fields import Field, Frozen, Scalar, cleared
 
 ORACLE_CAP_DEFAULT = 64
 
@@ -79,13 +79,13 @@ def _sorted_values(char: int, values: list) -> list:
     """(id, raw value) for the values of _pair_ids, in field.sort_key order.
 
     Over Q each reduced pair (n, d) becomes one Fraction, and the order is
-    that of the exact int n*(L/d), L the lcm of the denominators.
+    that of the values cleared at one scale, exact ints.
     """
     if char:
         return sorted(enumerate(values), key=itemgetter(1))
-    L = lcm(*{d for _, d in values})
-    order = sorted(range(len(values)), key=lambda c: values[c][0] * (L // values[c][1]))
-    return [(c, Fraction(*values[c])) for c in order]
+    fracs = [Fraction(*v) for v in values]
+    ints, _ = cleared(char, fracs)
+    return [(c, fracs[c]) for c in sorted(range(len(values)), key=ints.__getitem__)]
 
 
 def _c_table(char: int, xs: list) -> Tuple[list, list]:
@@ -103,8 +103,8 @@ def _blocks(field: Field, G: list, H: list):
     H.  On a block the slope y/x of t is fixed and gets one id alpha below
     K = |rows|*|cols|.  The intercept (b_h - b_g)/x becomes the exact int
     beta = (b_h - b_g)*s through the scale s of its row: 1/x over F_p; over
-    Q, with the intercepts cleared by their common denominator, s = L/x for
-    L the lcm of the slope numerators.  The key of t is
+    Q the 1/x of all rows cleared at one scale, as are the intercepts of G
+    and H, since keys are compared across blocks.  The key of t is
     beta*K + alpha mod P*K, which is (beta mod P)*K + alpha: P = p over F_p,
     and over Q any P above twice the largest |beta|, so the key names t one
     to one over both fields and the reader never branches on the field.
@@ -115,16 +115,16 @@ def _blocks(field: Field, G: list, H: list):
     """
     p = field.characteristic
     if not p:
-        D = lcm(*(b.denominator for _, b in G + H))
-        G, H = ([(a, b.numerator * (D // b.denominator)) for a, b in pairs] for pairs in (G, H))
+        bs, _ = cleared(p, [b for _, b in G + H])
+        pairs = [(a, b) for (a, _), b in zip(G + H, bs)]
+        G, H = pairs[: len(G)], pairs[len(G) :]
     rows, cols = _slope_classes(G), _slope_classes(H)
     if p:
         inverses = [pow(x, -1, p) for x, _ in rows]
         scales, P = inverses, p
     else:
         inverses = [1 / x for x, _ in rows]
-        L = lcm(*(r.denominator for r in inverses))
-        scales = [L // r.denominator * r.numerator for r in inverses]
+        scales, _ = cleared(p, inverses)
         P = 4 * max(map(abs, scales), default=0) * max((abs(b) for _, b in G + H), default=0) + 1
     alphas = _pair_ids(p, inverses, [y for y, _ in cols])[0]
     K = len(rows) * len(cols)

@@ -10,7 +10,8 @@ counting loops work on the raw values directly.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from math import lcm
+from typing import List, Sequence, Tuple, Union
 
 from .errors import InexactValue, NotInField, ParseError, ZeroDenominator, ZeroInverse
 from .exactmath import render_fraction
@@ -263,6 +264,16 @@ class Scalar(Frozen):
 
 
 _set_field, _set_value = Scalar.field.__set__, Scalar.value.__set__  # 40% faster than object.__setattr__
+
+
+def cleared(char: int, values: Sequence[Raw]) -> Tuple[List[int], int]:
+    """(ints, d): the raw values as integers at one scale d, each int d times
+    its value; d = 1 over F_p, the lcm of the denominators over Q.  A vector
+    cleared alone keeps its height; values compared across vectors share d."""
+    if char:
+        return list(values), 1
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def field_inv(x: Scalar) -> Scalar:

@@ -5,33 +5,34 @@ becomes the plane u2*x0 - u1*x1 - x2 + u1*h2*x3 = 0.  An incidence between
 them is exactly the second energy equation, so Q_C = I(P_C, Pi_C) once the
 slice fixes g1*v1 = h1*u1 = C.
 
-Every count runs in a private core on raw integer 4-tuples (residues over
-F_p, denominator-cleared primitive vectors over Q).  The slice pipelines
-(`q_c_incidence_table`, `top_slice_reports`, the CLI) build those tuples
-straight from the slope classes of A in `_raw_slices`, which names and
-orders the C values by the pair kernel's C table (energy._c_table), as Q_C
-does.  Point3/Plane3, `projective.Homogeneous` with the first nonzero
-coordinate as pivot, exist only at the API edge, and each public function
-calls raw() once and delegates to its core.  The collinearity k and the
-lines of the Beck split come from the shared line pass of `projective`.
-In a slice, k comes from its layers: the points of one slope class pair
-form a product grid in one plane, so k is the larger of the largest grid
-row or column and the longest line through points of different layers.
+Every count runs in a private core on raw integer 4-tuples, one per
+projective point or plane (residues over F_p, integers over Q).  The
+slice pipelines (`q_c_incidence_table`, `top_slice_reports`, the CLI) build
+those tuples straight from the slope classes of A, each cleared on its own,
+in `_raw_slices`, which names and orders the C values by the pair kernel's
+C table (energy._c_table), as Q_C does.  Point3/Plane3,
+`projective.Homogeneous` with the first nonzero coordinate as pivot, exist
+only at the API edge, and each public function calls raw() once and
+delegates to its core.  The collinearity k and the lines of the Beck split
+come from the shared line pass of `projective`.  In a slice, k comes from
+its layers: the points of one slope class pair form a product grid in one
+plane, so k is the larger of the largest grid row or column and the
+longest line through points of different layers.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .affine import AffineMap, AffineSet
 from .energy import CSlice, _c_table, _slope_classes
 from .errors import InvariantViolation, ZeroC
 from .exactmath import ratio
-from .fields import Scalar
-from .projective import Homogeneous, canon_int, lines, max_collinear
+from .fields import Scalar, cleared
+from .projective import Homogeneous, is_zero, lines, max_collinear
 
 
 class Point3(Homogeneous):
@@ -63,11 +64,6 @@ def build_plane(u: AffineMap, h: AffineMap) -> Plane3:
     )
 
 
-def _incident_raw(char: int, p: tuple, c: tuple) -> bool:
-    s = p[0] * c[0] + p[1] * c[1] + p[2] * c[2] + p[3] * c[3]
-    return s % char == 0 if char else s == 0
-
-
 def _x2_buckets(points: Iterable[tuple]) -> Dict[tuple, set]:
     """Raw points grouped by (x0, x1, x3), each group as its set of x2."""
     buckets: Dict[tuple, set] = defaultdict(set)
@@ -80,17 +76,16 @@ def _on_plane(char: int, buckets: Dict[tuple, set], c: tuple) -> List[tuple]:
     """The raw points of `buckets` that lie on the raw plane c.
 
     With c2 != 0 the plane fixes x2 in each bucket, so one lookup decides the
-    bucket; with c2 = 0 a bucket lies on the plane whole or not at all.  Raw
-    forms are unique per projective point, so the x2 that solves the plane
-    equation exactly is the only candidate: over Q a non-integer solution
-    means no point.
+    bucket; with c2 = 0 a bucket lies on the plane whole or not at all.  The
+    raw points hold one tuple per projective point, and in a bucket the x2
+    that solves the plane equation exactly is the only candidate: over Q a
+    non-integer solution means no point.
     """
     c0, c1, c2, c3 = c
     out = []
     if not c2:
         for (x0, x1, x3), zs in buckets.items():
-            s = c0 * x0 + c1 * x1 + c3 * x3
-            if (s % char if char else s) == 0:
+            if is_zero(char, c0 * x0 + c1 * x1 + c3 * x3):
                 out.extend((x0, x1, z, x3) for z in zs)
     elif char:
         m = -pow(c2, -1, char)
@@ -129,11 +124,11 @@ def incidences_bruteforce(P: Iterable[Point3], Pi: Iterable[Plane3]) -> int:
     pts = set(P)
     points = [p.raw() for p in pts]
     planes = [c.raw() for c in set(Pi)]
-    char = next(iter(pts)).field.characteristic if pts else 0
+    char = _characteristic(pts)
     total = 0
     for pt in points:
         for pl in planes:
-            if _incident_raw(char, pt, pl):
+            if is_zero(char, pt[0] * pl[0] + pt[1] * pl[1] + pt[2] * pl[2] + pt[3] * pl[3]):
                 total += 1
     return total
 
@@ -152,7 +147,7 @@ def _collinear3(char: int, p: tuple, q: tuple, r: tuple) -> bool:
             - p[c1] * (q[c0] * r[c2] - q[c2] * r[c0])
             + p[c2] * (q[c0] * r[c1] - q[c1] * r[c0])
         )
-        if (det % char if char else det) != 0:
+        if not is_zero(char, det):
             return False
     return True
 
@@ -164,7 +159,7 @@ def collinear_bruteforce(P: Iterable[Point3]) -> int:
     n = len(pts)
     if n <= 2:
         return n
-    char = objs[0].field.characteristic
+    char = _characteristic(objs)
     best = 2
     for i in range(n):
         for j in range(i + 1, n):
@@ -191,40 +186,33 @@ def _raw_slices(A: AffineSet, only: Optional[set] = None) -> Dict[object, Tuple[
     grid B_x x x*B_y in the plane x0 = x*x3.  A layer is recorded as (stop
     index, max(|B_x|, |B_y|)), the layers argument of `max_collinear`.
 
-    Over F_p the point is (1 : b_g/x : b_v : 1/x) and the plane
-    (1 : -x/b_g : -1/b_g : x*b_v/b_g), or (0 : 1 : 1/x : -b_v) when b_g = 0,
-    with one inverse per slope and per distinct intercept.  Over Q slopes
-    and intercepts are cleared by one common denominator D: with X = D*x,
-    the point (D*X : D*b_g : X*b_v : D^2) and the plane
-    (D*b_g : -D*X : -D^2 : X*b_v) are build_point/build_plane scaled by D^2.
-    Either way the tuples are the objects' raw().  Raises InvariantViolation
-    unless both maps are injective on each slice.
+    Each class (x, b, b, ...) is cleared on its own (fields.cleared) to
+    (X, B, B, ...) at scale d (1 over F_p).  The layer of classes x, y gets
+    the point (X*dy : B_g*dy : X*B_v : dx*dy) and the plane
+    (B_g*dy : -X*dy : -dx*dy : X*B_v), build_point/build_plane times dx*dy,
+    X*B_v reduced mod p over F_p.  These need not be the objects' raw(), but
+    a slice holds one tuple per projective point or plane: a layer has one
+    scale, and layers differ in x0/x3 = x (points), x1/x2 = x (planes).  So
+    the check that both maps are injective on each slice (else
+    InvariantViolation) tests what it tested on the canonical forms.
     """
     p = A.field.characteristic
     classes = _slope_classes(g.key() for g in A)
     c_of, order = _c_table(p, [x for x, _ in classes])
     wanted = {c for c, v in order if only is None or v in only}
-    D = 1 if p else lcm(*(v.denominator for x, bs in classes for v in (x, *bs)))
-    # each class as its cleared [X, b, b, ...]
-    cleared = [[v if p else v.numerator * (D // v.denominator) for v in (x, *bs)] for x, bs in classes]
-    DD = D * D
-    inverse = {v: pow(v, -1, p) for x, bs in classes for v in (x, *bs) if v} if p else {}
+    scaled = [cleared(p, (x, *bs)) for x, bs in classes]  # each class as ([X, B, B, ...], d)
     slices: dict = defaultdict(lambda: ([], [], []))
-    for (X, *gs), c_row in zip(cleared, c_of):
-        xi = inverse.get(X)
-        for (_, *vs), c in zip(cleared, c_row):
+    for ((X, *gs), dx), c_row in zip(scaled, c_of):
+        for ((_, *vs), dy), c in zip(scaled, c_row):
             if c not in wanted:
                 continue
             pts, planes, layers = slices[c]
+            x0, x3 = X * dy, dx * dy
+            x2s = [X * bv % p for bv in vs] if p else [X * bv for bv in vs]
             for bg in gs:
-                if p:
-                    f = X * inverse[bg] % p if bg else p - 1
-                    head = (1, -f % p, -inverse[bg] % p) if bg else (0, 1, xi)
-                    pts.extend((1, bg * xi % p, bv, xi) for bv in vs)
-                    planes.extend((*head, f * bv % p) for bv in vs)
-                else:
-                    pts.extend(canon_int(p, (D * X, D * bg, X * bv, DD)) for bv in vs)
-                    planes.extend(canon_int(p, (D * bg, -D * X, -DD, X * bv)) for bv in vs)
+                bg *= dy
+                pts.extend((x0, bg, x2, x3) for x2 in x2s)
+                planes.extend((bg, -x0, -x3, x2) for x2 in x2s)
             layers.append((len(pts), max(len(gs), len(vs))))
     if any(len(set(pts)) != len(pts) or len(set(planes)) != len(planes) for pts, planes, _ in slices.values()):
         raise InvariantViolation("slice-to-projective maps must be injective")

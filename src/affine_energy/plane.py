@@ -44,16 +44,12 @@ from .errors import (
 )
 from .fields import Field, Frozen
 from . import projective
-from .projective import Homogeneous, canon_int
+from .projective import Homogeneous, canon_int, is_zero
 from .richlines import _grid_counts
 
 
 # ---------------------------------------------------------------------------
 # homogeneous triples
-
-
-def _is_zero(char: int, s: int) -> bool:
-    return s % char == 0 if char else s == 0
 
 
 def _cross(a: tuple, b: tuple) -> tuple:
@@ -105,7 +101,7 @@ class PlaneLine(Homogeneous):
 
 
 def incident(p: PlanePoint, l: PlaneLine) -> bool:
-    return _is_zero(p.field.characteristic, _dot(p.raw(), l.raw()))
+    return is_zero(p.field.characteristic, _dot(p.raw(), l.raw()))
 
 
 def join_points(p: PlanePoint, q: PlanePoint) -> PlaneLine:
@@ -162,7 +158,7 @@ def shadow(P: Iterable[PlanePoint], l: PlaneLine) -> Set[PlanePoint]:
     raws = [p.raw() for p in pts]
     lraw = l.raw()
     for p, r in zip(pts, raws):
-        if _is_zero(char, _dot(r, lraw)):
+        if is_zero(char, _dot(r, lraw)):
             raise LineMeetsP(f"shadow line passes through {p}")
     _distinct_points(pts, "need at least two points to span lines")
     meets = {canon_int(char, _cross(k, lraw), last=True) for k in _span_pass(char, raws)}
@@ -177,7 +173,7 @@ def incidence_count(P: Iterable[PlanePoint], lines: Iterable[PlaneLine]) -> int:
         lraw = line.raw()
         char = line.field.characteristic
         for praw in pts:
-            if _is_zero(char, _dot(praw, lraw)):
+            if is_zero(char, _dot(praw, lraw)):
                 total += 1
     return total
 
@@ -253,7 +249,7 @@ def normalize_two_lines(l1: PlaneLine, l2: PlaneLine) -> ProjectiveMap2:
     """
     field = l1.field
     s = _cross(l1.raw(), l2.raw())
-    i = next((i for i in (1, 0, 2) if not _is_zero(field.characteristic, s[i])), None)
+    i = next((i for i in (1, 0, 2) if not is_zero(field.characteristic, s[i])), None)
     if i is None:
         raise EqualLines("normalization needs two distinct lines")
     e = tuple(field.reduce(int(j == i)) for j in range(3))
@@ -292,7 +288,7 @@ def shadow_incidence_check(P: Iterable[PlanePoint], l1: PlaneLine, l2: PlaneLine
     e = normalize_two_lines(l1, l2).rows[1]  # a unit row: its entries are 0 and 1
     rows = [l1.raw(), tuple(v.numerator for v in e), l2.raw()]
     img = [_mod(char, tuple(_dot(row, p.raw()) for row in rows)) for p in pts]
-    if any(_is_zero(char, x) or _is_zero(char, z) for x, _, z in img):
+    if any(is_zero(char, x) or is_zero(char, z) for x, _, z in img):
         raise InvariantViolation("normalized points must avoid both special lines")
 
     def ratio(u: int, v: int):
@@ -424,7 +420,7 @@ def quadrangles_bruteforce(P: Iterable[PlanePoint], cap: int = ORACLE_CAP_DEFAUL
             for u, v in pairs:
                 if u == g or v == h or mu_g[u] != mu_h[v]:
                     continue
-                if _is_zero(char, _dot(line_gh, raws[u])) and _is_zero(char, _dot(line_gh, raws[v])):
+                if is_zero(char, _dot(line_gh, raws[u])) and is_zero(char, _dot(line_gh, raws[v])):
                     continue  # all four collinear
                 count += 1
     return count
@@ -489,7 +485,7 @@ def quadrangle_energy_correspondence(P: Iterable[PlanePoint]) -> QuadrangleCorre
                         raise InvariantViolation("energy relation must force u = v when g = h, and h = v when g = u")
                     trivial += 1
                     continue
-                if _is_zero(char, _dot(line_gh, raws[u])) and _is_zero(char, _dot(line_gh, raws[v])):
+                if is_zero(char, _dot(line_gh, raws[u])) and is_zero(char, _dot(line_gh, raws[v])):
                     collinear += 1
                     continue
                 # must be a geometric quadrangle; verify both side conditions

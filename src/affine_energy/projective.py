@@ -4,9 +4,10 @@ shared by the plane and 3-space layers.
 
 `canon_int` keys a nonzero integer vector: over F_p its residues scaled so
 the pivot, its first nonzero coordinate or (with last=True) its last one, is
-1; over Q, with the gcd divided out and the pivot positive.  Hot loops work
-on these keys, with residues over F_p and denominator-cleared coordinates
-over Q; `Homogeneous` objects store the key of their vector.
+1; over Q, with the gcd divided out and the pivot positive.  `Homogeneous`
+objects store the key of their vector.  Hot loops work on integer vectors,
+residues over F_p and over Q each vector cleared on its own by
+`fields.cleared`; the line keys below are canonical at any scale.
 
 Every line statistic groups raw points of P^3 by `_line_keys` and reads the
 groups in one of two ways: `max_collinear` gives only the size of the largest
@@ -22,14 +23,19 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .fields import Field, Frozen
+from .fields import Field, Frozen, cleared
 
 
 def _pivot(vals: Sequence, last: bool):
     return next((v for v in (reversed(vals) if last else vals) if v), None)
+
+
+def is_zero(char: int, s: int) -> bool:
+    """s vanishes in the field of characteristic char (0 for Q)."""
+    return s % char == 0 if char else s == 0
 
 
 def canon_int(char: int, t: Sequence, last: bool = False) -> tuple:
@@ -50,7 +56,7 @@ def canon_int(char: int, t: Sequence, last: bool = False) -> tuple:
 class Homogeneous(Frozen):
     """A nonzero vector over a field up to scale: a point, line or plane of
     projective space.  The constructor reduces the coordinates into the
-    field, clears their denominators over Q and stores the canon_int key,
+    field, clears them (fields.cleared) and stores the canon_int key,
     pivot on the first nonzero coordinate or, where the class sets `last`,
     on the last one; equality and hash read that key.  `raw()` is the key,
     and `coords` the key scaled so the pivot is 1: the key itself over F_p,
@@ -62,11 +68,7 @@ class Homogeneous(Frozen):
 
     def __init__(self, field: Field, coords: Sequence):
         char = field.characteristic
-        vals = [field.reduce(c) for c in coords]
-        if not char:
-            den = lcm(*(v.denominator for v in vals))
-            vals = [v.numerator * (den // v.denominator) for v in vals]
-        key = canon_int(char, vals, self.last)
+        key = canon_int(char, cleared(char, [field.reduce(c) for c in coords])[0], self.last)
         pivot = _pivot(key, self.last)
         self._set(field, key if char else tuple(Fraction(v, pivot) for v in key), key)
 

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .affine import AffineMap, AffineSet, _nonvertical_lines
 from .energy import _dilations, _pair_energy, _slope_classes, _translations, energy
 from .errors import InvariantViolation, TooFewLines
 from .exactmath import iroot, ratio, sqrt_floor_fraction
-from .fields import RATIONALS, Field, Frozen, Scalar
+from .fields import RATIONALS, Field, Frozen, Scalar, cleared
 
 
 class GridInstance(Frozen):
@@ -50,22 +50,20 @@ def _grid_counts(field: Field, S: Iterable, T: Iterable, lines: Sequence[tuple])
     """#{s in S : a*s + b in T} for each raw line (a, b) of `lines`, in
     integers.
 
-    Over Q, S is cleared by its common denominator ds and the lines by
-    theirs, dl; then a*s + b is an integer over dl*ds, and T is kept at that
-    scale, its values that no line can reach (non-integral there) dropped.
+    Over Q, S is cleared at one scale ds and the lines at one scale dl; then
+    a*s + b is an integer over dl*ds, and T is kept at that scale, its
+    values that no line can reach (non-integral there) dropped.
     """
     p = field.characteristic
     if p:
         targets = set(T)
         return [sum(1 for s in S if (a * s + b) % p in targets) for a, b in lines]
-    S = list(S)
-    ds = lcm(*(s.denominator for s in S))
-    dl = lcm(*(v.denominator for line in lines for v in line))
-    sigmas = [s.numerator * (ds // s.denominator) for s in S]
+    sigmas, ds = cleared(p, list(S))
+    coeffs, dl = cleared(p, [v for line in lines for v in line])
     targets = {t.numerator for t in (t * (dl * ds) for t in T) if t.denominator == 1}
     counts = []
-    for a, b in lines:
-        a, b = a.numerator * (dl // a.denominator), b.numerator * (dl // b.denominator) * ds
+    for a, b in zip(coeffs[::2], coeffs[1::2]):
+        b *= ds
         counts.append(sum(1 for s in sigmas if a * s + b in targets))
     return counts
 
@@ -364,10 +362,14 @@ def elekes_incidence_bound_check(S: Iterable, T: Iterable, A: AffineSet, field: 
     Characteristic p: rhs = floor((|T|^4 |S|^5 E |A|^4)^{1/8})
                           + sqrt_floor(|T| |A|^2 max(1, |S|^2/p)).
     """
+    return _elekes_report(S, T, A, field, energy(A))
+
+
+def _elekes_report(S: Iterable, T: Iterable, A: AffineSet, field: Field, E: int) -> ElekesReport:
+    """The report of elekes_incidence_bound_check with E = E(A) given."""
     sv = {field.reduce(s.value if isinstance(s, Scalar) else s) for s in S}
     tv = {field.reduce(t.value if isinstance(t, Scalar) else t) for t in T}
     count = sum(_grid_counts(field, sv, tv, [line.key() for line in A]))
-    E = energy(A)
     k = len(A)
     ns, nt = len(sv), len(tv)
     char = field.characteristic

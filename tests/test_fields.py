@@ -32,7 +32,7 @@ from affine_energy import (
     parse_scalar,
 )
 from affine_energy.errors import InexactValue, NotInField, ParseError, ZeroDenominator, ZeroInverse
-from affine_energy.fields import Scalar, _is_prime
+from affine_energy.fields import Scalar, _is_prime, cleared
 from affine_energy.generators import Xorshift64Star
 
 
@@ -88,6 +88,16 @@ def test_floats_never_enter_a_field():
     assert affine_map(F7, Fraction(3, 2), 9) == affine_map(F7, 5, 2)
     assert RATIONALS.reduce(Fraction(1, 10)) == Fraction(1, 10) and F7.reduce(True) == 1
     assert GridInstance.of(RATIONALS, [1], [1], lines, 1).alpha == 1
+
+
+def test_cleared():
+    """Residues pass as they are with d = 1; rationals become d times
+    themselves, d the lcm of their denominators; no values give d = 1."""
+    assert cleared(7, (3, 0, 6)) == ([3, 0, 6], 1)
+    F = Fraction
+    assert cleared(0, (F(1, 2), F(-2, 3), F(5), F(0))) == ([3, -4, 30, 0], 6)
+    assert cleared(0, (F(10**30, 7), F(1, 10**24))) == ([10**54, 7], 7 * 10**24)
+    assert cleared(0, ()) == ([], 1)
 
 
 def test_parse_field():

@@ -23,18 +23,21 @@ from affine_energy import (
     build_plane,
     build_point,
     c_slice,
+    decompose_bruteforce,
     decompose_by_C,
     incidences,
     max_collinear_3d,
+    max_concurrent_pencil,
     max_on_line,
     parse_gen_spec,
+    pencil_bruteforce,
     pointplane_bound_report,
     q_c_incidence_table,
     q_c_via_incidence,
     seeded_random,
     top_slice_reports,
 )
-from affine_energy.affine import max_on_nonvertical_line
+from affine_energy.affine import _chart_points, max_on_nonvertical_line
 from affine_energy.cli import main
 from affine_energy.errors import ZeroC
 from affine_energy.files import write_affine_set
@@ -48,7 +51,7 @@ from affine_energy.incidence3d import (
     slice_points,
 )
 from affine_energy import projective
-from affine_energy.projective import lines, max_collinear
+from affine_energy.projective import canon_int, lines, max_collinear
 from affine_energy.reports import render_field
 
 Q = RATIONALS
@@ -266,18 +269,93 @@ def _reference_instance(A, C):
 
 
 def test_raw_slices_match_slice_objects():
-    """The builder's tuples are the raw() of slice_points/slice_planes on
-    every realized C, and its keys are the C's of decompose_by_C."""
+    """The builder's tuples name the points and planes of
+    slice_points/slice_planes on every realized C (their canon_int keys are
+    the objects' raw()), and its keys are the C's of decompose_by_C."""
     for A in _slice_sets():
         field = A.field
+        char = field.characteristic
         slices = _raw_slices(A)
         assert list(slices) == [C.value for C in decompose_by_C(A)]
         for c, (pts, planes, _) in slices.items():
             sl = c_slice(A, Scalar(field, c))
-            assert sorted(pts) == sorted(p.raw() for p in slice_points(sl))
-            assert sorted(planes) == sorted(pl.raw() for pl in slice_planes(sl))
+            assert sorted(canon_int(char, t) for t in pts) == sorted(p.raw() for p in slice_points(sl))
+            assert sorted(canon_int(char, t) for t in planes) == sorted(pl.raw() for pl in slice_planes(sl))
         some = set(list(slices)[::3])
         assert _raw_slices(A, some) == {c: v for c, v in slices.items() if c in some}
+
+
+def _scaled_sets():
+    """Sets whose slices join layers of several scales: over F_7 the slope
+    products wrap around; over Q the classes hold intercepts of distinct
+    denominators, and slopes x, 1/x, -x, 2x, x/2 share the slices C = 1, -1
+    and x*y across many layers."""
+    yield seeded_random(30, 1, PrimeField(7), "affine")
+    yield generate(parse_gen_spec("affprod:gp(1,3,5)xap(0,2,4)"), PrimeField(7))
+    yield seeded_random(40, 2, PrimeField(101), "affine")
+    yield generate(GridSpec(6), PrimeField(101))
+    F = Fraction
+    slopes = [F(1, 2), F(2), F(3, 4), F(4, 3), F(-2, 3), F(-3, 2), F(1), F(-1), F(5, 7), F(7, 5), F(3, 8)]
+    intercepts = [F(1, 3), F(-5, 7), 2, F(1, 5), F(-2, 9), F(7, 11), 0, F(1, 6), F(-1, 10), F(9, 4)]
+    pairs = [(x, intercepts[(i * j) % len(intercepts)]) for i, x in enumerate(slopes) for j in range(1 + i % 4)]
+    yield AffineSet.from_pairs(Q, pairs)
+    yield generate(parse_gen_spec("affprod:gp(1,2,5)xap(0,1,3)"), Q)
+    yield seeded_random(30, 3, Q, "affine")
+
+
+def test_raw_slices_one_tuple_per_projective_point(refuse):
+    """Within a slice, distinct tuples are distinct projective points and
+    planes, over F_7, F_101 and Q; and the slice route runs over Q with no
+    canon_int call."""
+    sets = list(_scaled_sets())
+    for A in sets:
+        char = A.field.characteristic
+        slices = _raw_slices(A)
+        assert any(len(layers) > 1 for _, _, layers in slices.values())
+        for pts, planes, _ in slices.values():
+            assert len(set(pts)) == len({canon_int(char, t) for t in pts})
+            assert len(set(planes)) == len({canon_int(char, t) for t in planes})
+    expected = [{C.value: q for C, q in decompose_bruteforce(A).items()} for A in sets]
+    refuse(canon_int, "the slice route clears each class; it keys nothing")
+    for A, exp in zip(sets, expected):
+        _raw_slices(A)
+        assert {C.value: q for C, q in q_c_incidence_table(A).items()} == exp
+
+
+def _tall_set():
+    """39 maps over Q with numerators and denominators near 10^24: seven
+    slopes and their inverses (slice C = 1 joins their layers), classes of
+    one to four intercepts with distinct denominators, and six maps on one
+    line, b = m*a + c, so six lines through one point."""
+    rng = random.Random(24)
+    H = 10**24
+
+    def tall():
+        return Fraction(rng.randint(-H, H), rng.randint(H // 10, H)) or Fraction(1, H)
+
+    slopes = [tall() for _ in range(7)]
+    slopes += [1 / x for x in slopes]
+    pairs = [(x, tall()) for i, x in enumerate(slopes) for _ in range(1 + i % 4)]
+    m, c = Fraction(rng.randint(1, 10**6)), Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**6))
+    line = [Fraction(rng.randint(1, 10**18), rng.randint(1, 10**18)) for _ in range(6)]
+    return AffineSet.from_pairs(Q, pairs + [(a, m * a + c) for a in line])
+
+
+def test_rationals_of_large_height():
+    """On maps of height near 10^24 the slice route, M and the pencil agree
+    with their oracles, and each chart point of M keeps the height of its
+    own map: no entry grows with the number of maps."""
+    A = _tall_set()
+    assert len(A) == 39
+    assert {C.value: q for C, q in q_c_incidence_table(A).items()} == {
+        C.value: q for C, q in decompose_bruteforce(A).items()
+    }
+    assert max_on_line(A) == 6 == collinear_bruteforce([Point3.of(Q, (a, b, 0, 1)) for a, b in (g.key() for g in A)])
+    pencil = max_concurrent_pencil(A)
+    assert pencil == pencil_bruteforce(A) and pencil.size == 6
+    keys = [g.key() for g in A]
+    h = max(max(abs(v.numerator).bit_length(), v.denominator.bit_length()) for key in keys for v in key)
+    assert max(abs(e).bit_length() for pt in _chart_points(Q, keys) for e in pt) <= 2 * h
 
 
 def _layered_sets():
@@ -541,11 +619,15 @@ from affine_energy import AffineSet, RATIONALS
 from affine_energy.errors import InvariantViolation
 
 
-def collapsed(char, t, last=False):
-    return (1, 0, 0, 0)  # every slice point and plane becomes one tuple
+real = inc._slope_classes
 
 
-inc.canon_int = collapsed
+def repeated(pairs):
+    # each class repeats its intercepts, so two pairs of a slice give one tuple
+    return [(x, bs + bs) for x, bs in real(pairs)]
+
+
+inc._slope_classes = repeated
 print("optimize", sys.flags.optimize)
 try:
     inc.q_c_via_incidence(AffineSet.from_pairs(RATIONALS, [(1, 0), (2, 0)]), RATIONALS.scalar(2))

@@ -357,6 +357,19 @@ def test_cli_oracle_tallies_pair_keys_once(count_calls):
     assert len(calls) == 1
 
 
+def test_cli_elekes_check_reuses_the_bound_report_energy(count_calls):
+    """boundcheck with --set-s/--set-t and every sweep row take E for the
+    Elekes check from the bound report: no third pass over the pair keys."""
+    from affine_energy.energy import _tally
+
+    calls = count_calls(_tally)
+    code, _ = run_cli("boundcheck", "--gen", "grid:7", "--field", "Fp:1009", "--set-s", "ap(1,1,7)", "--set-t", "ap(1,3,7)")
+    assert code == 0 and len(calls) == 2
+    calls.clear()
+    code, _ = run_cli("sweep", "--gen", "affprod:gp(1,2,N)xap(0,1,N)", "--range", "N=3..5", "--field", "Q")
+    assert code == 0 and len(calls) == 6
+
+
 def _documented_keys(schema: str) -> list:
     """The key list docs/formats.md gives for `schema`: the first code span
     after the schema's bullet."""
