@@ -27,7 +27,7 @@ from .energy import (
     slice_identities,
 )
 from .errors import InvariantViolation
-from .fields import RATIONALS, Field, parse_field, parse_scalar
+from .fields import RATIONALS, Field, in_unit_interval, parse_field, parse_scalar
 from .files import read_affine_set, read_grid_instance, read_planar_set
 from .generators import (
     APSpec,
@@ -161,7 +161,7 @@ def _cmd_energy(args) -> int:
     if args.format == "json":
         _emit(args, dump_json(reports.energy_report_jsonable(rep, field)))
     else:
-        _emit(args, dump_csv(reports.ENERGY_CSV_COLUMNS, [reports.energy_report_csv_row(rep, field)], "energy-report-csv"))
+        _emit(args, reports.energy_report_csv(rep, field))
     return _invariant_exit(rep.identities_hold(), "energy identities or inequalities")
 
 
@@ -230,9 +230,9 @@ def _cmd_shadow(args) -> int:
     pts = _load_planar(args, field)
     l1 = _parse_line_flag(args.l1, field) if args.l1 else PlaneLine.y_axis(field)
     l2 = _parse_line_flag(args.l2, field) if args.l2 else PlaneLine.infinity(field)
+    theta = in_unit_interval(_fraction_flag(args.theta, "--theta"), "--theta")
     rep = shadow_incidence_check(pts, l1, l2)
     payload = reports.shadow_report_jsonable(rep)
-    theta = _fraction_flag(args.theta, "--theta")
     stats = beck_point_stats(pts, theta)
     payload["beck_points"] = {
         "theta": str(theta),
@@ -309,16 +309,18 @@ def _cmd_oracle(args) -> int:
     def check(name, fast, brute):
         return {"fast": fast, "oracle": brute, **same(name, fast, brute)}
 
+    # the Q_C oracle counts all pairs of pairs of each bucket, so it totals E(A)
+    brute = decompose_bruteforce(A, cap)
     E, _, table = quotient_stats(A)
     results = {
         "schema": schema_tag("oracle-report"),
         "field": render_field(field),
         "size": len(A),
-        "energy": check("energy", E, energy_bruteforce(A, "E", cap)),
+        "energy": check("energy", E, sum(brute.values())),
         "energy_star": check("energy_star", energy_star(A), energy_bruteforce(A, "Estar", cap)),
     }
     dec_fast = {field.render(k.value): q for k, (_, q) in table.items()}
-    dec_brute = {field.render(k.value): v for k, v in decompose_bruteforce(A, cap).items()}
+    dec_brute = {field.render(k.value): v for k, v in brute.items()}
     results["decompose"] = same("decompose", dec_fast, dec_brute)
     inc = {field.render(k.value): v for k, v in q_c_incidence_table(A).items()}
     results["incidence_route"] = same("incidence_route", inc, dec_fast)

@@ -276,6 +276,14 @@ def cleared(char: int, values: Sequence[Raw]) -> Tuple[List[int], int]:
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
+def in_unit_interval(value, name: str) -> Fraction:
+    """value as a Fraction in (0, 1]; a float raises InexactValue."""
+    value = RATIONALS.reduce(value)
+    if not 0 < value <= 1:
+        raise ValueError(f"{name} must lie in (0, 1]")
+    return value
+
+
 def field_inv(x: Scalar) -> Scalar:
     """Multiplicative inverse; raises ZeroInverse on x = 0."""
     return x.inv()

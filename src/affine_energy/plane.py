@@ -42,7 +42,7 @@ from .errors import (
     PointOnYAxis,
     TooFewPoints,
 )
-from .fields import Field, Frozen
+from .fields import Field, Frozen, in_unit_interval
 from . import projective
 from .projective import Homogeneous, canon_int, is_zero
 from .richlines import _grid_counts
@@ -186,7 +186,8 @@ class BeckPointStats(NamedTuple):
 
 
 def beck_point_stats(P: Iterable[PlanePoint], theta: Fraction = Fraction(1, 2)) -> BeckPointStats:
-    """Per-point counts of spanned lines through each point of P."""
+    """Per-point counts of spanned lines through each point of P; theta is exact, in (0, 1]."""
+    theta = in_unit_interval(theta, "theta")
     pts = _distinct_points(P, "need at least two points")
     lines = _span_pass(pts[0].field.characteristic, [p.raw() for p in pts])
     counts = [0] * len(pts)
@@ -279,8 +280,9 @@ def shadow_incidence_check(P: Iterable[PlanePoint], l1: PlaneLine, l2: PlaneLine
     injection covers incidences on non-vertical spanned lines; that exact
     inequality is asserted here, and both totals are reported.
     """
-    pts = [p for p in set(P) if not incident(p, l1) and not incident(p, l2)]
-    removed = len(set(P)) - len(pts)
+    P = set(P)
+    pts = [p for p in P if not incident(p, l1) and not incident(p, l2)]
+    removed = len(P) - len(pts)
     if len(pts) < 2:
         raise TooFewPoints("need two points off the two lines")
     field = pts[0].field
@@ -291,22 +293,19 @@ def shadow_incidence_check(P: Iterable[PlanePoint], l1: PlaneLine, l2: PlaneLine
     if any(is_zero(char, x) or is_zero(char, z) for x, _, z in img):
         raise InvariantViolation("normalized points must avoid both special lines")
 
-    def ratio(u: int, v: int):
-        return field.div(field.reduce(u), field.reduce(v))
-
     lines = _span_pass(char, img)
     lhs_total = sum(map(len, lines.values()))
     # b != 0 <=> not through (0:1:0) <=> non-vertical: y = (-a/b)*x + (-c/b)
     nonvert = [k for k in lines if k[1]]
     lhs_nonvert = sum(len(lines[k]) for k in nonvert)
-    S_vals = {ratio(-a, b) for a, b, _ in nonvert}
-    T_vals = {ratio(-c, b) for _, b, c in nonvert}
+    S_vals = {field.div(-a, b) for a, b, _ in nonvert}
+    T_vals = {field.div(-c, b) for _, b, c in nonvert}
     # every vertical line meets infinity and the y-axis at (0:1:0)
     s_dropped = t_dropped = int(len(nonvert) < len(lines))
 
     # rhs = #{(p, s) : p2 - p1*s in T}, each point p read as the line
     # t = -p1*s + p2
-    rhs = sum(_grid_counts(field, S_vals, T_vals, [(ratio(-x, z), ratio(y, z)) for x, y, z in img]))
+    rhs = sum(_grid_counts(field, S_vals, T_vals, [(field.div(-x, z), field.div(y, z)) for x, y, z in img]))
 
     if lhs_nonvert > rhs:
         raise InvariantViolation("grid injection violated: lhs_nonvertical > rhs")
@@ -325,6 +324,18 @@ def shadow_incidence_check(P: Iterable[PlanePoint], l1: PlaneLine, l2: PlaneLine
 
 # ---------------------------------------------------------------------------
 # quadrangles
+
+
+def _infinite_meet(char: int, p: tuple, q: tuple) -> tuple:
+    """The point at infinity of the line through the raw affine triples p, q."""
+    (xp, yp, zp), (xq, yq, zq) = p, q
+    return canon_int(char, (xq * zp - xp * zq, yq * zp - yp * zq, 0), last=True)
+
+
+def _y_axis_meet(char: int, p: tuple, q: tuple) -> tuple:
+    """The meet of the line through the raw triples p, q with the y-axis."""
+    line = _cross(p, q)
+    return canon_int(char, (0, line[2], -line[1]), last=True)
 
 
 def _quadrangle_setup(P: Iterable[PlanePoint]):
@@ -405,13 +416,9 @@ def quadrangles_bruteforce(P: Iterable[PlanePoint], cap: int = ORACLE_CAP_DEFAUL
     mu_k = [[-1] * n for _ in range(n)]
     by_dir: dict = defaultdict(list)  # direction -> ordered pairs (i, j), i != j
     for i in range(n):
-        xi, yi, zi = raws[i]
         for j in range(i + 1, n):
-            xj, yj, zj = raws[j]
-            by_dir[canon_int(char, (xj * zi - xi * zj, yj * zi - yi * zj, 0), last=True)] += [(i, j), (j, i)]
-            line = _cross(raws[i], raws[j])
-            mk = canon_int(char, (0, line[2], -line[1]), last=True)
-            mu_k[i][j] = mu_k[j][i] = mu_ids.setdefault(mk, len(mu_ids))
+            by_dir[_infinite_meet(char, raws[i], raws[j])] += [(i, j), (j, i)]
+            mu_k[i][j] = mu_k[j][i] = mu_ids.setdefault(_y_axis_meet(char, raws[i], raws[j]), len(mu_ids))
     count = 0
     for pairs in by_dir.values():
         for g, h in pairs:
@@ -464,14 +471,11 @@ def quadrangle_energy_correspondence(P: Iterable[PlanePoint]) -> QuadrangleCorre
     # side keys of a pair, computed only for the geometric quadruples that read them
     @cache
     def dir_key(i, j):
-        xi, yi, zi = raws[i]
-        xj, yj, zj = raws[j]
-        return canon_int(char, (xj * zi - xi * zj, yj * zi - yi * zj, 0), last=True)
+        return _infinite_meet(char, raws[i], raws[j])
 
     @cache
     def mu_key(i, j):
-        line = _cross(raws[i], raws[j])
-        return canon_int(char, (0, line[2], -line[1]), last=True)
+        return _y_axis_meet(char, raws[i], raws[j])
 
     total = geometric = trivial = collinear = 0
     for entries in buckets.values():

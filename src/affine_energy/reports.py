@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Dict, List, NamedTuple, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from .energy import EnergyReport
 from .exactmath import render_fraction
@@ -49,11 +49,13 @@ def csv_cells(*values) -> List[str]:
     return cells
 
 
-def record_jsonable(schema: str, rep: NamedTuple, **names) -> dict:
-    """A flat report: the schema tag, then the fields of the record `rep` in
-    order, each under its name in `names` or else its own, with every
-    Fraction as a frac_pair."""
+def record_jsonable(schema: str, rep: NamedTuple, field: Optional[Field] = None, **names) -> dict:
+    """A flat report: the schema tag, the field if one is given, then the
+    fields of the record `rep` in order, each under its name in `names` or
+    else its own, with every Fraction as a frac_pair."""
     out = {"schema": schema_tag(schema)}
+    if field is not None:
+        out["field"] = render_field(field)
     for name, v in zip(rep._fields, rep):
         out[names.get(name, name)] = frac_pair(v) if isinstance(v, Fraction) else v
     return out
@@ -73,53 +75,27 @@ def per_c_jsonable(table: Dict, field: Field) -> PerC:
     return PerC((field.render(C.value), {"slice": s, "q": q}) for C, (s, q) in table.items())
 
 
+_ENERGY_NAMES = {"size_AA": "AA", "size_AinvA": "AinvA"}
+
+
 def energy_report_jsonable(rep: EnergyReport, field: Field) -> dict:
-    return {
-        "schema": schema_tag("energy-report"),
-        "field": render_field(field),
-        "size": rep.size,
-        "m": rep.m,
-        "M": rep.M,
-        "E": rep.E,
-        "E_star": rep.E_star,
-        "AA": rep.size_AA,
-        "AinvA": rep.size_AinvA,
-        "ratio_main": frac_pair(rep.ratio_main),
-        "ratio_growth": frac_pair(rep.ratio_growth),
-        "cs_quotient_ok": rep.cs_quotient_ok,
-        "cs_product_ok": rep.cs_product_ok,
-        "shkredov_ok": rep.shkredov_ok,
-        "p_constraint_ok": rep.p_constraint_ok,
-        "pp_correction": frac_pair(rep.pp_correction) if rep.pp_correction is not None else None,
-        "per_c": per_c_jsonable(rep.per_c, field),
-    }
+    """The record after the schema tag and the field, which names the characteristic, with per_c last."""
+    out = record_jsonable("energy-report", rep, field, **_ENERGY_NAMES)
+    del out["characteristic"]
+    out["per_c"] = per_c_jsonable(out.pop("per_c"), field)
+    return out
 
 
-ENERGY_CSV_COLUMNS = [
-    "field",
-    "size",
-    "m",
-    "M",
-    "E",
-    "E_star",
-    "AA",
-    "AinvA",
-    "ratio_main",
-    "ratio_main_decimal",
-    "ratio_growth",
-    "ratio_growth_decimal",
-    "cs_quotient_ok",
-    "cs_product_ok",
-    "shkredov_ok",
-    "p_constraint_ok",
-]
-
-
-def energy_report_csv_row(rep: EnergyReport, field: Field) -> List[str]:
-    return csv_cells(
-        render_field(field), rep.size, rep.m, rep.M, rep.E, rep.E_star, rep.size_AA, rep.size_AinvA,
-        rep.ratio_main, rep.ratio_growth, rep.cs_quotient_ok, rep.cs_product_ok, rep.shkredov_ok, rep.p_constraint_ok,
-    )
+def energy_report_csv(rep: EnergyReport, field: Field) -> str:
+    """The energy-report-csv text: one row of the energy report's keys from
+    field to p_constraint_ok, each ratio under its name and name_decimal."""
+    columns, values = ["field"], [render_field(field)]
+    for name, v in zip(rep._fields, rep):
+        if name not in ("characteristic", "per_c", "pp_correction"):
+            name = _ENERGY_NAMES.get(name, name)
+            columns += [name, name + "_decimal"] if isinstance(v, Fraction) else [name]
+            values.append(v)
+    return dump_csv(columns, [csv_cells(*values)], "energy-report-csv")
 
 
 def pointplane_report_jsonable(rep: PointPlaneReport) -> dict:
@@ -138,47 +114,30 @@ def quadrangle_report_jsonable(rep: QuadrangleCorrespondence) -> dict:
 
 
 def richline_report_jsonable(rep: RichLineReport, field: Field) -> dict:
-    per_line = {}
-    for line in sorted(rep.per_line, key=lambda l: (field.sort_key(l.a.value), field.sort_key(l.b.value))):
-        per_line[f"{field.render(line.a.value)} {field.render(line.b.value)}"] = rep.per_line[line]
-
-    pencil = None
-    if rep.pencil is not None:
-        pencil = {
-            "point": None
-            if rep.pencil.point is None
-            else [field.render(rep.pencil.point[0].value), field.render(rep.pencil.point[1].value)],
-            "size": rep.pencil.size,
-            "slopes": sorted((field.render(s.value) for s in rep.pencil.slopes)),
-        }
-    return {
-        "schema": schema_tag("richline-report"),
-        "field": render_field(field),
-        "n": rep.n,
-        "k_lines": rep.k_lines,
-        "k_rich": rep.k_rich,
-        "alpha": render_fraction(rep.alpha),
-        "threshold": rep.threshold,
-        "total_incidences": rep.total_incidences,
-        "per_line": per_line,
-        "family": {
-            "slope": None if rep.family.slope is None else field.render(rep.family.slope.value),
-            "size": rep.family.size,
-            "intercepts": sorted((field.render(b.value) for b in rep.family.intercepts)),
-        },
-        "pencil": pencil,
-        "e_plus": rep.e_plus,
-        "e_mul_x0": rep.e_mul_x0,
-        "e_mul_y0": rep.e_mul_y0,
-        "mul_dropped_x0": rep.mul_dropped_x0,
-        "mul_dropped_y0": rep.mul_dropped_y0,
-        "parallel_chain": rep.parallel_chain and rep.parallel_chain._asdict(),
-        "pencil_chain": rep.pencil_chain and rep.pencil_chain._asdict(),
-        "pencil_link1_holds": rep.pencil_link1_holds,
-        "alpha_guard_ok": rep.alpha_guard_ok,
-        "p_guard_ok": rep.p_guard_ok,
-        "measured_ratios": {k: frac_pair(v) for k, v in sorted(rep.measured_ratios.items())},
+    """The record after the schema tag and the field, with alpha, the maps
+    and the nested records rendered."""
+    render = field.render
+    out = {"schema": schema_tag("richline-report"), "field": render_field(field), **rep._asdict()}
+    lines = sorted(rep.per_line, key=lambda l: (field.sort_key(l.a.value), field.sort_key(l.b.value)))
+    out["alpha"] = render_fraction(rep.alpha)
+    out["per_line"] = {f"{render(l.a.value)} {render(l.b.value)}": rep.per_line[l] for l in lines}
+    slope = rep.family.slope
+    out["family"] = {
+        "slope": None if slope is None else render(slope.value),
+        "size": rep.family.size,
+        "intercepts": sorted(render(b.value) for b in rep.family.intercepts),
     }
+    if rep.pencil is not None:
+        point = rep.pencil.point
+        out["pencil"] = {
+            "point": None if point is None else [render(point[0].value), render(point[1].value)],
+            "size": rep.pencil.size,
+            "slopes": sorted(render(s.value) for s in rep.pencil.slopes),
+        }
+    for name in ("parallel_chain", "pencil_chain"):
+        out[name] = out[name] and out[name]._asdict()
+    out["measured_ratios"] = {k: frac_pair(v) for k, v in sorted(rep.measured_ratios.items())}
+    return out
 
 
 def elekes_report_jsonable(rep: ElekesReport) -> dict:

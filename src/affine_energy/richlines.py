@@ -21,19 +21,16 @@ from .affine import AffineMap, AffineSet, _nonvertical_lines
 from .energy import _dilations, _pair_energy, _slope_classes, _translations, energy
 from .errors import InvariantViolation, TooFewLines
 from .exactmath import iroot, ratio, sqrt_floor_fraction
-from .fields import RATIONALS, Field, Frozen, Scalar, cleared
+from .fields import Field, Frozen, Scalar, cleared, in_unit_interval
 
 
 class GridInstance(Frozen):
     __slots__ = ("field", "S", "T", "lines", "alpha")
 
     def __init__(self, field: Field, S: frozenset, T: frozenset, lines: AffineSet, alpha: Fraction):
-        alpha = RATIONALS.reduce(alpha)  # a Fraction; a float raises InexactValue
         if not S or not T:
             raise ValueError("S and T must be nonempty")
-        if not (0 < alpha <= 1):
-            raise ValueError("alpha must lie in (0, 1]")
-        self._set(field, S, T, lines, alpha)  # S and T hold raw scalar values
+        self._set(field, S, T, lines, in_unit_interval(alpha, "alpha"))  # S and T hold raw scalar values
 
     @classmethod
     def of(cls, field: Field, S: Iterable, T: Iterable, lines: AffineSet, alpha: Fraction) -> "GridInstance":
@@ -252,14 +249,16 @@ def structure_report(inst: GridInstance) -> RichLineReport:
     link; the pencil chain (sum_B r)^4 <= |B|^2 E^x(A-x0) E^x(A-y0) likewise.
     Link 1 of the pencil chain (threshold*|B| <= sum_B r) is recorded but not
     asserted: the pencil point may itself lie in A x A and absorb one
-    incidence per line.
+    incidence per line: r(beta) = I(l_beta) - [x0 in A and y0 in A] for the
+    rich line l_beta of slope beta through (x0, y0), as W leaves out w = 0.
 
     With T(X) the translations x -> x + s and D(X) the dilations x -> w*x
     by the elements of X, W = {a - x0 != 0} and U = {a - y0 != 0}:
     E+(A) = E(T(A)), E^x(A - x0) = E(D(W)), E^x(A - y0) = E(D(U)); the
-    family of slope gamma has r(b) = #{x in A : gamma*x + b in A} and mixed
-    energy E(T(gamma*A), T(A)); the pencil has
-    r(beta) = #{w in W : beta*w + y0 in A} and mixed energy E(D(W), D(U)).
+    family of slope gamma has r(b) = #{x in A : gamma*x + b in A}, the count
+    of the line (gamma, b) in per_line, and mixed energy E(T(gamma*A), T(A));
+    the pencil has r(beta) = #{w in W : beta*w + y0 in A} and mixed energy
+    E(D(W), D(U)).  So per_line, the one grid count, holds every r.
     """
     if inst.S != inst.T:
         raise ValueError("structure_report expects the square grid S = T = A")
@@ -270,6 +269,7 @@ def structure_report(inst: GridInstance) -> RichLineReport:
     thresh = rich_threshold(inst)
     rich = AffineSet(field, (l for l, c in per_line.items() if c >= thresh))
     k_rich = len(rich)
+    count = {l.key(): c for l, c in per_line.items()}
 
     translations = _translations(field, S)
     e_plus = _pair_energy(field, translations, translations)
@@ -278,7 +278,7 @@ def structure_report(inst: GridInstance) -> RichLineReport:
     parallel_chain = None
     if family.slope is not None and family.size:
         gamma, B = family.slope.value, [b.value for b in family.intercepts]
-        r_on_B = _grid_counts(field, S, S, [(gamma, b) for b in B])
+        r_on_B = [count[gamma, b] for b in B]
         G = _translations(field, [field.mul(gamma, x) for x in S])
         parallel_chain = _chain(field, r_on_B, G, translations, (e_plus, e_plus), len(B) * e_plus, thresh, "parallel-family")
 
@@ -297,7 +297,8 @@ def structure_report(inst: GridInstance) -> RichLineReport:
             G, H = _dilations(field, W), _dilations(field, U)
             e_mul_x0, e_mul_y0 = _pair_energy(field, G, G), _pair_energy(field, H, H)
             B = [s.value for s in pencil.slopes]
-            r_on_B = _grid_counts(field, W, S, [(beta, y0) for beta in B])
+            at_w0 = x0 in S and y0 in S
+            r_on_B = [count[beta, field.sub(y0, field.mul(beta, x0))] - at_w0 for beta in B]
             pencil_chain = _chain(field, r_on_B, G, H, (e_mul_x0, e_mul_y0), e_mul_x0 * e_mul_y0, 0, "pencil")
             link1 = thresh * len(B) <= pencil_chain.sum_over_B
 

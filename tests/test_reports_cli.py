@@ -264,6 +264,22 @@ def test_cli_unreadable_input_exits_2(tmp_path):
     assert code == 2 and err.startswith("error:")
 
 
+def test_theta_is_exact_in_the_unit_interval(count_calls):
+    """beck_point_stats refuses a float theta; shadow --theta outside (0, 1]
+    exits 2 before the shadow check runs, and --theta 1 runs."""
+    from affine_energy.errors import InexactValue
+    from affine_energy.plane import PlanePoint, beck_point_stats, shadow_incidence_check
+
+    with pytest.raises(InexactValue):
+        beck_point_stats({PlanePoint.affine(RATIONALS, x, y) for x, y in ((1, 0), (2, 1), (3, 5))}, 0.5)
+    checks = count_calls(shadow_incidence_check)
+    for theta in ("0", "-1", "3/2"):
+        code, err = run_cli_err("shadow", "--gen", "grid:3", "--field", "Q", "--theta", theta)
+        assert code == 2 and err.startswith("error:") and "--theta" in err and "Traceback" not in err
+    assert not checks
+    assert run_cli("shadow", "--gen", "grid:3", "--field", "Q", "--theta", "1")[0] == 0
+
+
 def test_cli_bad_alpha_exits_2():
     code, err = run_cli_err("richlines", "--gen", "grid:3", "--set-a", "ap(0,1,3)", "--alpha", "2", "--field", "Q")
     assert code == 2 and "alpha" in err
@@ -348,13 +364,15 @@ def test_cli_slice_identity_breach_exits_4(monkeypatch):
 
 
 def test_cli_oracle_tallies_pair_keys_once(count_calls):
-    """One oracle job takes E and the per-C table from one quotient_stats."""
-    from affine_energy.energy import quotient_stats
+    """One oracle job takes E and the per-C table from one quotient_stats,
+    and the E and Q_C oracles from one brute-force pass over g^{-1} o h: the
+    E* oracle makes the only other one."""
+    from affine_energy.energy import _pair_keys, quotient_stats
 
-    calls = count_calls(quotient_stats)
+    calls, brute = count_calls(quotient_stats), count_calls(_pair_keys)
     code, out = run_cli("oracle", "--gen", "randaff:12:seed=1", "--field", "Q")
     assert code == 0 and json.loads(out)["all_equal"] is True
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(brute) == 2
 
 
 def test_cli_elekes_check_reuses_the_bound_report_energy(count_calls):
@@ -399,6 +417,23 @@ def test_flat_report_keys_match_docs():
     ):
         lines = run_cli(*argv, "--field", "Q")[1].splitlines()
         assert lines[0] == f"# schema: {schema}" and lines[1].split(",") == _documented_keys(schema)
+
+
+def test_energy_and_richline_report_keys_follow_their_records():
+    """The energy and rich-line reports list their records' fields in order
+    after the field tag, under the names of docs/formats.md: the energy
+    report without the characteristic and with per_c last."""
+    from affine_energy.energy import EnergyReport
+    from affine_energy.richlines import RichLineReport
+
+    energy = json.loads(run_cli("energy", "--gen", "grid:3", "--field", "Fp:101")[1])
+    names = {"size_AA": "AA", "size_AinvA": "AinvA"}
+    record = [names.get(f, f) for f in EnergyReport._fields if f not in ("characteristic", "per_c")]
+    assert list(energy) == ["schema", "field", *record, "per_c"]
+    assert list(energy)[1:] == _documented_keys("energy-report/1")
+    rich = json.loads(run_cli("richlines", "--gen", "grid:4", "--set-a", "ap(0,1,8)", "--alpha", "1/4", "--field", "Q")[1])
+    assert list(rich) == ["schema", "field", *RichLineReport._fields, "rejected_horizontal_rows"]  # the CLI adds the last
+    assert list(rich)[1:-1] == _documented_keys("richline-report/1")
 
 
 def test_cli_sweep_row_contract(tmp_path):

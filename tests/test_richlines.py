@@ -202,6 +202,55 @@ def test_chains_hold_on_random_instances(any_field):
             assert rep.pencil_chain.links_hold
 
 
+def _direct_r(field, A, rep):
+    """The chains' r on B by definition: #{x in A : gamma*x + b in A} for the
+    family, #{w in W : beta*w + y0 in A} for the pencil, W = {a - x0 != 0}."""
+    gamma = rep.family.slope.value
+    fam = [sum(1 for x in A if field.add(field.mul(gamma, x), b.value) in A) for b in rep.family.intercepts]
+    x0, y0 = (v.value for v in rep.pencil.point)
+    W = [field.sub(a, x0) for a in A if a != x0]
+    pen = [sum(1 for w in W if field.add(field.mul(beta.value, w), y0) in A) for beta in rep.pencil.slopes]
+    return fam, pen
+
+
+@pytest.mark.parametrize("field", [PrimeField(11), PrimeField(101), Q], ids=["F11", "F101", "Q"])
+def test_chain_r_read_off_the_grid_count(field):
+    """The r of both chains, read off per_line, equal their definitions: for
+    the pencil, r(beta) = I(l_beta) - [x0 in A and y0 in A].  The pencil
+    points of the built instances lie inside A x A, on one axis only, and
+    outside; the seeded ones fall where they fall."""
+    avals = [field.reduce(v) for v in range(7)]
+    A = set(avals)
+    instances = []
+    for x0, y0 in ((1, 2), (0, -1), (-1, 0), (-2, -3)):
+        pencil = [(beta, y0 - beta * x0) for beta in (1, 2, 3, 5)]
+        family = [(1, b) for b in (-2, -1, 0)]
+        instances.append(AffineSet.from_pairs(field, set(pencil + family)))
+    instances += [seeded_random(14, seed, field, "affine") for seed in range(12)]
+    seen = set()
+    for lines in instances:
+        rep = structure_report(GridInstance.square(field, avals, lines, Fraction(1, 4)))
+        if rep.pencil_chain is None:
+            continue
+        fam, pen = _direct_r(field, A, rep)
+        assert (rep.parallel_chain.sum_over_B, rep.parallel_chain.sum_sq_over_B) == (sum(fam), sum(r * r for r in fam))
+        assert (rep.pencil_chain.sum_over_B, rep.pencil_chain.sum_sq_over_B) == (sum(pen), sum(r * r for r in pen))
+        x0, y0 = (v.value for v in rep.pencil.point)
+        seen.add(x0 in A and y0 in A)
+    assert seen == {True, False}
+
+
+def test_structure_report_counts_the_grid_once(count_calls):
+    """Both chains take their r from the instance's one grid count."""
+    calls = count_calls(_grid_counts)
+    for field in (Q, PrimeField(101)):
+        calls.clear()
+        lines = AffineSet.from_pairs(field, [(a, b) for a in range(1, 5) for b in range(4)])
+        rep = structure_report(GridInstance.square(field, range(8), lines, Fraction(1, 4)))
+        assert rep.parallel_chain is not None and rep.pencil_chain is not None
+        assert len(calls) == 1
+
+
 def test_elekes_bound_check():
     A1 = lines_of([(1, 0)])
     rep = elekes_incidence_bound_check([0, 1, 2], [0, 1, 2], A1, Q)
