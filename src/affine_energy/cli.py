@@ -18,10 +18,13 @@ from typing import List, Optional
 from .affine import AffineSet, max_on_vertical
 from .energy import (
     ORACLE_CAP_DEFAULT,
-    decompose_by_C,
+    _bound_report,
+    _energy,
+    _product_pass,
+    _quotient_stats,
+    _SetTable,
     decompose_bruteforce,
     energy_bruteforce,
-    energy_star,
     main_bound_report,
     quotient_stats,
     slice_identities,
@@ -36,7 +39,7 @@ from .generators import (
     parse_gen_spec,
     render_gen_spec,
 )
-from .incidence3d import _beck_stats, _pointplane_report, _raw_slices, q_c_incidence_table, top_slice_reports
+from .incidence3d import _beck_stats, _pointplane_report, _raw_slices, _top_slice_reports, q_c_incidence_table
 from .plane import (
     PlaneLine,
     PlanePoint,
@@ -186,11 +189,13 @@ def _cmd_incidence(args) -> int:
     field = _resolve_field(args)
     A = _load_affine(args, field)
     char = field.characteristic
-    slices = _raw_slices(A)
+    table = _SetTable(A)
+    slices, q_of = _raw_slices(table), {C: q for C, (_, q) in _quotient_stats(table)[2].items()}
+    del table
     per_c = {}
     mismatches = 0
     ratios = []
-    for C, q in decompose_by_C(A).items():
+    for C, q in q_of.items():
         pts, planes, layers = slices[C.value]
         pp = _pointplane_report(char, pts, planes, layers)
         ratios.append(pp.ratio)
@@ -281,12 +286,13 @@ def _cmd_boundcheck(args) -> int:
     if args.set_s:
         grid = (_progression(args.set_s, "--set-s", field), _progression(args.set_t, "--set-t", field))
     A = _load_affine(args, field)
-    rep = main_bound_report(A)
+    table = _SetTable(A)
+    rep = _bound_report(A, table)
+    top = _top_slice_reports(table, rep.per_c, args.top_slices)
+    del table
     payload = reports.energy_report_jsonable(rep, field)
     # Theorem 3.4 ratios on the largest slices
-    payload["pointplane"] = {
-        field.render(C.value): reports.pointplane_report_jsonable(r) for C, r in top_slice_reports(A, rep.per_c, args.top_slices)
-    }
+    payload["pointplane"] = {field.render(C.value): reports.pointplane_report_jsonable(r) for C, r in top}
     if grid:
         payload["elekes"] = reports.elekes_report_jsonable(_elekes_report(*grid, A, field, rep.E))
     _emit(args, dump_json(payload))
@@ -311,15 +317,16 @@ def _cmd_oracle(args) -> int:
 
     # the Q_C oracle counts all pairs of pairs of each bucket, so it totals E(A)
     brute = decompose_bruteforce(A, cap)
-    E, _, table = quotient_stats(A)
+    table = _SetTable(A)
+    (E, _, per_c), products = _quotient_stats(table), _product_pass(table)
     results = {
         "schema": schema_tag("oracle-report"),
         "field": render_field(field),
         "size": len(A),
         "energy": check("energy", E, sum(brute.values())),
-        "energy_star": check("energy_star", energy_star(A), energy_bruteforce(A, "Estar", cap)),
+        "energy_star": check("energy_star", _energy(products.values()), energy_bruteforce(A, "Estar", cap)),
     }
-    dec_fast = {field.render(k.value): q for k, (_, q) in table.items()}
+    dec_fast = {field.render(k.value): q for k, (_, q) in per_c.items()}
     dec_brute = {field.render(k.value): v for k, v in brute.items()}
     results["decompose"] = same("decompose", dec_fast, dec_brute)
     inc = {field.render(k.value): v for k, v in q_c_incidence_table(A).items()}
@@ -343,8 +350,9 @@ def _sweep_row(template: str, n: int, field_text: str) -> List[str]:
     obj, _ = generate_with_stats(spec, field)
     if not isinstance(obj, AffineSet):
         raise ConfigError("sweep templates must generate affine sets")
-    rep = main_bound_report(obj)
-    pp_ratio = max((r.ratio for _, r in top_slice_reports(obj, rep.per_c, 3)), default=Fraction(0))
+    table = _SetTable(obj)
+    rep = _bound_report(obj, table)
+    pp_ratio = max((r.ratio for _, r in _top_slice_reports(table, rep.per_c, 3)), default=Fraction(0))
     scalars = [field.reduce(v) for v in range(1, n + 1)]
     el = _elekes_report(scalars, scalars, obj, field, rep.E)
     return csv_cells(

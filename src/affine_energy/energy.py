@@ -4,14 +4,14 @@ E(A) counts quadruples (g,h,u,v) in A^4 with g^{-1} o h = u^{-1} o v; E*(A)
 counts g o h = u o v.  The fast paths key the raw (a, b) values of all pairs
 g^{-1} o h by one int each (see _blocks); Scalar and AffineMap appear only at
 the API edge.  One reader, _tally, counts those keys in one Counter.  It
-serves E and |A^{-1}A| (energy, quotient_stats), E* and |AA| (the product
-pass, the reader over the raw inverses (1/a, -b/a) x A), E(A,B)
-(energy_asym), the E(A_P) term of plane.quadrangles, the scalar energies E+
+serves E and |A^{-1}A| (quotient_stats), E* and |AA| (the product pass, the
+reader over the raw inverses (1/x, -b/x) x A), E(A,B) (energy,
+energy_asym), the E(A_P) term of plane.quadrangles, the scalar energies E+
 and E^x (E of the translations x -> x + s and of the dilations x -> w*x) and
 every energy of the rich-line chains in richlines.structure_report.  For
 Q_C, quotient_stats keeps the key list of each row from that one tally and
 reads again only the rows that meet a bucket other than the identity's with
-two pairs or more (see _slice_table).
+two pairs or more (see _slice_table); a job's passes share one _SetTable.
 
 The brute-force oracles compute every pair value g^{-1} o h (or g o h) by
 the raw group law compose_raw/inverse_raw, which no fast path calls, and
@@ -28,9 +28,11 @@ sum_C |C_C| = |A|^2 and |C_C| <= m|A|.
 from __future__ import annotations
 
 import operator
+from array import array
 from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import compress
+from functools import cached_property
+from itertools import compress, islice
 from math import gcd, isqrt
 from operator import itemgetter
 from typing import Dict, NamedTuple, Optional, Tuple
@@ -54,14 +56,15 @@ def _slope_classes(pairs) -> list:
 def _pair_ids(char: int, xs: list, ys: list) -> Tuple[list, list]:
     """Ids of x*y for every x in xs and y in ys.
 
-    Returns the id grid, grid[i][j] for (xs[i], ys[j]), and the distinct
-    values in id order.  Over F_p the values are residues (field.mul).  Over
-    Q they are reduced int pairs (numerator, denominator > 0): a product is
-    reduced by one gcd, and no Fraction is built.
+    Returns the id grid, grid[i][j] for (xs[i], ys[j]), an int64 array per
+    row (no int object per cell), and the distinct values in id order.  Over
+    F_p the values are residues (field.mul).  Over Q they are reduced int
+    pairs (numerator, denominator > 0): a product is reduced by one gcd, and
+    no Fraction is built.
     """
     ids: dict = {}
     if char:
-        return [[ids.setdefault(x * y % char, len(ids)) for y in ys] for x in xs], list(ids)
+        return [array("q", [ids.setdefault(x * y % char, len(ids)) for y in ys]) for x in xs], list(ids)
     xs = [(x.numerator, x.denominator) for x in xs]
     ys = [(y.numerator, y.denominator) for y in ys]
     grid = []
@@ -71,7 +74,7 @@ def _pair_ids(char: int, xs: list, ys: list) -> Tuple[list, list]:
             n, d = xn * yn, xd * yd
             g = gcd(n, d)
             row.append(ids.setdefault((n // g, d // g), len(ids)))
-        grid.append(row)
+        grid.append(array("q", row))
     return grid, list(ids)
 
 
@@ -88,20 +91,38 @@ def _sorted_values(char: int, values: list) -> list:
     return [(c, fracs[c]) for c in sorted(range(len(values)), key=ints.__getitem__)]
 
 
-def _c_table(char: int, xs: list) -> Tuple[list, list]:
-    """The C values x*y over the slopes xs: the id grid c_of[i][j] of
-    _pair_ids and the (id, raw value) list of _sorted_values, in canonical
-    order.  Q_C (_slice_table) and the slices of incidence3d name C by it."""
-    c_of, values = _pair_ids(char, xs, xs)
-    return c_of, _sorted_values(char, values)
+class _SetTable:
+    """A's slope classes, their slopes x and the 1/x of each, read by every
+    pass of a job on A; built when first read, the C grid c_of of _pair_ids
+    over x_i*x_j and its (id, raw C) list in canonical order, `order`."""
+
+    def __init__(self, A: AffineSet):
+        self.field, self.char = A.field, A.field.characteristic
+        self.classes = _slope_classes(g.key() for g in A)
+        self.slopes = [x for x, _ in self.classes]
+        self.inverses = list(map(A.field.inv, self.slopes))
+
+    @cached_property
+    def _c_ids(self) -> Tuple[list, list]:
+        return _pair_ids(self.char, self.slopes, self.slopes)
+
+    @property
+    def c_of(self) -> list:
+        return self._c_ids[0]
+
+    @cached_property
+    def order(self) -> list:
+        return _sorted_values(self.char, self._c_ids[1])
 
 
-def _blocks(field: Field, G: list, H: list):
-    """The prologue of the pair reader of t = g^{-1} o h over G x H.
+def _blocks(p: int, rows: list, inverses: list, cols: list, alphas: Optional[list] = None):
+    """The prologue of the pair reader of t = g^{-1} o h over G x H, from
+    the slope classes rows of G and cols of H and the 1/x of each row.
 
     The raw (a, b) pairs fall in blocks, one per slope class x of G and y of
     H.  On a block the slope y/x of t is fixed and gets one id alpha below
-    K = |rows|*|cols|.  The intercept (b_h - b_g)/x becomes the exact int
+    K = |rows|*|cols|: the id grid of _pair_ids over 1/x and y, built here
+    unless given.  The intercept (b_h - b_g)/x becomes the exact int
     beta = (b_h - b_g)*s through the scale s of its row: 1/x over F_p; over
     Q the 1/x of all rows cleared at one scale, as are the intercepts of G
     and H, since keys are compared across blocks.  The key of t is
@@ -109,27 +130,24 @@ def _blocks(field: Field, G: list, H: list):
     and over Q any P above twice the largest |beta|, so the key names t one
     to one over both fields and the reader never branches on the field.
 
-    Returns the slope classes of G, the intercepts of H in class order with
-    the class index of each, the scales s*K, the alpha grid and the modulus
-    P*K.
+    Returns the rows with their intercepts cleared, the intercepts of H in
+    class order with the class index of each, the scales s*K, the alpha grid
+    and the modulus P*K.
     """
-    p = field.characteristic
-    if not p:
-        bs, _ = cleared(p, [b for _, b in G + H])
-        pairs = [(a, b) for (a, _), b in zip(G + H, bs)]
-        G, H = pairs[: len(G)], pairs[len(G) :]
-    rows, cols = _slope_classes(G), _slope_classes(H)
-    if p:
-        inverses = [pow(x, -1, p) for x, _ in rows]
-        scales, P = inverses, p
-    else:
-        inverses = [1 / x for x, _ in rows]
-        scales, _ = cleared(p, inverses)
-        P = 4 * max(map(abs, scales), default=0) * max((abs(b) for _, b in G + H), default=0) + 1
-    alphas = _pair_ids(p, inverses, [y for y, _ in cols])[0]
-    K = len(rows) * len(cols)
     hs = [b for _, bs in cols for b in bs]
     js = [j for j, (_, bs) in enumerate(cols) for _ in bs]
+    if p:
+        scales, P = inverses, p
+    else:
+        scales, _ = cleared(p, inverses)
+        ints, _ = cleared(p, [b for _, bs in rows for b in bs] + hs)
+        it = iter(ints)
+        rows = [(x, list(islice(it, len(bs)))) for x, bs in rows]
+        hs = list(it)
+        P = 4 * max(map(abs, scales), default=0) * max(map(abs, ints), default=0) + 1
+    if alphas is None:
+        alphas = _pair_ids(p, inverses, [y for y, _ in cols])[0]
+    K = len(rows) * len(cols)
     return rows, hs, js, [s * K for s in scales], alphas, P * K
 
 
@@ -150,16 +168,17 @@ def _tally(rows, hs, js, scales, ids, m, keys: Optional[list] = None) -> Counter
 
 
 def _pair_sizes(field: Field, G: list, H: list) -> Counter:
-    """r(t) for every t = g^{-1} o h over G x H."""
-    return _tally(*_blocks(field, G, H))
+    """r(t) for every t = g^{-1} o h over G x H, raw (a, b) lists."""
+    rows = _slope_classes(G)
+    return _tally(*_blocks(field.characteristic, rows, [field.inv(x) for x, _ in rows], _slope_classes(H)))
 
 
-def _product_pass(A: AffineSet) -> Counter:
-    """Bucket sizes of g o h over A x A: the reader over A^{-1} x A."""
-    field = A.field
-    raw = [g.key() for g in A]
-    inverted = [(ai := field.inv(a), field.neg(field.mul(b, ai))) for a, b in raw]
-    return _pair_sizes(field, inverted, raw)
+def _product_pass(table: _SetTable) -> Counter:
+    """Bucket sizes of g o h over A x A: the reader over A^{-1} x A.  Its rows
+    (1/x, [-b/x, ...]) have the row inverses x, so its alpha grid is the C grid."""
+    field = table.field
+    rows = [(s, [field.neg(field.mul(b, s)) for b in bs]) for s, (_, bs) in zip(table.inverses, table.classes)]
+    return _tally(*_blocks(table.char, rows, table.slopes, table.classes, table.c_of))
 
 
 def _energy(sizes) -> int:
@@ -168,11 +187,11 @@ def _energy(sizes) -> int:
     return sum(map(operator.mul, sizes, sizes))
 
 
-def _slice_table(char: int, prologue: tuple, sizes: Counter, keys: list) -> Tuple[list, list, list]:
-    """|C_C| and Q_C for every realized C = x*y, from the _blocks prologue of
-    A x A, its bucket sizes r(t) and the key list of each row from _tally:
-    the (id, raw C) list of _c_table, in canonical order, and the two counts
-    indexed by id.
+def _slice_table(table: _SetTable, alphas: list, sizes: Counter, keys: list) -> Tuple[list, list, list]:
+    """|C_C| and Q_C for every realized C = x*y, from the set's table, the
+    alpha grid of the _blocks prologue of A x A, its bucket sizes r(t) and
+    the key list of each row from _tally: the table's (id, raw C) list
+    `order`, in canonical order, and the two counts indexed by id.
 
     |C_C| = sum_{xy=C} cnt(x)*cnt(y) over the slope histogram.  A quadruple
     ((g,h),(u,v)) of bucket t has C = g1*v1, the row class of the block of
@@ -190,10 +209,8 @@ def _slice_table(char: int, prologue: tuple, sizes: Counter, keys: list) -> Tupl
     r(t, b) = r(t) fills its bucket and adds r^2 - r to its own C; only the
     buckets spread over several blocks are grouped.
     """
-    rows, alphas = prologue[0], prologue[4]
-    n = len(rows)  # A x A: the column classes are the row classes
-    c_of, order = _c_table(char, [x for x, _ in rows])
-    K = n * n
+    rows, c_of = table.classes, table.c_of  # A x A: the column classes are the row classes
+    order, K = table.order, len(rows) ** 2
     counts = [0] * len(order)
     for (_, gs), row in zip(rows, c_of):
         for (_, vs), c in zip(rows, row):
@@ -222,28 +239,31 @@ def _slice_table(char: int, prologue: tuple, sizes: Counter, keys: list) -> Tupl
     return order, counts, qs
 
 
-def quotient_stats(A: AffineSet, include_decomposition: bool = True) -> Tuple[int, int, Dict[Scalar, Tuple[int, int]]]:
-    """E(A), |A^{-1}A| and, unless skipped, C -> (|C_C|, Q_C).  The Scalars are
-    built after the tally and the row key lists are dropped, which each full
-    collection would walk."""
-    raw = [g.key() for g in A]
-    prologue = _blocks(A.field, raw, raw)
+def _quotient_stats(table: _SetTable, include_decomposition: bool = True) -> Tuple[int, int, Dict[Scalar, Tuple[int, int]]]:
+    """quotient_stats on A's table.  The Scalars are built after the tally
+    and the row key lists are dropped, which each full collection would walk."""
+    prologue = _blocks(table.char, table.classes, table.inverses, table.classes)
     keys: Optional[list] = [] if include_decomposition else None
     sizes = _tally(*prologue, keys)
-    order, counts, qs = _slice_table(A.field.characteristic, prologue, sizes, keys) if include_decomposition else ((), (), ())
+    order, counts, qs = _slice_table(table, prologue[4], sizes, keys) if include_decomposition else ((), (), ())
     E, n_values = _energy(sizes.values()), len(sizes)
     del sizes, keys
-    return E, n_values, {Scalar(A.field, v): (counts[c], qs[c]) for c, v in order}
+    return E, n_values, {Scalar(table.field, v): (counts[c], qs[c]) for c, v in order}
+
+
+def quotient_stats(A: AffineSet, include_decomposition: bool = True) -> Tuple[int, int, Dict[Scalar, Tuple[int, int]]]:
+    """E(A), |A^{-1}A| and, unless skipped, C -> (|C_C|, Q_C)."""
+    return _quotient_stats(_SetTable(A), include_decomposition)
 
 
 def energy(A: AffineSet) -> int:
-    """E(A) = sum_t r(t)^2 over the quotient buckets."""
-    return quotient_stats(A, include_decomposition=False)[0]
+    """E(A) = E(A, A) = sum_t r(t)^2 over the quotient buckets."""
+    return energy_asym(A, A)
 
 
 def energy_star(A: AffineSet) -> int:
     """E*(A), the product-bucket analogue."""
-    return _energy(_product_pass(A).values())
+    return _energy(_product_pass(_SetTable(A)).values())
 
 
 def energy_asym(A: AffineSet, B: AffineSet) -> int:
@@ -453,11 +473,16 @@ def main_bound_report(A: AffineSet, include_decomposition: bool = True) -> Energ
     term floored by isqrt, see exactmath); ratio_growth tracks
     min{|AA|,|A^{-1}A|} against m^{-1/2}|A|^{3/2} + M^{-1}|A|^2.
     """
+    return _bound_report(A, _SetTable(A), include_decomposition)
+
+
+def _bound_report(A: AffineSet, table: _SetTable, include_decomposition: bool = True) -> EnergyReport:
+    """main_bound_report with A's table."""
     n = len(A)
     m = max_on_vertical(A)
     M = max_on_line(A)
-    E, AinvA, per_c = quotient_stats(A, include_decomposition)
-    products = _product_pass(A)
+    E, AinvA, per_c = _quotient_stats(table, include_decomposition)
+    products = _product_pass(table)
     E_star, AA = _energy(products.values()), len(products)
 
     rhs_main = isqrt(m * n**5) + M * n * n
@@ -465,13 +490,7 @@ def main_bound_report(A: AffineSet, include_decomposition: bool = True) -> Energ
     rhs_growth = sqrt_floor_fraction(Fraction(n**3, m)) + Fraction(n * n, M) if n else Fraction(1)
     ratio_growth = ratio(min(AA, AinvA), rhs_growth)
 
-    char = A.field.characteristic
-    p_ok = None
-    correction = None
-    if char:
-        p_ok = m * n <= char * char
-        correction = Fraction(m * n**3, char)
-
+    char = table.char
     return EnergyReport(
         size=n,
         m=m,
@@ -487,6 +506,6 @@ def main_bound_report(A: AffineSet, include_decomposition: bool = True) -> Energ
         cs_quotient_ok=E * AinvA >= n**4,
         cs_product_ok=E_star * AA >= n**4,
         shkredov_ok=E_star <= E,
-        p_constraint_ok=p_ok,
-        pp_correction=correction,
+        p_constraint_ok=m * n <= char * char if char else None,
+        pp_correction=Fraction(m * n**3, char) if char else None,
     )

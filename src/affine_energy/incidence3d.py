@@ -9,8 +9,8 @@ Every count runs in a private core on raw integer 4-tuples, one per
 projective point or plane (residues over F_p, integers over Q).  The
 slice pipelines (`q_c_incidence_table`, `top_slice_reports`, the CLI) build
 those tuples straight from the slope classes of A, each cleared on its own,
-in `_raw_slices`, which names and orders the C values by the pair kernel's
-C table (energy._c_table), as Q_C does.  Point3/Plane3,
+in `_raw_slices`, which reads the classes and the C grid and order from the
+set's table (energy._SetTable), as Q_C does.  Point3/Plane3,
 `projective.Homogeneous` with the first nonzero coordinate as pivot, exist
 only at the API edge, and each public function calls raw() once and
 delegates to its core.  The collinearity k and the lines of the Beck split
@@ -28,7 +28,7 @@ from math import isqrt
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .affine import AffineMap, AffineSet
-from .energy import CSlice, _c_table, _slope_classes
+from .energy import CSlice, _SetTable
 from .errors import InvariantViolation, ZeroC
 from .exactmath import ratio
 from .fields import Scalar, cleared
@@ -176,10 +176,10 @@ def slice_planes(sl: CSlice) -> List[Plane3]:
     return [build_plane(u, h) for u, h in sl.pairs]
 
 
-def _raw_slices(A: AffineSet, only: Optional[set] = None) -> Dict[object, Tuple[List[tuple], List[tuple], list]]:
+def _raw_slices(table: _SetTable, only: Optional[set] = None) -> Dict[object, Tuple[List[tuple], List[tuple], list]]:
     """{C value: (raw points, raw planes, layers)} for every realized C, or
-    for those among the C values `only`, in the canonical order of the
-    kernel's C table (energy._c_table).
+    for those among the C values `only`, of the set of `table`, named by its
+    C grid c_of and in its canonical order.
 
     A pair (g, v) of slope classes x and y lands in C = x*y, and each class
     pair is one layer of its slice: the points with first coordinate x, the
@@ -196,11 +196,9 @@ def _raw_slices(A: AffineSet, only: Optional[set] = None) -> Dict[object, Tuple[
     the check that both maps are injective on each slice (else
     InvariantViolation) tests what it tested on the canonical forms.
     """
-    p = A.field.characteristic
-    classes = _slope_classes(g.key() for g in A)
-    c_of, order = _c_table(p, [x for x, _ in classes])
+    p, c_of, order = table.char, table.c_of, table.order
     wanted = {c for c, v in order if only is None or v in only}
-    scaled = [cleared(p, (x, *bs)) for x, bs in classes]  # each class as ([X, B, B, ...], d)
+    scaled = [cleared(p, (x, *bs)) for x, bs in table.classes]  # each class as ([X, B, B, ...], d)
     slices: dict = defaultdict(lambda: ([], [], []))
     for ((X, *gs), dx), c_row in zip(scaled, c_of):
         for ((_, *vs), dy), c in zip(scaled, c_row):
@@ -224,14 +222,14 @@ def q_c_via_incidence(A: AffineSet, C: Scalar) -> int:
     Raises ZeroC on C = 0."""
     if not C:
         raise ZeroC("slice parameter C must be nonzero")
-    pts, pls, _ = _raw_slices(A, {C.value}).get(C.value, ((), (), ()))
+    pts, pls, _ = _raw_slices(_SetTable(A), {C.value}).get(C.value, ((), (), ()))
     return _incidences(A.field.characteristic, pts, pls)
 
 
 def q_c_incidence_table(A: AffineSet) -> Dict[Scalar, int]:
     """Q_C via incidences for every realized C, from the raw slices."""
     field = A.field
-    return {Scalar(field, c): _incidences(field.characteristic, pts, pls) for c, (pts, pls, _) in _raw_slices(A).items()}
+    return {Scalar(field, c): _incidences(field.characteristic, pts, pls) for c, (pts, pls, _) in _raw_slices(_SetTable(A)).items()}
 
 
 class IncidenceInstance(NamedTuple):
@@ -306,9 +304,14 @@ def top_slice_reports(A: AffineSet, per_c: Dict[Scalar, Tuple[int, int]], top: i
     `per_c` maps C -> (|C_C|, Q_C) as in EnergyReport.per_c; equal sizes go
     to the smaller C in the field's canonical order.
     """
-    field = A.field
+    return _top_slice_reports(_SetTable(A), per_c, top)
+
+
+def _top_slice_reports(table: _SetTable, per_c: Dict[Scalar, Tuple[int, int]], top: int) -> List[Tuple[Scalar, PointPlaneReport]]:
+    """top_slice_reports with A's table."""
+    field = table.field
     ranked = sorted(per_c, key=lambda C: (-per_c[C][0], field.sort_key(C.value)))[:top]
-    slices = _raw_slices(A, {C.value for C in ranked})
+    slices = _raw_slices(table, {C.value for C in ranked})
     return [(C, _pointplane_report(field.characteristic, *slices[C.value])) for C in ranked]
 
 

@@ -37,6 +37,8 @@ from affine_energy.energy import (
     _pair_keys,
     _pair_sizes,
     _product_pass,
+    _SetTable,
+    _slope_classes,
     _sorted_values,
     _tally,
     shifted_nonzero,
@@ -231,12 +233,28 @@ def _reader_cases():
     return cases
 
 
+def _product_cases():
+    """Sets for the product pass, whose rows are the inverted classes
+    (1/x, [-b/x, ...]) read with the C grid as slope grid: over Q slopes 1
+    and -1, slopes x beside 1/x and negative fractional slopes; sets over F_7
+    and F_(2^61 - 1); and one-slope sets (k = 1), where the identity bucket
+    is alphas[0][0]."""
+    F = Fraction
+    F7, F61 = PrimeField(7), PrimeField(2**61 - 1)
+    cases = [aset([(1, 0), (1, F(1, 2)), (-1, 3), (-1, F(-2, 3)), (F(2, 3), 1), (F(3, 2), -1), (F(3, 2), F(5, 7))])]
+    cases.append(aset([(F(-3, 4), 2), (F(-4, 3), F(-1, 2)), (F(-3, 4), 0), (F(-5, 2), F(7, 3)), (F(-2, 5), -1), (F(1, 3), 0)]))
+    cases += [seeded_random(20, 3, F7, "affine"), aset([(a, b) for a in range(1, 7) for b in (0, 3)], F7)]
+    cases += [seeded_random(15, 4, F61, "affine"), aset([(a, b) for a in (1, 2, F61.inv(2), F61.neg(1)) for b in (0, 5)], F61)]
+    cases += [aset([(F(-2, 5), b) for b in (0, 1, F(-3, 7))]), aset([(3, b) for b in (0, 1, 5)], F7)]
+    return cases
+
+
 def _tagged_buckets(A):
     """The tally of A x A with the block index b = i*|cols| + j in place of
     the slope id, regrouped by bucket: {t: {(x_i, x_j): r(t, b)}}, naming
     the slope classes x_i of g and x_j of h."""
-    raw = [g.key() for g in A]
-    rows, hs, js, scales, alphas, m = _blocks(A.field, raw, raw)
+    table = _SetTable(A)
+    rows, hs, js, scales, alphas, m = _blocks(table.char, table.classes, table.inverses, table.classes)
     n = len(rows)
     flat = [a for row in alphas for a in row]
     block_ids = [list(range(i * n, i * n + n)) for i in range(n)]
@@ -258,7 +276,7 @@ def _oracle_blocks(A):
 
 
 def test_sizes_reader_matches_block_reader_and_oracles():
-    for A in _reader_cases():
+    for A in _reader_cases() + _product_cases():
         raw = [g.key() for g in A]
         sizes = _pair_sizes(A.field, raw, raw)
         buckets = _tagged_buckets(A)
@@ -266,9 +284,10 @@ def test_sizes_reader_matches_block_reader_and_oracles():
         assert {t: sum(blocks.values()) for t, blocks in buckets.items()} == sizes
         assert Counter(frozenset(blocks.items()) for blocks in buckets.values()) == _oracle_blocks(A)
         assert energy(A) == _energy(sizes.values()) == quotient_stats(A)[0] == energy_bruteforce(A, "E")
-        products = _product_pass(A)
+        products = _product_pass(_SetTable(A))
         assert sorted(products.values()) == _oracle_sizes(A, A, "Estar")
-        assert energy_star(A) == energy_bruteforce(A, "Estar")
+        assert _energy(products.values()) == energy_star(A) == energy_bruteforce(A, "Estar")
+        assert len(products) == len(set(_pair_keys(A, A, "Estar")))
         rep = main_bound_report(A)
         assert (rep.E, rep.size_AinvA, rep.E_star, rep.size_AA) == (energy(A), len(sizes), energy_star(A), len(products))
         assert rep.per_c == {C: (len(c_slice(A, C)), q) for C, q in decompose_bruteforce(A).items()}
@@ -345,6 +364,13 @@ def test_sizes_reader_asym_matches_oracle():
             assert sorted(_pair_sizes(A.field, [g.key() for g in A], [h.key() for h in B]).values()) == _oracle_sizes(A, B)
 
 
+def _prologue(field, G, H):
+    """The _blocks prologue of G x H, raw (a, b) lists, as _pair_sizes
+    builds it."""
+    rows = _slope_classes(G)
+    return _blocks(field.characteristic, rows, [field.inv(x) for x, _ in rows], _slope_classes(H))
+
+
 def test_pair_key_extremes():
     """The largest slope id alpha = K - 1, and over Q the intercept ints beta
     at both ends of their range, where beta mod P must not wrap onto
@@ -353,7 +379,7 @@ def test_pair_key_extremes():
         A = aset([(1, 0), (2, 5)], field)
         B = aset([(3, 1), (5, -2), (5, 7)], field)
         G, H = [g.key() for g in A], [h.key() for h in B]
-        alphas = _blocks(field, G, H)[4]
+        alphas = _prologue(field, G, H)[4]
         K = len(alphas) * len(alphas[0])
         assert max(map(max, alphas)) == K - 1  # the ratios 3, 5, 3/2, 5/2 differ
         assert sorted(_pair_sizes(field, G, H).values()) == _oracle_sizes(A, B)
@@ -361,7 +387,7 @@ def test_pair_key_extremes():
     # +-8*3, twice the largest |b| times the largest |s|
     A = aset([(Fraction(-1, 3), -4), (Fraction(-1, 3), 4), (1, -4), (1, 4)])
     raw = [g.key() for g in A]
-    _, _, _, scales, alphas, m = _blocks(Q, raw, raw)
+    _, _, _, scales, alphas, m = _prologue(Q, raw, raw)
     K = len(alphas) * len(alphas[0])
     assert m == (4 * 3 * 4 + 1) * K and max(map(abs, scales)) == 3 * K
     sizes = _pair_sizes(Q, raw, raw)
@@ -388,7 +414,7 @@ def test_blocks_slope_ids(field):
     for equal slopes, negative slopes and inverses included."""
     slopes = [field.reduce(Fraction(t)) for t in ("-3/5", "3/5", "-1/2", "5/3", "2", "-1")]
     raw = [(a, field.reduce(Fraction(k - 2))) for k, a in enumerate(slopes)]
-    _, _, _, _, alphas, _ = _blocks(field, raw, raw)
+    _, _, _, _, alphas, _ = _prologue(field, raw, raw)
     cells = [(alphas[i][j], field.div(y, x)) for i, x in enumerate(slopes) for j, y in enumerate(slopes)]
     assert all((c1 == c2) == (t1 == t2) for c1, t1 in cells for c2, t2 in cells)
 

@@ -26,6 +26,7 @@ from affine_energy import (
     decompose_bruteforce,
     decompose_by_C,
     incidences,
+    main_bound_report,
     max_collinear_3d,
     max_concurrent_pencil,
     max_on_line,
@@ -39,6 +40,7 @@ from affine_energy import (
 )
 from affine_energy.affine import _chart_points, max_on_nonvertical_line
 from affine_energy.cli import main
+from affine_energy.energy import _SetTable
 from affine_energy.errors import ZeroC
 from affine_energy.files import write_affine_set
 from affine_energy.generators import GridSpec, generate
@@ -52,7 +54,7 @@ from affine_energy.incidence3d import (
 )
 from affine_energy import projective
 from affine_energy.projective import canon_int, lines, max_collinear
-from affine_energy.reports import render_field
+from affine_energy.reports import pointplane_report_jsonable, render_field
 
 Q = RATIONALS
 GENERAL_FIELDS = [Q, PrimeField(7), PrimeField(101)]
@@ -275,14 +277,14 @@ def test_raw_slices_match_slice_objects():
     for A in _slice_sets():
         field = A.field
         char = field.characteristic
-        slices = _raw_slices(A)
+        slices = _raw_slices(_SetTable(A))
         assert list(slices) == [C.value for C in decompose_by_C(A)]
         for c, (pts, planes, _) in slices.items():
             sl = c_slice(A, Scalar(field, c))
             assert sorted(canon_int(char, t) for t in pts) == sorted(p.raw() for p in slice_points(sl))
             assert sorted(canon_int(char, t) for t in planes) == sorted(pl.raw() for pl in slice_planes(sl))
         some = set(list(slices)[::3])
-        assert _raw_slices(A, some) == {c: v for c, v in slices.items() if c in some}
+        assert _raw_slices(_SetTable(A), some) == {c: v for c, v in slices.items() if c in some}
 
 
 def _scaled_sets():
@@ -310,7 +312,7 @@ def test_raw_slices_one_tuple_per_projective_point(refuse):
     sets = list(_scaled_sets())
     for A in sets:
         char = A.field.characteristic
-        slices = _raw_slices(A)
+        slices = _raw_slices(_SetTable(A))
         assert any(len(layers) > 1 for _, _, layers in slices.values())
         for pts, planes, _ in slices.values():
             assert len(set(pts)) == len({canon_int(char, t) for t in pts})
@@ -318,7 +320,7 @@ def test_raw_slices_one_tuple_per_projective_point(refuse):
     expected = [{C.value: q for C, q in decompose_bruteforce(A).items()} for A in sets]
     refuse(canon_int, "the slice route clears each class; it keys nothing")
     for A, exp in zip(sets, expected):
-        _raw_slices(A)
+        _raw_slices(_SetTable(A))
         assert {C.value: q for C, q in q_c_incidence_table(A).items()} == exp
 
 
@@ -381,7 +383,7 @@ def test_layered_k_matches_anchor_loop_and_oracle():
     for A in _layered_sets():
         field = A.field
         char = field.characteristic
-        for pts, _, layers in _raw_slices(A).values():
+        for pts, _, layers in _raw_slices(_SetTable(A)).values():
             k = max_collinear(char, pts, layers)
             assert k == max_collinear(char, pts)
             if len(pts) <= 30:
@@ -408,7 +410,7 @@ def test_layered_k_edge_cases():
     # three layers of term 2 with a 3-point transversal: a stop one layer
     # early would report 2
     A = generate(parse_gen_spec("affprod:gp(1,2,6)xap(0,1,2)"), Q)
-    pts, _, layers = _raw_slices(A)[4]
+    pts, _, layers = _raw_slices(_SetTable(A))[4]
     assert (len(layers), max(t for _, t in layers)) == (3, 2)
     assert max_collinear(0, pts, layers) == 3
 
@@ -421,13 +423,13 @@ def test_layered_k_work(monkeypatch):
     line_keys = projective._line_keys
     monkeypatch.setattr(projective, "_line_keys", lambda char, a, qs: calls.append(len(qs)) or line_keys(char, a, qs))
     A = generate(parse_gen_spec("affprod:gp(1,2,6)xap(0,1,2)"), Q)
-    pts, _, layers = _raw_slices(A)[32]
+    pts, _, layers = _raw_slices(_SetTable(A))[32]
     assert [stop for stop, _ in layers] == [4, 8, 12, 16, 20, 24]
     assert max_collinear(0, pts, layers) == 6  # found from the first layer, then 5 layers cannot beat it
     assert calls == [20] * 4
     calls.clear()
     grid = generate(GridSpec(7), Q)
-    for pts, _, layers in _raw_slices(grid).values():
+    for pts, _, layers in _raw_slices(_SetTable(grid)).values():
         assert len(layers) <= 7 == max(t for _, t in layers)
         assert max_collinear(0, pts, layers) == 7
     assert calls == []
@@ -435,7 +437,10 @@ def test_layered_k_work(monkeypatch):
 
 def test_slice_reports_match_object_route(tmp_path):
     """top_slice_reports and the per-C k and q_via_incidence of `cli
-    incidence` against pointplane_bound_report on the Point3/Plane3 slice."""
+    incidence` against pointplane_bound_report on the Point3/Plane3 slice;
+    the pointplane block of `cli boundcheck`, read from the job's one set
+    table, against top_slice_reports on main_bound_report, each building
+    its own."""
     for A in _slice_sets():
         field = A.field
         dec = decompose_by_C(A)
@@ -447,6 +452,10 @@ def test_slice_reports_match_object_route(tmp_path):
         path.write_text(write_affine_set(field, A))
         assert main(["incidence", "--input", str(path), "--field", render_field(field), "--cthresh", "3", "--out", str(out)]) == 0
         report = json.loads(out.read_text())
+        assert main(["boundcheck", "--input", str(path), "--field", render_field(field), "--out", str(out)]) == 0
+        top = top_slice_reports(A, main_bound_report(A).per_c, 3)
+        expected = [(field.render(C.value), json.loads(json.dumps(pointplane_report_jsonable(r)))) for C, r in top]
+        assert list(json.loads(out.read_text())["pointplane"].items()) == expected and len(expected) == min(3, len(dec))
         for C in dec:
             ref = pointplane_bound_report(_reference_instance(A, C))
             row = report["per_c"][field.render(C.value)]
@@ -618,8 +627,8 @@ import affine_energy.incidence3d as inc
 from affine_energy import AffineSet, RATIONALS
 from affine_energy.errors import InvariantViolation
 
-
-real = inc._slope_classes
+energy = sys.modules["affine_energy.energy"]
+real = energy._slope_classes
 
 
 def repeated(pairs):
@@ -627,7 +636,7 @@ def repeated(pairs):
     return [(x, bs + bs) for x, bs in real(pairs)]
 
 
-inc._slope_classes = repeated
+energy._slope_classes = repeated
 print("optimize", sys.flags.optimize)
 try:
     inc.q_c_via_incidence(AffineSet.from_pairs(RATIONALS, [(1, 0), (2, 0)]), RATIONALS.scalar(2))

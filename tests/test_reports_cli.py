@@ -364,15 +364,33 @@ def test_cli_slice_identity_breach_exits_4(monkeypatch):
 
 
 def test_cli_oracle_tallies_pair_keys_once(count_calls):
-    """One oracle job takes E and the per-C table from one quotient_stats,
+    """One oracle job takes E and the per-C table from one _quotient_stats,
     and the E and Q_C oracles from one brute-force pass over g^{-1} o h: the
     E* oracle makes the only other one."""
-    from affine_energy.energy import _pair_keys, quotient_stats
+    from affine_energy.energy import _pair_keys, _quotient_stats
 
-    calls, brute = count_calls(quotient_stats), count_calls(_pair_keys)
+    calls, brute = count_calls(_quotient_stats), count_calls(_pair_keys)
     code, out = run_cli("oracle", "--gen", "randaff:12:seed=1", "--field", "Q")
     assert code == 0 and json.loads(out)["all_equal"] is True
     assert len(calls) == 1 and len(brute) == 2
+
+
+@pytest.mark.parametrize("field", ["Fp:1009", "Q"])
+def test_cli_jobs_class_the_set_once(count_calls, field):
+    """Each energy, decompose, incidence and boundcheck job classes A by
+    slope once, builds at most two slope-id grids (the y/x grid of the
+    quotient pass and the C grid, which the product pass, Q_C and the slices
+    share) and sorts the C values at most once; --no-decomposition sorts
+    none."""
+    from affine_energy.energy import _pair_ids, _slope_classes, _sorted_values
+
+    classes, grids, orders = count_calls(_slope_classes), count_calls(_pair_ids), count_calls(_sorted_values)
+    for job in (["energy"], ["decompose"], ["incidence"], ["boundcheck"], ["energy", "--no-decomposition"]):
+        for calls in (classes, grids, orders):
+            calls.clear()
+        assert run_cli(*job, "--gen", "grid:7", "--field", field)[0] == 0
+        assert len(classes) == 1 and len(grids) <= 2, job
+        assert len(orders) == (0 if "--no-decomposition" in job else 1), job
 
 
 def test_cli_elekes_check_reuses_the_bound_report_energy(count_calls):
