@@ -15,14 +15,11 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from .affine import AffineSet, max_on_vertical
+from .affine import AffineSet
 from .energy import (
     ORACLE_CAP_DEFAULT,
-    _bound_report,
     _energy,
     _product_pass,
-    _quotient_stats,
-    _SetTable,
     decompose_bruteforce,
     energy_bruteforce,
     main_bound_report,
@@ -39,7 +36,7 @@ from .generators import (
     parse_gen_spec,
     render_gen_spec,
 )
-from .incidence3d import _beck_stats, _pointplane_report, _raw_slices, _top_slice_reports, q_c_incidence_table
+from .incidence3d import _beck_stats, _pointplane_report, _raw_slices, q_c_incidence_table, top_slice_reports
 from .plane import (
     PlaneLine,
     PlanePoint,
@@ -157,8 +154,7 @@ def _parse_line_flag(text: str, field: Field) -> PlaneLine:
 # subcommands
 
 
-def _cmd_energy(args) -> int:
-    field = _resolve_field(args)
+def _cmd_energy(args, field: Field) -> int:
     A = _load_affine(args, field)
     rep = main_bound_report(A, include_decomposition=not args.no_decomposition)
     if args.format == "json":
@@ -168,40 +164,35 @@ def _cmd_energy(args) -> int:
     return _invariant_exit(rep.identities_hold(), "energy identities or inequalities")
 
 
-def _cmd_decompose(args) -> int:
-    field = _resolve_field(args)
+def _cmd_decompose(args, field: Field) -> int:
     A = _load_affine(args, field)
-    E, _, table = quotient_stats(A)
-    checks = slice_identities(table, E, len(A), max_on_vertical(A))
+    E, _, per_c = quotient_stats(A)
+    checks = slice_identities(per_c, E, len(A), per_c.table.m)
     payload = {
         "schema": schema_tag("decompose-report"),
         "field": render_field(field),
         "size": len(A),
         "E": E,
         **checks._asdict(),
-        "per_c": reports.per_c_jsonable(table, field),
+        "per_c": per_c,
     }
     _emit(args, dump_json(payload))
     return _invariant_exit(checks.hold, "decomposition identities")
 
 
-def _cmd_incidence(args) -> int:
-    field = _resolve_field(args)
+def _cmd_incidence(args, field: Field) -> int:
     A = _load_affine(args, field)
     char = field.characteristic
-    table = _SetTable(A)
-    slices, q_of = _raw_slices(table), {C: q for C, (_, q) in _quotient_stats(table)[2].items()}
-    del table
-    per_c = {}
-    mismatches = 0
-    ratios = []
-    for C, q in q_of.items():
-        pts, planes, layers = slices[C.value]
+    per_c = quotient_stats(A)[2]
+    slices = _raw_slices(per_c.table)
+    rows, mismatches, ratios = {}, 0, []
+    for C, _, q in per_c.rows():
+        pts, planes, layers = slices[C]
         pp = _pointplane_report(char, pts, planes, layers)
         ratios.append(pp.ratio)
         if pp.incidence_count != q:
             mismatches += 1
-        per_c[field.render(C.value)] = {
+        rows[field.render(C)] = {
             "slice": len(pts),
             "q": q,
             "q_via_incidence": pp.incidence_count,
@@ -214,7 +205,7 @@ def _cmd_incidence(args) -> int:
         "size": len(A),
         "mismatches": mismatches,
         "max_theorem_ratio": reports.frac_pair(max(ratios)) if ratios else None,
-        "per_c": per_c,
+        "per_c": rows,
     }
     if slices:
         biggest = max(slices, key=lambda c: len(slices[c][0]))  # the first largest in canonical order
@@ -230,8 +221,7 @@ def _cmd_incidence(args) -> int:
     return _invariant_exit(not mismatches, f"{mismatches} slice(s) disagree between decomposition and incidence route")
 
 
-def _cmd_shadow(args) -> int:
-    field = _resolve_field(args)
+def _cmd_shadow(args, field: Field) -> int:
     pts = _load_planar(args, field)
     l1 = _parse_line_flag(args.l1, field) if args.l1 else PlaneLine.y_axis(field)
     l2 = _parse_line_flag(args.l2, field) if args.l2 else PlaneLine.infinity(field)
@@ -248,16 +238,14 @@ def _cmd_shadow(args) -> int:
     return EXIT_OK
 
 
-def _cmd_quadrangles(args) -> int:
-    field = _resolve_field(args)
+def _cmd_quadrangles(args, field: Field) -> int:
     pts = _load_planar(args, field)
     rep = quadrangle_energy_correspondence(pts)
     _emit(args, dump_json(reports.quadrangle_report_jsonable(rep)))
     return _invariant_exit(rep.exhaustive, "energy quadruples do not partition into quadrangles + degenerate")
 
 
-def _cmd_richlines(args) -> int:
-    field = _resolve_field(args)
+def _cmd_richlines(args, field: Field) -> int:
     if args.gen and not args.input:
         if not (args.set_a and args.alpha):
             raise ConfigError("generated rich-line runs need --gen, --set-a and --alpha")
@@ -276,8 +264,7 @@ def _cmd_richlines(args) -> int:
     return EXIT_OK
 
 
-def _cmd_boundcheck(args) -> int:
-    field = _resolve_field(args)
+def _cmd_boundcheck(args, field: Field) -> int:
     if args.top_slices < 0:
         raise ConfigError("--top-slices must be at least 0")
     if bool(args.set_s) != bool(args.set_t):
@@ -286,10 +273,8 @@ def _cmd_boundcheck(args) -> int:
     if args.set_s:
         grid = (_progression(args.set_s, "--set-s", field), _progression(args.set_t, "--set-t", field))
     A = _load_affine(args, field)
-    table = _SetTable(A)
-    rep = _bound_report(A, table)
-    top = _top_slice_reports(table, rep.per_c, args.top_slices)
-    del table
+    rep = main_bound_report(A)
+    top = top_slice_reports(A, rep.per_c, args.top_slices)
     payload = reports.energy_report_jsonable(rep, field)
     # Theorem 3.4 ratios on the largest slices
     payload["pointplane"] = {field.render(C.value): reports.pointplane_report_jsonable(r) for C, r in top}
@@ -299,8 +284,7 @@ def _cmd_boundcheck(args) -> int:
     return _invariant_exit(rep.identities_hold(), "energy identities or inequalities")
 
 
-def _cmd_oracle(args) -> int:
-    field = _resolve_field(args)
+def _cmd_oracle(args, field: Field) -> int:
     if args.oracle_cap < 1:
         raise ConfigError("oracle cap must be at least 1")
     A = _load_affine(args, field)
@@ -317,19 +301,17 @@ def _cmd_oracle(args) -> int:
 
     # the Q_C oracle counts all pairs of pairs of each bucket, so it totals E(A)
     brute = decompose_bruteforce(A, cap)
-    table = _SetTable(A)
-    (E, _, per_c), products = _quotient_stats(table), _product_pass(table)
+    E, _, per_c = quotient_stats(A)
     results = {
         "schema": schema_tag("oracle-report"),
         "field": render_field(field),
         "size": len(A),
         "energy": check("energy", E, sum(brute.values())),
-        "energy_star": check("energy_star", _energy(products.values()), energy_bruteforce(A, "Estar", cap)),
+        "energy_star": check("energy_star", _energy(_product_pass(per_c.table).values()), energy_bruteforce(A, "Estar", cap)),
     }
-    dec_fast = {field.render(k.value): q for k, (_, q) in per_c.items()}
-    dec_brute = {field.render(k.value): v for k, v in brute.items()}
-    results["decompose"] = same("decompose", dec_fast, dec_brute)
-    inc = {field.render(k.value): v for k, v in q_c_incidence_table(A).items()}
+    dec_fast = {C: q for C, _, q in per_c.rows()}  # the per-C tables are compared on raw C values
+    results["decompose"] = same("decompose", dec_fast, {C.value: q for C, q in brute.items()})
+    inc = {C.value: q for C, q in q_c_incidence_table(A).items()}
     results["incidence_route"] = same("incidence_route", inc, dec_fast)
     if len(A):  # quadrangle counting needs a point
         pts = {PlanePoint.affine(field, g.a.value, g.b.value) for g in A}
@@ -350,9 +332,8 @@ def _sweep_row(template: str, n: int, field_text: str) -> List[str]:
     obj, _ = generate_with_stats(spec, field)
     if not isinstance(obj, AffineSet):
         raise ConfigError("sweep templates must generate affine sets")
-    table = _SetTable(obj)
-    rep = _bound_report(obj, table)
-    pp_ratio = max((r.ratio for _, r in _top_slice_reports(table, rep.per_c, 3)), default=Fraction(0))
+    rep = main_bound_report(obj)
+    pp_ratio = max((r.ratio for _, r in top_slice_reports(obj, rep.per_c, 3)), default=Fraction(0))
     scalars = [field.reduce(v) for v in range(1, n + 1)]
     el = _elekes_report(scalars, scalars, obj, field, rep.E)
     return csv_cells(
@@ -381,8 +362,7 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _cmd_sweep(args) -> int:
-    field = _resolve_field(args)
+def _cmd_sweep(args, field: Field) -> int:
     if not args.gen or "N" not in args.gen:
         raise ConfigError("sweep needs --gen with an N placeholder")
     if args.jobs < 1:
@@ -487,7 +467,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _resolve_field(args))
     except (ConfigError, ValueError, OSError) as exc:  # every package input error subclasses ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -11,7 +11,8 @@ and E^x (E of the translations x -> x + s and of the dilations x -> w*x) and
 every energy of the rich-line chains in richlines.structure_report.  For
 Q_C, quotient_stats keeps the key list of each row from that one tally and
 reads again only the rows that meet a bucket other than the identity's with
-two pairs or more (see _slice_table); a job's passes share one _SetTable.
+two pairs or more (see _slice_table); its per-C table, PerC, holds the set's
+_SetTable, which the job's later passes read from it.
 
 The brute-force oracles compute every pair value g^{-1} o h (or g o h) by
 the raw group law compose_raw/inverse_raw, which no fast path calls, and
@@ -30,6 +31,7 @@ from __future__ import annotations
 import operator
 from array import array
 from collections import Counter, defaultdict
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, islice
@@ -37,7 +39,7 @@ from math import gcd, isqrt
 from operator import itemgetter
 from typing import Dict, NamedTuple, Optional, Tuple
 
-from .affine import AffineSet, compose_raw, inverse_raw, max_on_line, max_on_vertical
+from .affine import AffineSet, compose_raw, inverse_raw, max_on_line
 from .errors import OracleCapExceeded, ZeroC
 from .exactmath import ratio, sqrt_floor_fraction
 from .fields import Field, Frozen, Scalar, cleared
@@ -92,15 +94,16 @@ def _sorted_values(char: int, values: list) -> list:
 
 
 class _SetTable:
-    """A's slope classes, their slopes x and the 1/x of each, read by every
-    pass of a job on A; built when first read, the C grid c_of of _pair_ids
-    over x_i*x_j and its (id, raw C) list in canonical order, `order`."""
+    """A's slope classes, their slopes x, the 1/x of each and m (the largest
+    class size), read by every pass of a job on A; built when first read, the
+    C grid c_of of _pair_ids over x_i*x_j and its (id, raw C) list, `order`."""
 
     def __init__(self, A: AffineSet):
         self.field, self.char = A.field, A.field.characteristic
         self.classes = _slope_classes(g.key() for g in A)
         self.slopes = [x for x, _ in self.classes]
         self.inverses = list(map(A.field.inv, self.slopes))
+        self.m = max((len(bs) for _, bs in self.classes), default=0)
 
     @cached_property
     def _c_ids(self) -> Tuple[list, list]:
@@ -168,9 +171,10 @@ def _tally(rows, hs, js, scales, ids, m, keys: Optional[list] = None) -> Counter
 
 
 def _pair_sizes(field: Field, G: list, H: list) -> Counter:
-    """r(t) for every t = g^{-1} o h over G x H, raw (a, b) lists."""
+    """r(t) for every t = g^{-1} o h over G x H, raw (a, b) lists (H is G: classed once)."""
     rows = _slope_classes(G)
-    return _tally(*_blocks(field.characteristic, rows, [field.inv(x) for x, _ in rows], _slope_classes(H)))
+    cols = rows if H is G else _slope_classes(H)
+    return _tally(*_blocks(field.characteristic, rows, [field.inv(x) for x, _ in rows], cols))
 
 
 def _product_pass(table: _SetTable) -> Counter:
@@ -239,26 +243,54 @@ def _slice_table(table: _SetTable, alphas: list, sizes: Counter, keys: list) -> 
     return order, counts, qs
 
 
-def _quotient_stats(table: _SetTable, include_decomposition: bool = True) -> Tuple[int, int, Dict[Scalar, Tuple[int, int]]]:
-    """quotient_stats on A's table.  The Scalars are built after the tally
-    and the row key lists are dropped, which each full collection would walk."""
+class PerC(Mapping):
+    """C -> (|C_C|, Q_C) for every realized C of a set, in canonical order:
+    the (order, counts, qs) of _slice_table beside the set's _SetTable,
+    `table`, which later passes read; empty when the decomposition is skipped.
+    rows() gives the raw (C, |C_C|, Q_C).  As a mapping its keys are Scalars
+    of the table's field, built when read; any other key is absent."""
+
+    def __init__(self, table: _SetTable, order=(), counts=(), qs=()):
+        self.table, self.order, self.counts, self.qs = table, order, counts, qs
+
+    def rows(self):
+        return ((v, self.counts[c], self.qs[c]) for c, v in self.order)
+
+    def __len__(self):
+        return len(self.order)
+
+    def __iter__(self):
+        return (Scalar(self.table.field, v) for _, v in self.order)
+
+    def __getitem__(self, C):
+        c = self._ids.get(C.value) if type(C) is Scalar and C.field == self.table.field else None
+        if c is None:
+            raise KeyError(C)
+        return self.counts[c], self.qs[c]
+
+    @cached_property
+    def _ids(self) -> dict:
+        return {v: c for c, v in self.order}
+
+    def __repr__(self):
+        return f"PerC({dict(self)!r})"
+
+
+def quotient_stats(A: AffineSet, include_decomposition: bool = True) -> Tuple[int, int, PerC]:
+    """E(A), |A^{-1}A| and, unless skipped, C -> (|C_C|, Q_C), whose table
+    is A's _SetTable."""
+    table = _SetTable(A)
     prologue = _blocks(table.char, table.classes, table.inverses, table.classes)
     keys: Optional[list] = [] if include_decomposition else None
     sizes = _tally(*prologue, keys)
-    order, counts, qs = _slice_table(table, prologue[4], sizes, keys) if include_decomposition else ((), (), ())
-    E, n_values = _energy(sizes.values()), len(sizes)
-    del sizes, keys
-    return E, n_values, {Scalar(table.field, v): (counts[c], qs[c]) for c, v in order}
-
-
-def quotient_stats(A: AffineSet, include_decomposition: bool = True) -> Tuple[int, int, Dict[Scalar, Tuple[int, int]]]:
-    """E(A), |A^{-1}A| and, unless skipped, C -> (|C_C|, Q_C)."""
-    return _quotient_stats(_SetTable(A), include_decomposition)
+    per_c = PerC(table, *_slice_table(table, prologue[4], sizes, keys) if include_decomposition else ())
+    return _energy(sizes.values()), len(sizes), per_c
 
 
 def energy(A: AffineSet) -> int:
-    """E(A) = E(A, A) = sum_t r(t)^2 over the quotient buckets."""
-    return energy_asym(A, A)
+    """E(A) = E(A, A) = sum_t r(t)^2 over the quotient buckets, A classed once."""
+    keys = [g.key() for g in A]
+    return _pair_energy(A.field, keys, keys)
 
 
 def energy_star(A: AffineSet) -> int:
@@ -337,7 +369,7 @@ def decompose_by_C(A: AffineSet) -> Dict[Scalar, int]:
 
     sum_C Q_C = E(A) exactly.
     """
-    return {C: q for C, (_, q) in quotient_stats(A)[2].items()}
+    return {Scalar(A.field, v): q for v, _, q in quotient_stats(A)[2].rows()}
 
 
 def decompose_bruteforce(A: AffineSet, cap: int = ORACLE_CAP_DEFAULT) -> Dict[Scalar, int]:
@@ -432,11 +464,11 @@ class SliceIdentities(NamedTuple):
         return self.decomposition_identity_ok and self.slice_l1_ok and self.slice_linf_ok
 
 
-def slice_identities(per_c: Dict[Scalar, Tuple[int, int]], E: int, n: int, m: int) -> SliceIdentities:
+def slice_identities(per_c: PerC, E: int, n: int, m: int) -> SliceIdentities:
     """The identities of the per-C table of a set of n maps with energy E and
     at most m maps on a vertical line."""
-    sizes = [s for s, _ in per_c.values()]
-    sum_q, sum_slices = sum(q for _, q in per_c.values()), sum(sizes)
+    sizes = [s for _, s, _ in per_c.rows()]
+    sum_q, sum_slices = sum(q for _, _, q in per_c.rows()), sum(sizes)
     return SliceIdentities(sum_q, sum_slices, sum_q == E, sum_slices == n * n, all(s <= m * n for s in sizes))
 
 
@@ -451,7 +483,7 @@ class EnergyReport(NamedTuple):
     size_AA: int
     size_AinvA: int
     characteristic: int
-    per_c: Dict[Scalar, Tuple[int, int]]  # C -> (|C_C|, Q_C)
+    per_c: PerC  # C -> (|C_C|, Q_C)
     ratio_main: Fraction  # max{E,E*} / (isqrt(m|A|^5) + M|A|^2)
     ratio_growth: Fraction  # min{|AA|,|AinvA|} / (sqrt_floor(|A|^3/m) + |A|^2/M)
     cs_quotient_ok: bool  # E * |AinvA| >= |A|^4
@@ -471,18 +503,13 @@ def main_bound_report(A: AffineSet, include_decomposition: bool = True) -> Energ
 
     ratio_main tracks max{E,E*} against m^{1/2}|A|^{5/2} + M|A|^2 (the sqrt
     term floored by isqrt, see exactmath); ratio_growth tracks
-    min{|AA|,|A^{-1}A|} against m^{-1/2}|A|^{3/2} + M^{-1}|A|^2.
+    min{|AA|,|A^{-1}A|} against m^{-1/2}|A|^{3/2} + M^{-1}|A|^2.  The
+    product pass and m read the table of per_c.
     """
-    return _bound_report(A, _SetTable(A), include_decomposition)
-
-
-def _bound_report(A: AffineSet, table: _SetTable, include_decomposition: bool = True) -> EnergyReport:
-    """main_bound_report with A's table."""
     n = len(A)
-    m = max_on_vertical(A)
     M = max_on_line(A)
-    E, AinvA, per_c = _quotient_stats(table, include_decomposition)
-    products = _product_pass(table)
+    E, AinvA, per_c = quotient_stats(A, include_decomposition)
+    m, char, products = per_c.table.m, per_c.table.char, _product_pass(per_c.table)
     E_star, AA = _energy(products.values()), len(products)
 
     rhs_main = isqrt(m * n**5) + M * n * n
@@ -490,7 +517,6 @@ def _bound_report(A: AffineSet, table: _SetTable, include_decomposition: bool = 
     rhs_growth = sqrt_floor_fraction(Fraction(n**3, m)) + Fraction(n * n, M) if n else Fraction(1)
     ratio_growth = ratio(min(AA, AinvA), rhs_growth)
 
-    char = table.char
     return EnergyReport(
         size=n,
         m=m,

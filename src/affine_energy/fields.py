@@ -17,6 +17,7 @@ from .errors import InexactValue, NotInField, ParseError, ZeroDenominator, ZeroI
 from .exactmath import render_fraction
 
 Raw = Union[int, Fraction]
+_ONE = Fraction(1)
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -204,7 +205,7 @@ class RationalField(Field):
     def inv(self, x):
         if x == 0:
             raise ZeroInverse("0 has no inverse")
-        return 1 / Fraction(x)
+        return _ONE / x  # Fraction / int or Fraction, with no Fraction(x) copy
 
     render = staticmethod(render_fraction)
 

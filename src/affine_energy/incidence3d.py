@@ -10,7 +10,8 @@ projective point or plane (residues over F_p, integers over Q).  The
 slice pipelines (`q_c_incidence_table`, `top_slice_reports`, the CLI) build
 those tuples straight from the slope classes of A, each cleared on its own,
 in `_raw_slices`, which reads the classes and the C grid and order from the
-set's table (energy._SetTable), as Q_C does.  Point3/Plane3,
+set's table (energy._SetTable), as Q_C does, and reads the one that the
+per-C table (energy.PerC) holds when Q_C ran first.  Point3/Plane3,
 `projective.Homogeneous` with the first nonzero coordinate as pivot, exist
 only at the API edge, and each public function calls raw() once and
 delegates to its core.  The collinearity k and the lines of the Beck split
@@ -25,10 +26,10 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from math import isqrt
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .affine import AffineMap, AffineSet
-from .energy import CSlice, _SetTable
+from .energy import CSlice, PerC, _SetTable
 from .errors import InvariantViolation, ZeroC
 from .exactmath import ratio
 from .fields import Scalar, cleared
@@ -298,21 +299,20 @@ def pointplane_bound_report(inst: IncidenceInstance) -> PointPlaneReport:
     return _pointplane_report(char, [p.raw() for p in inst.points], [c.raw() for c in inst.planes], k=inst.k)
 
 
-def top_slice_reports(A: AffineSet, per_c: Dict[Scalar, Tuple[int, int]], top: int) -> List[Tuple[Scalar, PointPlaneReport]]:
+def top_slice_reports(A: AffineSet, per_c: Mapping, top: int) -> List[Tuple[Scalar, PointPlaneReport]]:
     """Point-plane reports on the `top` largest slices of A.
 
-    `per_c` maps C -> (|C_C|, Q_C) as in EnergyReport.per_c; equal sizes go
-    to the smaller C in the field's canonical order.
+    `per_c` maps C -> (|C_C|, Q_C) as EnergyReport.per_c does; the slices
+    are built from its table when it is A's PerC, else from A's own.  Equal
+    sizes go to the smaller C in the field's canonical order.
     """
-    return _top_slice_reports(_SetTable(A), per_c, top)
-
-
-def _top_slice_reports(table: _SetTable, per_c: Dict[Scalar, Tuple[int, int]], top: int) -> List[Tuple[Scalar, PointPlaneReport]]:
-    """top_slice_reports with A's table."""
-    field = table.field
-    ranked = sorted(per_c, key=lambda C: (-per_c[C][0], field.sort_key(C.value)))[:top]
-    slices = _raw_slices(table, {C.value for C in ranked})
-    return [(C, _pointplane_report(field.characteristic, *slices[C.value])) for C in ranked]
+    field = A.field
+    own = isinstance(per_c, PerC)
+    table = per_c.table if own else _SetTable(A)
+    rows = per_c.rows() if own else ((C.value, s, q) for C, (s, q) in per_c.items())
+    ranked = sorted(rows, key=lambda r: (-r[1], field.sort_key(r[0])))[:top]
+    slices = _raw_slices(table, {v for v, _, _ in ranked})
+    return [(Scalar(field, v), _pointplane_report(field.characteristic, *slices[v])) for v, _, _ in ranked]
 
 
 _TYPE_I_SHARE = Fraction(1, 2)  # of a plane's ordered point pairs, on its largest line

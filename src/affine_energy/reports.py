@@ -15,7 +15,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
-from .energy import EnergyReport
+from .energy import EnergyReport, PerC
 from .exactmath import render_fraction
 from .fields import Field, PrimeField
 from .incidence3d import PointPlaneReport
@@ -61,28 +61,17 @@ def record_jsonable(schema: str, rep: NamedTuple, field: Optional[Field] = None,
     return out
 
 
-class PerC(dict):
-    """The per_c block of the energy, decompose and boundcheck reports:
-    rendered C -> {"slice": |C_C|, "q": Q_C}, built only by per_c_jsonable
-    and written by dump_json from _PER_C_ENTRY."""
-
-
+# One C of a written PerC: "<rendered C>": {"slice": |C_C|, "q": Q_C}.
 _PER_C_ENTRY = '    %s: {\n      "slice": %d,\n      "q": %d\n    }'
-
-
-def per_c_jsonable(table: Dict, field: Field) -> PerC:
-    """The per_c block of a C -> (|C_C|, Q_C) table, in the table's order."""
-    return PerC((field.render(C.value), {"slice": s, "q": q}) for C, (s, q) in table.items())
-
 
 _ENERGY_NAMES = {"size_AA": "AA", "size_AinvA": "AinvA"}
 
 
 def energy_report_jsonable(rep: EnergyReport, field: Field) -> dict:
-    """The record after the schema tag and the field, which names the characteristic, with per_c last."""
+    """The record after the schema tag and the field, which names the characteristic, with per_c, a PerC, last."""
     out = record_jsonable("energy-report", rep, field, **_ENERGY_NAMES)
     del out["characteristic"]
-    out["per_c"] = per_c_jsonable(out.pop("per_c"), field)
+    out["per_c"] = out.pop("per_c")
     return out
 
 
@@ -145,20 +134,22 @@ def elekes_report_jsonable(rep: ElekesReport) -> dict:
 
 
 def dump_json(obj) -> str:
-    """The report text: byte for byte json.dumps(obj, indent=2) plus a newline.
+    """The report text: byte for byte json.dumps(obj, indent=2) plus a newline,
+    a top-level energy.PerC (the energy, decompose and boundcheck reports)
+    written as the object of its rendered C -> {"slice": |C_C|, "q": Q_C}.
 
-    A non-empty top-level PerC block (the energy, decompose and boundcheck
-    reports) is written from _PER_C_ENTRY and spliced in where json.dumps
-    puts its value, instead of going through the pure-Python indent
-    encoder; the rest of the payload, and every other per_c, goes through
-    json.dumps.
+    That block is written from the PerC's raw rows through _PER_C_ENTRY and
+    field.render, and spliced in where json.dumps puts its value, instead of
+    going through the pure-Python indent encoder; an empty one is {}.  The
+    rest of the payload, and every other per_c, goes through json.dumps.
     """
     per_c = obj.get("per_c") if type(obj) is dict else None
-    if type(per_c) is not PerC or not per_c:
+    if not isinstance(per_c, PerC):
         return json.dumps(obj, indent=2) + "\n"
-    block = ",\n".join(_PER_C_ENTRY % (encode_basestring_ascii(k), e["slice"], e["q"]) for k, e in per_c.items())
+    render = per_c.table.field.render
+    block = ",\n".join(_PER_C_ENTRY % (encode_basestring_ascii(render(v)), s, q) for v, s, q in per_c.rows())
     head, tail = json.dumps({**obj, "per_c": 0}, indent=2).split('\n  "per_c": 0', 1)
-    return f'{head}\n  "per_c": {{\n{block}\n  }}{tail}\n'
+    return f'{head}\n  "per_c": {{\n{block}\n  }}{tail}\n' if block else f'{head}\n  "per_c": {{}}{tail}\n'
 
 
 def _csv_cell(cell: str) -> str:

@@ -23,6 +23,7 @@ from affine_energy import (
     q_c_incidence_table,
     quadrangle_energy_correspondence,
     quadrangles,
+    quadrangles_bruteforce,
     quotient_stats,
     scalar_energy_add,
     scalar_energy_mul,
@@ -31,6 +32,7 @@ from affine_energy import (
 )
 from affine_energy.affine import AffineMap, compose_raw, inverse_raw
 from affine_energy.energy import (
+    PerC,
     _blocks,
     _energy,
     _pair_ids,
@@ -432,3 +434,46 @@ def test_slice_table_order_over_q():
         assert values == sorted(values, key=Q.sort_key) and any(v < 0 for v in values)
         assert per_c == {C: (len(c_slice(A, C)), q) for C, q in decompose_bruteforce(A).items()}
     assert _sorted_values(0, [(3, 2), (-7, 3), (1, 1)]) == [(1, Fraction(-7, 3)), (2, Fraction(1)), (0, Fraction(3, 2))]
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(7), PrimeField(2**61 - 1)])
+def test_per_c_reads_as_a_mapping(field):
+    """quotient_stats(A)[2], a PerC, reads as the oracles' dict C -> (|C_C|,
+    Q_C): equal in both directions, iterated in canonical order, its rows the
+    raw items; a C it does not hold, a non-Scalar key and a Scalar of another
+    field are absent to [], in and get; it prints as its dict; empty, it is
+    falsy."""
+    other = PrimeField(7) if field is Q else Q  # Q's 1 and F_7's 1 share their raw value's hash
+    two_slopes = aset([(a, b) for a in (1, 2) for b in range(4)] + [(2, 5)], field)  # C in {1, 2, 4}
+    for A in (two_slopes, seeded_random(10, 4, field, "affine")):
+        per_c = quotient_stats(A)[2]
+        ref = {C: (len(c_slice(A, C)), q) for C, q in decompose_bruteforce(A).items()}
+        assert isinstance(per_c, PerC) and per_c and per_c == ref and ref == per_c
+        assert list(per_c) == sorted(ref, key=lambda C: field.sort_key(C.value)) and len(per_c) == len(ref)
+        assert repr(per_c) == f"PerC({ref!r})"
+        assert list(per_c.rows()) == [(C.value, *ref[C]) for C in per_c] and list(per_c.values()) == list(ref.values())
+        for C in ref:
+            assert per_c[C] == ref[C] and C in per_c and per_c.get(C) == ref[C]
+        absent = [5, 1, Fraction(1), "1", None, other.scalar(1)]
+        if A is two_slopes:
+            absent.append(field.scalar(3))
+        for key in absent:
+            with pytest.raises(KeyError):
+                per_c[key]
+            assert key not in per_c and per_c.get(key) is None
+    for empty in (quotient_stats(two_slopes, include_decomposition=False)[2], quotient_stats(aset([], field))[2]):
+        assert not empty and len(empty) == 0 and empty == {} and list(empty.rows()) == []
+        assert empty.table.field == field and empty.get(field.scalar(1)) is None
+
+
+def test_one_key_list_is_classed_once(count_calls):
+    """energy(A), the E(A_P) term of quadrangles and the scalar energies pass
+    one key list as both sides, which _pair_sizes classes by slope once."""
+    F = PrimeField(1009)
+    A = seeded_random(20, 6, F, "affine")
+    P = seeded_random(14, 7, F, "planar")
+    expected = energy_bruteforce(A), quadrangles_bruteforce(P), energy_bruteforce(aset([(1, k) for k in range(6)], F))
+    calls = count_calls(_slope_classes)
+    for run, want in zip((lambda: energy(A), lambda: quadrangles(P), lambda: scalar_energy_add(F.scalar(k) for k in range(6))), expected):
+        calls.clear()
+        assert run() == want and len(calls) == 1

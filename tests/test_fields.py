@@ -48,6 +48,18 @@ def test_inverse_of_zero_raises(F5, Q):
             field_inv(f.scalar(0))
 
 
+def test_rational_inverse_is_the_reduced_fraction(Q):
+    """Q's raw inv gives the reduced Fraction 1/x for int, negative and
+    Fraction input, and raises ZeroInverse on a zero of either type."""
+    cases = [(3, (1, 3)), (-4, (-1, 4)), (1, (1, 1)), (Fraction(-6, 4), (-2, 3)), (Fraction(5, 7), (7, 5)), (Fraction(-1, 9), (-9, 1))]
+    for x, (num, den) in cases:
+        got = Q.inv(x)
+        assert type(got) is Fraction and (got.numerator, got.denominator) == (num, den)
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroInverse):
+            Q.inv(zero)
+
+
 def test_parse_examples(F5, Q):
     assert parse_scalar("7", F5) == F5.scalar(2)
     assert parse_scalar("0", Q) == Q.scalar(0)

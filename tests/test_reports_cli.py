@@ -12,6 +12,7 @@ import pytest
 import affine_energy
 from affine_energy import PrimeField, RATIONALS
 from affine_energy.cli import main
+from affine_energy.energy import PerC
 from affine_energy.files import (
     read_affine_set,
     read_grid_instance,
@@ -364,12 +365,12 @@ def test_cli_slice_identity_breach_exits_4(monkeypatch):
 
 
 def test_cli_oracle_tallies_pair_keys_once(count_calls):
-    """One oracle job takes E and the per-C table from one _quotient_stats,
+    """One oracle job takes E and the per-C table from one quotient_stats,
     and the E and Q_C oracles from one brute-force pass over g^{-1} o h: the
     E* oracle makes the only other one."""
-    from affine_energy.energy import _pair_keys, _quotient_stats
+    from affine_energy.energy import _pair_keys, quotient_stats
 
-    calls, brute = count_calls(_quotient_stats), count_calls(_pair_keys)
+    calls, brute = count_calls(quotient_stats), count_calls(_pair_keys)
     code, out = run_cli("oracle", "--gen", "randaff:12:seed=1", "--field", "Q")
     assert code == 0 and json.loads(out)["all_equal"] is True
     assert len(calls) == 1 and len(brute) == 2
@@ -377,20 +378,39 @@ def test_cli_oracle_tallies_pair_keys_once(count_calls):
 
 @pytest.mark.parametrize("field", ["Fp:1009", "Q"])
 def test_cli_jobs_class_the_set_once(count_calls, field):
-    """Each energy, decompose, incidence and boundcheck job classes A by
-    slope once, builds at most two slope-id grids (the y/x grid of the
-    quotient pass and the C grid, which the product pass, Q_C and the slices
-    share) and sorts the C values at most once; --no-decomposition sorts
-    none."""
+    """Each energy, decompose, incidence and boundcheck job and each sweep
+    row classes A by slope once, builds at most two slope-id grids (the y/x
+    grid of the quotient pass and the C grid, which the product pass, Q_C
+    and the slices share) and sorts the C values at most once;
+    --no-decomposition sorts none."""
     from affine_energy.energy import _pair_ids, _slope_classes, _sorted_values
 
     classes, grids, orders = count_calls(_slope_classes), count_calls(_pair_ids), count_calls(_sorted_values)
-    for job in (["energy"], ["decompose"], ["incidence"], ["boundcheck"], ["energy", "--no-decomposition"]):
+    jobs = [["energy"], ["decompose"], ["incidence"], ["boundcheck"], ["energy", "--no-decomposition"]]
+    for job in jobs + [["sweep", "--range", "N=7..7"]]:
         for calls in (classes, grids, orders):
             calls.clear()
-        assert run_cli(*job, "--gen", "grid:7", "--field", field)[0] == 0
+        gen = "grid:N" if job[0] == "sweep" else "grid:7"
+        assert run_cli(*job, "--gen", gen, "--field", field)[0] == 0
         assert len(classes) == 1 and len(grids) <= 2, job
         assert len(orders) == (0 if "--no-decomposition" in job else 1), job
+
+
+@pytest.mark.parametrize("field", ["Fp:1009", "Q"])
+def test_cli_jobs_read_per_c_by_raw_rows(monkeypatch, field):
+    """The energy, decompose, incidence and oracle jobs read the per-C table
+    through its raw rows and build no Scalar per C: with PerC's __iter__ and
+    __getitem__ patched to raise, each writes the same report and exit code."""
+    jobs = [["energy"], ["decompose"], ["incidence"], ["oracle"], ["energy", "--format", "csv"]]
+    source = ["--gen", "randaff:14:seed=3", "--field", field]
+    before = [run_cli(*job, *source) for job in jobs]
+
+    def refuse(*args):
+        raise AssertionError("per-C table read as a mapping")
+
+    monkeypatch.setattr(PerC, "__iter__", refuse)
+    monkeypatch.setattr(PerC, "__getitem__", refuse)
+    assert [run_cli(*job, *source) for job in jobs] == before and all(code == 0 for code, _ in before)
 
 
 def test_cli_elekes_check_reuses_the_bound_report_energy(count_calls):
@@ -580,12 +600,22 @@ def test_import_builds_no_dataclass():
     assert proc.returncode == 0 and proc.stdout.split() == ["['affine_energy.cli']"]
 
 
+def _rendered(obj):
+    """The payload with a top-level PerC given as its rendered dict."""
+    per_c = obj.get("per_c")
+    if not isinstance(per_c, PerC):
+        return obj
+    render = per_c.table.field.render
+    return {**obj, "per_c": {render(C): {"slice": s, "q": q} for C, s, q in per_c.rows()}}
+
+
 def test_dump_json_matches_json_dumps(tmp_path, monkeypatch):
-    """The per_c writer is byte-equal to json.dumps(indent=2) on every report
-    that carries the block; the incidence report's other per_c shape and an
-    empty block take the json.dumps path, with the same bytes."""
+    """The per_c writer is byte-equal to json.dumps(indent=2) of the payload
+    with the PerC rendered, on every report that carries the block; the
+    incidence report's other per_c shape and an empty block give the same
+    bytes."""
     import affine_energy.cli as cli_mod
-    from affine_energy.reports import PerC, dump_json
+    from affine_energy.reports import dump_json
 
     seen = []
     monkeypatch.setattr(cli_mod, "dump_json", lambda obj: seen.append(obj) or dump_json(obj))
@@ -598,20 +628,14 @@ def test_dump_json_matches_json_dumps(tmp_path, monkeypatch):
             seen.clear()
             code, out = run_cli(cmd, *source)
             assert code == 0 and len(seen) == 1
-            assert out == dump_json(seen[0]) == json.dumps(seen[0], indent=2) + "\n"
-            assert (type(seen[0]["per_c"]) is PerC) == (cmd != "incidence")
+            assert out == dump_json(seen[0]) == json.dumps(_rendered(seen[0]), indent=2) + "\n"
+            assert isinstance(seen[0]["per_c"], PerC) == (cmd != "incidence")
     assert "-7/3" in json.loads(run_cli("energy", *sources[0])[1])["per_c"]
     code, out = run_cli("energy", *sources[1], "--no-decomposition")
-    assert code == 0 and seen[-1]["per_c"] == {} and out == json.dumps(seen[-1], indent=2) + "\n"
-    odd = [
-        {"per_c": {"1": {"slice": 1, "q": 2}}},
-        {"per_c": PerC({"é\"\n": {"slice": 1, "q": -2}}), "x": "\n  \"per_c\": 0"},
-        {"a": {"per_c": PerC({"1": {"slice": 1, "q": 2}})}, "per_c": PerC({"2": {"slice": 3, "q": 4}})},
-        {"per_c": PerC()},
-        [1, {"per_c": PerC({"1": {"slice": 1, "q": 2}})}],
-    ]
-    for obj in odd:
-        assert dump_json(obj) == json.dumps(obj, indent=2) + "\n"
+    assert code == 0 and not seen[-1]["per_c"] and out == json.dumps(_rendered(seen[-1]), indent=2) + "\n"
+    assert '"per_c": {}' in out
+    obj = {"per_c": {"1": {"slice": 1, "q": 2}}, "x": "\n  \"per_c\": 0"}
+    assert dump_json(obj) == json.dumps(obj, indent=2) + "\n"
 
 
 def test_cli_oracle_empty_set(tmp_path):
