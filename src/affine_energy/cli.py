@@ -13,7 +13,7 @@ import functools
 import os
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from .affine import AffineSet
 from .energy import (
@@ -29,13 +29,7 @@ from .energy import (
 from .errors import InvariantViolation
 from .fields import RATIONALS, Field, in_unit_interval, parse_field, parse_scalar
 from .files import read_affine_set, read_grid_instance, read_planar_set
-from .generators import (
-    APSpec,
-    GPSpec,
-    generate_with_stats,
-    parse_gen_spec,
-    render_gen_spec,
-)
+from .generators import APSpec, GPSpec, generate_with_stats, parse_gen_spec
 from .incidence3d import _beck_stats, _pointplane_report, _raw_slices, q_c_incidence_table, top_slice_reports
 from .plane import (
     PlaneLine,
@@ -48,13 +42,13 @@ from .plane import (
 )
 from .richlines import (
     GridInstance,
-    _elekes_report,
+    elekes_incidence_bound_check,
     max_concurrent_pencil,
     pencil_bruteforce,
     structure_report,
 )
 from . import reports
-from .reports import csv_cells, dump_csv, dump_json, render_field, schema_tag
+from .reports import dump_csv, dump_json, render_field, schema_tag
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -167,7 +161,7 @@ def _cmd_energy(args, field: Field) -> int:
 def _cmd_decompose(args, field: Field) -> int:
     A = _load_affine(args, field)
     E, _, per_c = quotient_stats(A)
-    checks = slice_identities(per_c, E, len(A), per_c.table.m)
+    checks = slice_identities(per_c, E, len(A))
     payload = {
         "schema": schema_tag("decompose-report"),
         "field": render_field(field),
@@ -181,6 +175,8 @@ def _cmd_decompose(args, field: Field) -> int:
 
 
 def _cmd_incidence(args, field: Field) -> int:
+    if args.cthresh < 2:
+        raise ConfigError("--cthresh must be at least 2")
     A = _load_affine(args, field)
     char = field.characteristic
     per_c = quotient_stats(A)[2]
@@ -274,12 +270,12 @@ def _cmd_boundcheck(args, field: Field) -> int:
         grid = (_progression(args.set_s, "--set-s", field), _progression(args.set_t, "--set-t", field))
     A = _load_affine(args, field)
     rep = main_bound_report(A)
-    top = top_slice_reports(A, rep.per_c, args.top_slices)
+    top = top_slice_reports(rep.per_c, args.top_slices)
     payload = reports.energy_report_jsonable(rep, field)
     # Theorem 3.4 ratios on the largest slices
     payload["pointplane"] = {field.render(C.value): reports.pointplane_report_jsonable(r) for C, r in top}
     if grid:
-        payload["elekes"] = reports.elekes_report_jsonable(_elekes_report(*grid, A, field, rep.E))
+        payload["elekes"] = reports.elekes_report_jsonable(elekes_incidence_bound_check(*grid, A, field, rep.E))
     _emit(args, dump_json(payload))
     return _invariant_exit(rep.identities_hold(), "energy identities or inequalities")
 
@@ -326,40 +322,36 @@ def _cmd_oracle(args, field: Field) -> int:
     return EXIT_OK
 
 
-def _sweep_row(template: str, n: int, field_text: str) -> List[str]:
+class SweepRow(NamedTuple):
+    """One sweep-csv row, its fields the columns."""
+
+    gen: str
+    field: str
+    N: int
+    size: int
+    m: int
+    M: int
+    E: int
+    E_star: int
+    ratio_main: Fraction
+    ratio_growth: Fraction
+    pp_ratio_max: Fraction
+    elekes_ratio: Fraction
+
+
+def _sweep_row(template: str, n: int, field_text: str) -> SweepRow:
     field = parse_field(field_text)
     spec = parse_gen_spec(template.replace("N", str(n)))
     obj, _ = generate_with_stats(spec, field)
     if not isinstance(obj, AffineSet):
         raise ConfigError("sweep templates must generate affine sets")
     rep = main_bound_report(obj)
-    pp_ratio = max((r.ratio for _, r in top_slice_reports(obj, rep.per_c, 3)), default=Fraction(0))
+    pp_ratio = max((r.ratio for _, r in top_slice_reports(rep.per_c, 3)), default=Fraction(0))
     scalars = [field.reduce(v) for v in range(1, n + 1)]
-    el = _elekes_report(scalars, scalars, obj, field, rep.E)
-    return csv_cells(
-        render_gen_spec(spec), render_field(field), n, rep.size, rep.m, rep.M, rep.E, rep.E_star,
-        rep.ratio_main, rep.ratio_growth, pp_ratio, el.ratio,
+    el = elekes_incidence_bound_check(scalars, scalars, obj, field, rep.E)
+    return SweepRow(
+        str(spec), field_text, n, rep.size, rep.m, rep.M, rep.E, rep.E_star, rep.ratio_main, rep.ratio_growth, pp_ratio, el.ratio
     )
-
-
-SWEEP_COLUMNS = [
-    "gen",
-    "field",
-    "N",
-    "size",
-    "m",
-    "M",
-    "E",
-    "E_star",
-    "ratio_main",
-    "ratio_main_decimal",
-    "ratio_growth",
-    "ratio_growth_decimal",
-    "pp_ratio_max",
-    "pp_ratio_max_decimal",
-    "elekes_ratio",
-    "elekes_ratio_decimal",
-]
 
 
 def _cmd_sweep(args, field: Field) -> int:
@@ -384,8 +376,7 @@ def _cmd_sweep(args, field: Field) -> int:
             rows = pool.starmap(_sweep_row, [(args.gen, n, field_text) for n in ns])
     else:
         rows = [_sweep_row(args.gen, n, field_text) for n in ns]
-    rows.sort(key=lambda r: int(r[2]))
-    _emit(args, dump_csv(SWEEP_COLUMNS, rows, "sweep-csv"))
+    _emit(args, dump_csv(SweepRow._fields, rows, "sweep-csv"))
     return EXIT_OK
 
 

@@ -346,10 +346,7 @@ def energy_asym_bruteforce(A: AffineSet, B: AffineSet, cap: int = ORACLE_CAP_DEF
 class CSlice(Frozen):
     """C_C = {(g,v) in A x A : g1*v1 = C} for a nonzero C."""
 
-    __slots__ = ("C", "pairs")
-
-    def __init__(self, C: Scalar, pairs: frozenset):
-        self._set(C, pairs)  # pairs: of (AffineMap, AffineMap)
+    __slots__ = ("C", "pairs")  # a Scalar, a frozenset of (AffineMap, AffineMap)
 
     def __len__(self):
         return len(self.pairs)
@@ -464,16 +461,18 @@ class SliceIdentities(NamedTuple):
         return self.decomposition_identity_ok and self.slice_l1_ok and self.slice_linf_ok
 
 
-def slice_identities(per_c: PerC, E: int, n: int, m: int) -> SliceIdentities:
-    """The identities of the per-C table of a set of n maps with energy E and
-    at most m maps on a vertical line."""
+def slice_identities(per_c: PerC, E: int, n: int) -> SliceIdentities:
+    """The identities of the per-C table of a set of n maps with energy E,
+    m read from its table."""
+    m = per_c.table.m
     sizes = [s for _, s, _ in per_c.rows()]
     sum_q, sum_slices = sum(q for _, _, q in per_c.rows()), sum(sizes)
     return SliceIdentities(sum_q, sum_slices, sum_q == E, sum_slices == n * n, all(s <= m * n for s in sizes))
 
 
 class EnergyReport(NamedTuple):
-    """Everything main_bound_report computes for one affine set."""
+    """Everything main_bound_report computes for one affine set, in the
+    energy report's order."""
 
     size: int
     m: int
@@ -482,19 +481,18 @@ class EnergyReport(NamedTuple):
     E_star: int
     size_AA: int
     size_AinvA: int
-    characteristic: int
-    per_c: PerC  # C -> (|C_C|, Q_C)
     ratio_main: Fraction  # max{E,E*} / (isqrt(m|A|^5) + M|A|^2)
     ratio_growth: Fraction  # min{|AA|,|AinvA|} / (sqrt_floor(|A|^3/m) + |A|^2/M)
     cs_quotient_ok: bool  # E * |AinvA| >= |A|^4
     cs_product_ok: bool  # E* * |AA| >= |A|^4
     shkredov_ok: bool  # E* <= E
-    p_constraint_ok: Optional[bool] = None  # m|A| <= p^2, None over Q
-    pp_correction: Optional[Fraction] = None  # m|A|^3 / p, None over Q
+    p_constraint_ok: Optional[bool]  # m|A| <= p^2, None over Q
+    pp_correction: Optional[Fraction]  # m|A|^3 / p, None over Q
+    per_c: PerC  # C -> (|C_C|, Q_C)
 
     def identities_hold(self) -> bool:
         """The three inequalities, and the slice identities if per_c was computed."""
-        slices_ok = not self.per_c or slice_identities(self.per_c, self.E, self.size, self.m).hold
+        slices_ok = not self.per_c or slice_identities(self.per_c, self.E, self.size).hold
         return slices_ok and self.shkredov_ok and self.cs_quotient_ok and self.cs_product_ok
 
 
@@ -525,8 +523,6 @@ def main_bound_report(A: AffineSet, include_decomposition: bool = True) -> Energ
         E_star=E_star,
         size_AA=AA,
         size_AinvA=AinvA,
-        characteristic=char,
-        per_c=per_c,
         ratio_main=ratio_main,
         ratio_growth=ratio_growth,
         cs_quotient_ok=E * AinvA >= n**4,
@@ -534,4 +530,5 @@ def main_bound_report(A: AffineSet, include_decomposition: bool = True) -> Energ
         shkredov_ok=E_star <= E,
         p_constraint_ok=m * n <= char * char if char else None,
         pp_correction=Fraction(m * n**3, char) if char else None,
+        per_c=per_c,
     )

@@ -49,16 +49,23 @@ def _is_prime(n: int) -> bool:
 
 class Frozen:
     """Base of the immutable value types.  A subclass names its attributes in
-    __slots__ and sets them in __init__, through _set unless it is hot.  An
-    instance equals only one of its own class with equal attributes, hashes
-    on them, refuses assignment, and pickles and copies through __init__.
-    The attributes are the slots of the class and of its bases, base first."""
+    __slots__; the constructor takes one value per attribute, in order, and
+    a subclass that checks or converts them sets them in its own __init__,
+    through _set unless it is hot.  An instance equals only one of its own
+    class with equal attributes, hashes on them, refuses assignment, and
+    pickles and copies through __init__.  The attributes are the slots of
+    the class and of its bases, base first."""
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(name for c in reversed(cls.__mro__) for name in vars(c).get("__slots__", ()))
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} values, got {len(values)}")
+        self._set(*values)
 
     def _set(self, *values) -> None:
         for name, value in zip(self._fields, values):

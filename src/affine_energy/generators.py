@@ -46,53 +46,49 @@ class Xorshift64Star:
         return self.next_u64() % n
 
 
-class APSpec(Frozen):
+class _Spec(Frozen):
+    """A generator spec; str() gives its CLI text, which parse_gen_spec
+    reads back: the class's _text formatted with the spec."""
+
+    __slots__ = ()
+
+    def __str__(self):
+        return self._text.format(self)
+
+
+class APSpec(_Spec):
     __slots__ = ("start", "step", "n")
-
-    def __init__(self, start: int, step: int, n: int):
-        self._set(start, step, n)
+    _text = "ap({0.start},{0.step},{0.n})"
 
 
-class GPSpec(Frozen):
+class GPSpec(_Spec):
     __slots__ = ("start", "ratio", "n")
-
-    def __init__(self, start: int, ratio: int, n: int):
-        self._set(start, ratio, n)
+    _text = "gp({0.start},{0.ratio},{0.n})"
 
 
-class GridSpec(Frozen):
+class GridSpec(_Spec):
     __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        self._set(n)
+    _text = "grid:{0.n}"
 
 
-class AffProductSpec(Frozen):
-    __slots__ = ("slopes", "intercepts")
-
-    def __init__(self, slopes: Union[APSpec, GPSpec], intercepts: Union[APSpec, GPSpec]):
-        self._set(slopes, intercepts)
+class AffProductSpec(_Spec):
+    __slots__ = ("slopes", "intercepts")  # APSpec or GPSpec each
+    _text = "affprod:{0.slopes}x{0.intercepts}"
 
 
-class ParabolaSpec(Frozen):
-    __slots__ = ("values",)
-
-    def __init__(self, values: Union[APSpec, GPSpec]):
-        self._set(values)
+class ParabolaSpec(_Spec):
+    __slots__ = ("values",)  # APSpec or GPSpec
+    _text = "parabola:{0.values}"
 
 
-class RandomAffSpec(Frozen):
+class RandomAffSpec(_Spec):
     __slots__ = ("n", "seed")
-
-    def __init__(self, n: int, seed: int):
-        self._set(n, seed)
+    _text = "randaff:{0.n}:seed={0.seed}"
 
 
-class RandomPlanarSpec(Frozen):
+class RandomPlanarSpec(_Spec):
     __slots__ = ("n", "seed")
-
-    def __init__(self, n: int, seed: int):
-        self._set(n, seed)
+    _text = "randplanar:{0.n}:seed={0.seed}"
 
 
 GenSpec = Union[APSpec, GPSpec, GridSpec, AffProductSpec, ParabolaSpec, RandomAffSpec, RandomPlanarSpec]
@@ -201,27 +197,18 @@ def seeded_random(n: int, seed: int, field: Field, kind: str = "affine"):
         raise InvalidSpec("need n >= 1")
     if n > _capacity(field, kind):
         raise CannotFill(f"cannot draw {n} distinct elements of kind {kind!r} from {field!r}")
+    if kind not in ("affine", "planar", "scalar"):
+        raise InvalidSpec(f"unknown random kind {kind!r}")
     rng = Xorshift64Star(seed)
-    if kind == "scalar":
-        out: set = set()
-        while len(out) < n:
+    out: set = set()
+    while len(out) < n:
+        if kind == "scalar":
             out.add(Scalar(field, _draw_scalar(rng, field, nonzero=False)))
-        return out
-    if kind == "planar":
-        pts: set = set()
-        while len(pts) < n:
-            x = _draw_scalar(rng, field, nonzero=True)
-            y = _draw_scalar(rng, field, nonzero=False)
-            pts.add(PlanePoint.affine(field, x, y))
-        return pts
-    if kind == "affine":
-        maps: set = set()
-        while len(maps) < n:
-            a = _draw_scalar(rng, field, nonzero=True)
-            b = _draw_scalar(rng, field, nonzero=False)
-            maps.add(affine_map(field, a, b))
-        return AffineSet(field, maps)
-    raise InvalidSpec(f"unknown random kind {kind!r}")
+            continue
+        x = _draw_scalar(rng, field, nonzero=True)
+        y = _draw_scalar(rng, field, nonzero=False)
+        out.add(PlanePoint.affine(field, x, y) if kind == "planar" else affine_map(field, x, y))
+    return AffineSet(field, out) if kind == "affine" else out
 
 
 # ---------------------------------------------------------------------------
@@ -278,21 +265,3 @@ def parse_gen_spec(text: str) -> GenSpec:
             raise ParseError(f"malformed random spec {text!r}") from exc
         return RandomAffSpec(n, seed) if head == "randaff" else RandomPlanarSpec(n, seed)
     raise ParseError(f"unknown generator kind {text!r}")
-
-
-def render_gen_spec(spec: GenSpec) -> str:
-    if isinstance(spec, APSpec):
-        return f"ap({spec.start},{spec.step},{spec.n})"
-    if isinstance(spec, GPSpec):
-        return f"gp({spec.start},{spec.ratio},{spec.n})"
-    if isinstance(spec, GridSpec):
-        return f"grid:{spec.n}"
-    if isinstance(spec, AffProductSpec):
-        return f"affprod:{render_gen_spec(spec.slopes)}x{render_gen_spec(spec.intercepts)}"
-    if isinstance(spec, ParabolaSpec):
-        return f"parabola:{render_gen_spec(spec.values)}"
-    if isinstance(spec, RandomAffSpec):
-        return f"randaff:{spec.n}:seed={spec.seed}"
-    if isinstance(spec, RandomPlanarSpec):
-        return f"randplanar:{spec.n}:seed={spec.seed}"
-    raise InvalidSpec(f"unknown generator spec {spec!r}")

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from math import isqrt
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .affine import AffineMap, AffineSet
 from .energy import CSlice, PerC, _SetTable
@@ -299,19 +299,13 @@ def pointplane_bound_report(inst: IncidenceInstance) -> PointPlaneReport:
     return _pointplane_report(char, [p.raw() for p in inst.points], [c.raw() for c in inst.planes], k=inst.k)
 
 
-def top_slice_reports(A: AffineSet, per_c: Mapping, top: int) -> List[Tuple[Scalar, PointPlaneReport]]:
-    """Point-plane reports on the `top` largest slices of A.
-
-    `per_c` maps C -> (|C_C|, Q_C) as EnergyReport.per_c does; the slices
-    are built from its table when it is A's PerC, else from A's own.  Equal
-    sizes go to the smaller C in the field's canonical order.
-    """
-    field = A.field
-    own = isinstance(per_c, PerC)
-    table = per_c.table if own else _SetTable(A)
-    rows = per_c.rows() if own else ((C.value, s, q) for C, (s, q) in per_c.items())
-    ranked = sorted(rows, key=lambda r: (-r[1], field.sort_key(r[0])))[:top]
-    slices = _raw_slices(table, {v for v, _, _ in ranked})
+def top_slice_reports(per_c: PerC, top: int) -> List[Tuple[Scalar, PointPlaneReport]]:
+    """Point-plane reports on the `top` largest slices of the set whose
+    per-C table is `per_c`, built from its table.  Equal sizes go to the
+    smaller C in the field's canonical order."""
+    field = per_c.table.field
+    ranked = sorted(per_c.rows(), key=lambda r: (-r[1], field.sort_key(r[0])))[:top]
+    slices = _raw_slices(per_c.table, {v for v, _, _ in ranked})
     return [(Scalar(field, v), _pointplane_report(field.characteristic, *slices[v])) for v, _, _ in ranked]
 
 

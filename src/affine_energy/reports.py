@@ -1,11 +1,12 @@
 """Report serialization: canonical JSON and flat CSV, byte-stable.
 
-Every ratio is stored twice, by frac_pair in JSON and csv_cells in CSV: exact
+Every ratio is stored twice, by frac_pair in JSON and dump_csv in CSV: exact
 as "num/den" and as a 12-significant-digit decimal convenience column.  JSON
 objects use a fixed key order (documented in docs/formats.md): a flat report
 lists its record's fields in order (record_jsonable), and map-valued fields
 are sorted by the canonical scalar order, so identical configurations always
-serialize to identical bytes.  Every schema tag is schema_tag(name).
+serialize to identical bytes.  A CSV row is a record's values, one column
+each.  Every schema tag is schema_tag(name).
 """
 
 from __future__ import annotations
@@ -40,15 +41,6 @@ def frac_pair(fr) -> Dict[str, str]:
     return {"exact": render_fraction(fr), "decimal": format(float(fr), ".12g")}
 
 
-def csv_cells(*values) -> List[str]:
-    """CSV cells of `values`: a Fraction gives the two cells of its
-    frac_pair, anything else its str()."""
-    cells = []
-    for v in values:
-        cells.extend(frac_pair(v).values() if isinstance(v, Fraction) else (str(v),))
-    return cells
-
-
 def record_jsonable(schema: str, rep: NamedTuple, field: Optional[Field] = None, **names) -> dict:
     """A flat report: the schema tag, the field if one is given, then the
     fields of the record `rep` in order, each under its name in `names` or
@@ -68,23 +60,15 @@ _ENERGY_NAMES = {"size_AA": "AA", "size_AinvA": "AinvA"}
 
 
 def energy_report_jsonable(rep: EnergyReport, field: Field) -> dict:
-    """The record after the schema tag and the field, which names the characteristic, with per_c, a PerC, last."""
-    out = record_jsonable("energy-report", rep, field, **_ENERGY_NAMES)
-    del out["characteristic"]
-    out["per_c"] = out.pop("per_c")
-    return out
+    return record_jsonable("energy-report", rep, field, **_ENERGY_NAMES)
 
 
 def energy_report_csv(rep: EnergyReport, field: Field) -> str:
     """The energy-report-csv text: one row of the energy report's keys from
-    field to p_constraint_ok, each ratio under its name and name_decimal."""
-    columns, values = ["field"], [render_field(field)]
-    for name, v in zip(rep._fields, rep):
-        if name not in ("characteristic", "per_c", "pp_correction"):
-            name = _ENERGY_NAMES.get(name, name)
-            columns += [name, name + "_decimal"] if isinstance(v, Fraction) else [name]
-            values.append(v)
-    return dump_csv(columns, [csv_cells(*values)], "energy-report-csv")
+    field to p_constraint_ok, the last before pp_correction."""
+    k = rep._fields.index("pp_correction")
+    names = ["field", *(_ENERGY_NAMES.get(name, name) for name in rep._fields[:k])]
+    return dump_csv(names, [(render_field(field), *rep[:k])], "energy-report-csv")
 
 
 def pointplane_report_jsonable(rep: PointPlaneReport) -> dict:
@@ -158,9 +142,21 @@ def _csv_cell(cell: str) -> str:
     return cell
 
 
-def dump_csv(columns: Sequence[str], rows: Sequence[Sequence[str]], schema: str) -> str:
+def _cells(values) -> List[str]:
+    """A Fraction gives the two cells of its frac_pair, anything else its str()."""
+    cells = []
+    for v in values:
+        cells.extend(frac_pair(v).values() if isinstance(v, Fraction) else (str(v),))
+    return cells
+
+
+def dump_csv(names: Sequence[str], rows: Sequence[tuple], schema: str) -> str:
+    """The CSV text of `rows`, tuples of values under `names`: one column
+    per value, two for a Fraction (in the first row), name and name_decimal."""
+    header = []
+    for name, v in zip(names, rows[0]):
+        header += [name, name + "_decimal"] if isinstance(v, Fraction) else [name]
     out = [f"# schema: {schema_tag(schema)}"]
-    out.append(",".join(_csv_cell(c) for c in columns))
-    for row in rows:
-        out.append(",".join(_csv_cell(c) for c in row))
+    for cells in [header, *map(_cells, rows)]:
+        out.append(",".join(map(_csv_cell, cells)))
     return "\n".join(out) + "\n"

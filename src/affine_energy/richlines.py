@@ -356,18 +356,16 @@ class ElekesReport(NamedTuple):
     ratio: Fraction
 
 
-def elekes_incidence_bound_check(S: Iterable, T: Iterable, A: AffineSet, field: Field) -> ElekesReport:
-    """I(S x T, A) against the two-term incidence bound, exactly floored.
+def elekes_incidence_bound_check(S: Iterable, T: Iterable, A: AffineSet, field: Field, E: Optional[int] = None) -> ElekesReport:
+    """I(S x T, A) against the two-term incidence bound, exactly floored,
+    with E = E(A), computed here unless given.
 
     Characteristic 0: rhs = floor((|T|^3 |S|^4 E |A|^2)^{1/6}) + floor(sqrt(|T| |A|^2)).
     Characteristic p: rhs = floor((|T|^4 |S|^5 E |A|^4)^{1/8})
                           + sqrt_floor(|T| |A|^2 max(1, |S|^2/p)).
     """
-    return _elekes_report(S, T, A, field, energy(A))
-
-
-def _elekes_report(S: Iterable, T: Iterable, A: AffineSet, field: Field, E: int) -> ElekesReport:
-    """The report of elekes_incidence_bound_check with E = E(A) given."""
+    if E is None:
+        E = energy(A)
     sv = {field.reduce(s.value if isinstance(s, Scalar) else s) for s in S}
     tv = {field.reduce(t.value if isinstance(t, Scalar) else t) for t in T}
     count = sum(_grid_counts(field, sv, tv, [line.key() for line in A]))

@@ -59,7 +59,7 @@ def compute_ratios():
     for label, A in suite_sets():
         rep = main_bound_report(A)
         main_ratios[label] = rep.ratio_main
-        pp_ratios[label] = max((r.ratio for _, r in top_slice_reports(A, rep.per_c, 3)), default=Fraction(0))
+        pp_ratios[label] = max((r.ratio for _, r in top_slice_reports(rep.per_c, 3)), default=Fraction(0))
     return main_ratios, pp_ratios
 
 

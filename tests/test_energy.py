@@ -351,7 +351,7 @@ def test_fast_paths_build_no_affine_map(field, monkeypatch, refuse):
         quotient_stats(S)
         energy_star(S)
         q_c_incidence_table(S)
-        top_slice_reports(S, per_c, 3)
+        top_slice_reports(per_c, 3)
     quadrangles(P)
     quadrangle_energy_correspondence(P)
     with pytest.raises(AssertionError):

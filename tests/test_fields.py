@@ -229,6 +229,23 @@ def test_value_objects_are_immutable_and_compare_within_one_field():
                 setattr(v, name, None)
 
 
+def test_value_objects_take_one_value_per_slot():
+    """A spec or a slice built with too few or too many values raises
+    TypeError instead of leaving a slot unset or dropping a value."""
+    g = affine_map(RATIONALS, 2, 3)
+    for cls, values in (
+        (APSpec, (1, 2, 3)),
+        (GridSpec, (4,)),
+        (AffProductSpec, (APSpec(1, 2, 3), GPSpec(1, 2, 3))),
+        (RandomPlanarSpec, (5, 1)),
+        (CSlice, (RATIONALS.scalar(4), frozenset({(g, g)}))),
+    ):
+        assert cls(*values)._values() == values
+        for wrong in (values[:-1], values + (0,)):
+            with pytest.raises(TypeError):
+                cls(*wrong)
+
+
 def test_value_objects_pickle_and_copy():
     """Each value object survives pickle, copy and deepcopy as an equal
     object of its own class with an equal hash."""

@@ -35,6 +35,7 @@ from affine_energy import (
     pointplane_bound_report,
     q_c_incidence_table,
     q_c_via_incidence,
+    quotient_stats,
     seeded_random,
     top_slice_reports,
 )
@@ -444,8 +445,7 @@ def test_slice_reports_match_object_route(tmp_path):
     for A in _slice_sets():
         field = A.field
         dec = decompose_by_C(A)
-        per_c = {C: (len(c_slice(A, C)), q) for C, q in dec.items()}
-        for C, rep in top_slice_reports(A, per_c, 4):
+        for C, rep in top_slice_reports(quotient_stats(A)[2], 4):
             assert rep == pointplane_bound_report(_reference_instance(A, C))
 
         path, out = tmp_path / "set.txt", tmp_path / "incidence.json"
@@ -453,7 +453,7 @@ def test_slice_reports_match_object_route(tmp_path):
         assert main(["incidence", "--input", str(path), "--field", render_field(field), "--cthresh", "3", "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert main(["boundcheck", "--input", str(path), "--field", render_field(field), "--out", str(out)]) == 0
-        top = top_slice_reports(A, main_bound_report(A).per_c, 3)
+        top = top_slice_reports(main_bound_report(A).per_c, 3)
         expected = [(field.render(C.value), json.loads(json.dumps(pointplane_report_jsonable(r)))) for C, r in top]
         assert list(json.loads(out.read_text())["pointplane"].items()) == expected and len(expected) == min(3, len(dec))
         for C in dec:

@@ -237,6 +237,22 @@ def run_cli_err(*argv):
     return code, buf.getvalue()
 
 
+def test_cli_incidence_checks_cthresh_first(tmp_path, monkeypatch):
+    """--cthresh below 2 exits 2 with one error line before any slice is
+    built, on a set with no slice and on one with slices."""
+    import affine_energy.cli as cli_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("quotient_stats ran before --cthresh was checked")
+
+    monkeypatch.setattr(cli_mod, "quotient_stats", refuse)
+    empty = tmp_path / "empty.txt"
+    empty.write_text("field Fp:101\n")
+    for source in (["--input", str(empty)], ["--gen", "grid:3"]):
+        code, err = run_cli_err("incidence", *source, "--field", "Fp:101", "--cthresh", "1")
+        assert code == 2 and err == "error: --cthresh must be at least 2\n"
+
+
 def test_cli_zero_line_exits_2():
     code, err = run_cli_err("shadow", "--gen", "grid:3", "--field", "Q", "--l1", "0:0:0")
     assert code == 2 and err == "error: projective coordinates cannot all vanish\n"
@@ -459,15 +475,13 @@ def test_flat_report_keys_match_docs():
 
 def test_energy_and_richline_report_keys_follow_their_records():
     """The energy and rich-line reports list their records' fields in order
-    after the field tag, under the names of docs/formats.md: the energy
-    report without the characteristic and with per_c last."""
+    after the field tag, under the names of docs/formats.md."""
     from affine_energy.energy import EnergyReport
     from affine_energy.richlines import RichLineReport
 
     energy = json.loads(run_cli("energy", "--gen", "grid:3", "--field", "Fp:101")[1])
     names = {"size_AA": "AA", "size_AinvA": "AinvA"}
-    record = [names.get(f, f) for f in EnergyReport._fields if f not in ("characteristic", "per_c")]
-    assert list(energy) == ["schema", "field", *record, "per_c"]
+    assert list(energy) == ["schema", "field", *(names.get(f, f) for f in EnergyReport._fields)]
     assert list(energy)[1:] == _documented_keys("energy-report/1")
     rich = json.loads(run_cli("richlines", "--gen", "grid:4", "--set-a", "ap(0,1,8)", "--alpha", "1/4", "--field", "Q")[1])
     assert list(rich) == ["schema", "field", *RichLineReport._fields, "rejected_horizontal_rows"]  # the CLI adds the last
