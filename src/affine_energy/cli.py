@@ -1,9 +1,9 @@
 """Batch CLI: energy reports, decompositions, incidence reductions, shadows,
 quadrangles, rich lines, bound checks, sweeps and oracle diffs.
 
-Exit codes: 0 success, 2 configuration error, 3 oracle mismatch, 4 invariant
-violation.  Reports are byte-stable for a fixed configuration; see
-docs/formats.md for schemas.
+Exit codes: 0 success, 2 configuration error or out of memory, 3 oracle
+mismatch, 4 invariant violation.  Reports are byte-stable for a fixed
+configuration; see docs/formats.md for schemas.
 """
 
 from __future__ import annotations
@@ -465,6 +465,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InvariantViolation as exc:
         print(f"error: invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except MemoryError:  # a backstop: no input size is checked before a job runs
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -14,12 +14,15 @@ reads again only the rows that meet a bucket other than the identity's with
 two pairs or more (see _slice_table); its per-C table, PerC, holds the set's
 _SetTable, which the job's later passes read from it.
 
-The brute-force oracles compute every pair value g^{-1} o h (or g o h) by
-the raw group law compose_raw/inverse_raw, which no fast path calls, and
+The brute-force oracles compute every pair value g^{-1} o h (or g o h) as
+a flat key, the map's coordinates as ints (reduced int tuples over Q), by
+the group law of affine (affine.pair_keys), which no fast path calls, and
 count the quadruples whose pair values are equal, finding partners by hash
-lookup rather than by a scan: E and E* tally the |A|^2 values in one Counter
+lookup rather than by a scan: E and E* tally the |A|^2 keys in one Counter
 (O(|A|^2)); the Q_C oracle buckets them and counts each bucket's pairs of
-pairs under their slopes (O(|A|^2 + E(A)), E(A) <= |A|^3).
+pairs under their slopes (O(|A|^2 + E(A)), E(A) <= |A|^3), then sums those
+counts per C through a table of slope products held as ints, building a
+Fraction only per distinct C.
 
 The C-decomposition splits E(A) by the invariant C = g1*v1 (= h1*u1 for every
 energy quadruple); slices C_C = {(g,v) : g1*v1 = C} carry the identities
@@ -39,7 +42,7 @@ from math import gcd, isqrt
 from operator import itemgetter
 from typing import Dict, NamedTuple, Optional, Tuple
 
-from .affine import AffineSet, compose_raw, inverse_raw, max_on_line
+from .affine import AffineSet, max_on_line, pair_keys, reduced
 from .errors import OracleCapExceeded, ZeroC
 from .exactmath import ratio, sqrt_floor_fraction
 from .fields import Field, Frozen, Scalar, cleared
@@ -305,24 +308,6 @@ def energy_asym(A: AffineSet, B: AffineSet) -> int:
     return _pair_energy(A.field, [g.key() for g in A], [h.key() for h in B])
 
 
-def _flat_key(pair_key, char: int):
-    """Int-tuple form of a raw (a, b) key; Fraction hashing and equality run
-    in Python, int tuples at C speed in the oracles' lookups."""
-    if char:
-        return pair_key
-    a, b = pair_key
-    return (a.numerator, a.denominator, b.numerator, b.denominator)
-
-
-def _pair_keys(A: AffineSet, B: AffineSet, mode: str) -> list:
-    """The flat keys of g^{-1} o h (mode "E") or g o h over A x B, g major,
-    by the raw group law with each row inverted once."""
-    field, char = A.field, A.field.characteristic
-    rows = [inverse_raw(field, g.key()) if mode == "E" else g.key() for g in A]
-    cols = [h.key() for h in B]
-    return [_flat_key(compose_raw(field, g, h), char) for g in rows for h in cols]
-
-
 def energy_bruteforce(A: AffineSet, mode: str = "E", cap: int = ORACLE_CAP_DEFAULT) -> int:
     """Independent oracle for energy/energy_star, in O(|A|^2).
 
@@ -334,13 +319,13 @@ def energy_bruteforce(A: AffineSet, mode: str = "E", cap: int = ORACLE_CAP_DEFAU
         raise ValueError(f"unknown mode {mode!r}")
     if len(A) > cap:
         raise OracleCapExceeded(f"|A| = {len(A)} above oracle cap {cap}")
-    return sum(r * r for r in Counter(_pair_keys(A, A, mode)).values())
+    return sum(r * r for r in Counter(pair_keys(A, A, mode == "E")).values())
 
 
 def energy_asym_bruteforce(A: AffineSet, B: AffineSet, cap: int = ORACLE_CAP_DEFAULT) -> int:
     if len(A) > cap or len(B) > cap:
         raise OracleCapExceeded(f"|A| = {len(A)}, |B| = {len(B)} above oracle cap {cap}")
-    return sum(r * r for r in Counter(_pair_keys(A, B, "E")).values())
+    return sum(r * r for r in Counter(pair_keys(A, B, True)).values())
 
 
 class CSlice(Frozen):
@@ -375,8 +360,10 @@ def decompose_bruteforce(A: AffineSet, cap: int = ORACLE_CAP_DEFAULT) -> Dict[Sc
     The |A|^2 pair values g^{-1} o h are bucketed, and every pair of pairs
     ((g,h),(u,v)) of one bucket is counted under the slope indices of g and
     v, one Counter update per bucket (all one-pair buckets in one update);
-    each slope pair then maps to its C = g1*v1 through a table of field.mul
-    over the distinct slopes.
+    each slope pair then maps to the id of its C = g1*v1 through a table of
+    the products of the distinct slopes, residues over F_p and over Q int
+    pairs reduced by one gcd, and the tally is summed per C id; one Fraction
+    is built per distinct C.
     """
     if len(A) > cap:
         raise OracleCapExceeded(f"|A| = {len(A)} above oracle cap {cap}")
@@ -385,7 +372,7 @@ def decompose_bruteforce(A: AffineSet, cap: int = ORACLE_CAP_DEFAULT) -> Dict[Sc
     ids = [sid.setdefault(g.a.value, len(sid)) for g in A]
     xs, k = list(sid), len(sid)
     buckets: dict = defaultdict(list)
-    for t, b in zip(_pair_keys(A, A, "E"), [i * k + j for i in ids for j in ids]):
+    for t, b in zip(pair_keys(A, A, True), [i * k + j for i in ids for j in ids]):
         buckets[t].append(b)  # b = i*k + j: the slope indices of g and h
     tally: Counter = Counter([bs[0] for bs in buckets.values() if len(bs) == 1])
     for bs in buckets.values():
@@ -393,11 +380,19 @@ def decompose_bruteforce(A: AffineSet, cap: int = ORACLE_CAP_DEFAULT) -> Dict[Sc
             cols = [b % k for b in bs]
             rows = [b - j for b, j in zip(bs, cols)]
             tally.update([i + j for i in rows for j in cols])  # slope of g, slope of v
-    c_of = [field.mul(x, y) for x in xs for y in xs]
-    per_c: Counter = Counter()
+    p = field.characteristic
+    if p:
+        cs = [x * y % p for x in xs for y in xs]
+    else:
+        flat = [(x.numerator, x.denominator) for x in xs]
+        cs = [reduced(xn * yn, xd * yd) for xn, xd in flat for yn, yd in flat]
+    cid: dict = {}  # C -> its id; over Q C is a reduced int pair
+    c_of = [cid.setdefault(c, len(cid)) for c in cs]
+    per_c = [0] * len(cid)
     for b, q in tally.items():
         per_c[c_of[b]] += q
-    return {Scalar(field, v): q for v, q in sorted(per_c.items(), key=lambda kv: field.sort_key(kv[0]))}
+    values = list(cid) if p else [Fraction(*c) for c in cid]
+    return {Scalar(field, v): q for v, q in sorted(zip(values, per_c), key=lambda vq: field.sort_key(vq[0]))}
 
 
 def _pair_energy(field: Field, G: list, H: list) -> int:

@@ -195,10 +195,10 @@ def seeded_random(n: int, seed: int, field: Field, kind: str = "affine"):
     """
     if n < 1:
         raise InvalidSpec("need n >= 1")
-    if n > _capacity(field, kind):
-        raise CannotFill(f"cannot draw {n} distinct elements of kind {kind!r} from {field!r}")
     if kind not in ("affine", "planar", "scalar"):
         raise InvalidSpec(f"unknown random kind {kind!r}")
+    if n > _capacity(field, kind):
+        raise CannotFill(f"cannot draw {n} distinct elements of kind {kind!r} from {field!r}")
     rng = Xorshift64Star(seed)
     out: set = set()
     while len(out) < n:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .affine import AffineMap, AffineSet, _nonvertical_lines
+from .affine import AffineMap, AffineSet, _nonvertical_lines, flatten, meet_law
 from .energy import _dilations, _pair_energy, _slope_classes, _translations, energy
 from .errors import InvariantViolation, TooFewLines
 from .exactmath import iroot, ratio, sqrt_floor_fraction
@@ -146,39 +146,40 @@ def max_concurrent_pencil(lines: AffineSet) -> Pencil:
 
 
 def pencil_bruteforce(lines: AffineSet) -> Pencil:
-    """O(k^2) oracle: one field division per pair of lines of different
-    slopes, the intersections tallied per anchor line.
+    """O(k^2) oracle: one meet per pair of lines of different slopes, the
+    intersections tallied per anchor line.
 
     Each anchor line i counts, by intersection abscissa x0, the later lines
     j > i of another slope; those meeting it at x0 all pass through
     (x0, a_i*x0 + b_i).  The r lines through a point tally r - 1 on their
     smallest-index member and fewer on every other anchor, so the largest
     tally plus one is the largest pencil, and every point reaching it is
-    gathered; ties go to the smallest (x0, y0).  A final scan of all lines
-    reads the pencil's slopes and must count exactly that many.
+    gathered; ties go to the smallest (x0, y0).  The x0 are tallied as the
+    keys of affine.meet_law; field values are built for the gathered points
+    only.  A final scan of all lines reads the pencil's slopes and must
+    count exactly that many.
     """
     k = len(lines)
     if k < 2:
         raise TooFewLines("pencil detection needs at least two lines")
-    field = lines.field
-    keys = [l.key() for l in lines.sorted_maps()]
+    field, char = lines.field, lines.field.characteristic
+    maps = lines.sorted_maps()
+    keys, flat = [l.key() for l in maps], [flatten(l) for l in maps]
+    meet = meet_law(field)
     top = 0
     points: List[tuple] = []
     for i in range(k):
-        a1, b1 = keys[i]
-        tally: Counter = Counter()
-        for j in range(i + 1, k):
-            a2, b2 = keys[j]
-            if a1 == a2:
-                continue
-            tally[field.div(field.sub(b2, b1), field.sub(a1, a2))] += 1
+        l1 = flat[i]
+        tally = Counter([x for x in (meet(l1, l2) for l2 in flat[i + 1 :]) if x is not None])
         if not tally:
             continue
         cnt = max(tally.values())
         if cnt > top:
             top, points = cnt, []
         if cnt == top:
-            points.extend((x0, field.add(field.mul(a1, x0), b1)) for x0, c in tally.items() if c == top)
+            a1, b1 = keys[i]
+            for x0 in (x if char else Fraction(*x) for x, c in tally.items() if c == top):
+                points.append((x0, field.add(field.mul(a1, x0), b1)))
     if not points:
         slope = min((a for a, _ in keys), key=field.sort_key)
         return Pencil(None, frozenset({Scalar(field, slope)}))

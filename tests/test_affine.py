@@ -1,5 +1,6 @@
 """Affine group: composition convention, inverses, product sets, m and M."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affine_energy import (
+    AffineMap,
     AffineSet,
     PrimeField,
     RATIONALS,
@@ -20,7 +22,7 @@ from affine_energy import (
     quotient,
     seeded_random,
 )
-from affine_energy.affine import compose_raw, inverse_raw, max_on_nonvertical_line
+from affine_energy.affine import compose_raw, flatten, inverse_raw, lift, max_on_nonvertical_line
 from affine_energy.errors import SlopeZero
 
 Q = RATIONALS
@@ -142,26 +144,57 @@ def test_group_axioms(any_field):
                 assert compose(compose(g, h), k) == compose(g, compose(h, k))
 
 
-@pytest.mark.parametrize("field", [PrimeField(7), PrimeField(101), Q], ids=repr)
+@pytest.mark.parametrize("field", [PrimeField(7), PrimeField(101), PrimeField(2**61 - 1), Q], ids=repr)
 def test_raw_group_law(field):
-    """compose_raw and inverse_raw on raw (a, b) pairs against the formulas
-    in Scalar arithmetic and the AffineMap law, and the group axioms on raw
-    pairs: identity, inverse, associativity, quotient = inverse then compose."""
+    """compose_raw and inverse_raw on flat keys against the formulas in
+    Scalar arithmetic and the AffineMap law, the flat <-> AffineMap round
+    trip, and the group axioms on flat keys: identity, inverse,
+    associativity, quotient = inverse then compose."""
     maps = _random_maps(field, 7, 10)
-    raws = [g.key() for g in maps]
-    e = identity(field).key()
-    for g, r in zip(maps, raws):
+    flats = [flatten(g) for g in maps]
+    e = flatten(identity(field))
+    for g, r in zip(maps, flats):
+        assert lift(field, r) == g and len(r) == (2 if field.characteristic else 4)
         ri = inverse_raw(field, r)
-        assert ri == (g.a.inv().value, (-(g.b / g.a)).value) == inverse(g).key()
+        assert lift(field, ri) == AffineMap(g.a.inv(), -(g.b / g.a)) == inverse(g)
+        assert ri == flatten(inverse(g))
         assert compose_raw(field, e, r) == r == compose_raw(field, r, e)
         assert compose_raw(field, ri, r) == e == compose_raw(field, r, ri)
         assert inverse_raw(field, ri) == r
-    for g, r in zip(maps, raws):
-        for h, s in zip(maps, raws):
-            assert compose_raw(field, r, s) == ((g.a * h.a).value, (g.a * h.b + g.b).value) == compose(g, h).key()
-            assert compose_raw(field, inverse_raw(field, r), s) == quotient(g, h).key()
-            for t in raws[:5]:
+    for g, r in zip(maps, flats):
+        for h, s in zip(maps, flats):
+            assert lift(field, compose_raw(field, r, s)) == AffineMap(g.a * h.a, g.a * h.b + g.b) == compose(g, h)
+            assert compose_raw(field, inverse_raw(field, r), s) == flatten(quotient(g, h))
+            for t in flats[:5]:
                 assert compose_raw(field, compose_raw(field, r, s), t) == compose_raw(field, r, compose_raw(field, s, t))
+
+
+def _tall_fraction(rng, height):
+    """A Fraction of either sign with numerator and denominator up to height."""
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, height), rng.randint(1, height))
+
+
+@pytest.mark.parametrize("height", [7, 10**12, 10**60])
+def test_flat_law_against_fractions(height):
+    """Over Q the flat-key law equals Fraction arithmetic on random maps with
+    negative slopes and intercepts, unlike denominators and heights up to
+    10^60, and its keys are reduced with positive denominators."""
+    rng = random.Random(height)
+    pairs = [(_tall_fraction(rng, height), _tall_fraction(rng, height)) for _ in range(12)]
+    pairs += [(Fraction(-3, 4), Fraction(0)), (Fraction(5, 6), Fraction(-7, 10))]
+    assert any(b < 0 < a for a, b in pairs) and any(a < 0 for a, _ in pairs)
+
+    def flat(a, b):
+        return a.numerator, a.denominator, b.numerator, b.denominator
+
+    for a, b in pairs:
+        assert inverse_raw(Q, flat(a, b)) == flat(1 / a, -b / a)
+        for c, d in pairs:
+            composed = compose_raw(Q, flat(a, b), flat(c, d))
+            assert composed == flat(a * c, a * d + b)
+            assert compose_raw(Q, inverse_raw(Q, flat(a, b)), flat(c, d)) == flat(c / a, (d - b) / a)
+            assert flatten(quotient(amap(a, b), amap(c, d))) == flat(c / a, (d - b) / a)
+            assert composed[1] > 0 and composed[3] > 0
 
 
 @given(st.integers(1, 1000), st.integers(0, 1008), st.integers(1, 1000), st.integers(0, 1008))

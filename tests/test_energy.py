@@ -30,13 +30,22 @@ from affine_energy import (
     seeded_random,
     top_slice_reports,
 )
-from affine_energy.affine import AffineMap, compose_raw, inverse_raw
+from affine_energy.affine import (
+    AffineMap,
+    _compose_q,
+    _inverse_q,
+    compose_raw,
+    flatten,
+    group_law,
+    inverse_raw,
+    meet_law,
+    pair_keys,
+)
 from affine_energy.energy import (
     PerC,
     _blocks,
     _energy,
     _pair_ids,
-    _pair_keys,
     _pair_sizes,
     _product_pass,
     _SetTable,
@@ -219,7 +228,7 @@ def test_main_bound_report_random_f1009():
 
 def _oracle_sizes(A, B, mode="E"):
     """Sorted bucket sizes of the pair values that the oracles compute."""
-    return sorted(Counter(_pair_keys(A, B, mode)).values())
+    return sorted(Counter(pair_keys(A, B, mode == "E")).values())
 
 
 def _reader_cases():
@@ -272,7 +281,7 @@ def _oracle_blocks(A):
     counts per (slope of g, slope of h)."""
     slopes = [(g.a.value, h.a.value) for g in A for h in A]
     buckets = defaultdict(Counter)
-    for key, block in zip(_pair_keys(A, A, "E"), slopes):
+    for key, block in zip(pair_keys(A, A, True), slopes):
         buckets[key][block] += 1
     return Counter(frozenset(t.items()) for t in buckets.values())
 
@@ -289,7 +298,7 @@ def test_sizes_reader_matches_block_reader_and_oracles():
         products = _product_pass(_SetTable(A))
         assert sorted(products.values()) == _oracle_sizes(A, A, "Estar")
         assert _energy(products.values()) == energy_star(A) == energy_bruteforce(A, "Estar")
-        assert len(products) == len(set(_pair_keys(A, A, "Estar")))
+        assert len(products) == len(set(pair_keys(A, A, False)))
         rep = main_bound_report(A)
         assert (rep.E, rep.size_AinvA, rep.E_star, rep.size_AA) == (energy(A), len(sizes), energy_star(A), len(products))
         assert rep.per_c == {C: (len(c_slice(A, C)), q) for C, q in decompose_bruteforce(A).items()}
@@ -334,7 +343,9 @@ def test_quotient_stats_tallies_once(count_calls):
 def test_fast_paths_build_no_affine_map(field, monkeypatch, refuse):
     """Past the API edge no fast path builds an AffineMap or calls the raw
     group law of the oracles: the sets are built first, then every AffineMap
-    construction and every compose_raw or inverse_raw call raises."""
+    construction and every call of an entry point of the flat-key law
+    (group_law, compose_raw, inverse_raw, the Q compose and inverse,
+    flatten, pair_keys and meet_law) raises."""
     A = generate(GridSpec(5), field)
     R = seeded_random(20, 3, field, "affine")
     P = seeded_random(12, 4, field, "planar")
@@ -343,7 +354,7 @@ def test_fast_paths_build_no_affine_map(field, monkeypatch, refuse):
         raise AssertionError("AffineMap built inside a fast path")
 
     monkeypatch.setattr(AffineMap, "__init__", refuse_map)
-    for fn in (compose_raw, inverse_raw):
+    for fn in (group_law, compose_raw, inverse_raw, _compose_q, _inverse_q, flatten, pair_keys, meet_law):
         refuse(fn, "raw group law called inside a fast path")
     for S in (A, R):
         per_c = main_bound_report(S).per_c
@@ -393,7 +404,7 @@ def test_pair_key_extremes():
     K = len(alphas) * len(alphas[0])
     assert m == (4 * 3 * 4 + 1) * K and max(map(abs, scales)) == 3 * K
     sizes = _pair_sizes(Q, raw, raw)
-    assert len(sizes) == len(set(_pair_keys(A, A, "E")))
+    assert len(sizes) == len(set(pair_keys(A, A, True)))
     assert energy(A) == energy_bruteforce(A, "E")
 
 

@@ -91,6 +91,15 @@ def test_seeded_random_exhaustion():
         seeded_random(21, 1, F5, "affine")
 
 
+def test_seeded_random_checks_kind_before_capacity():
+    """An unknown kind is named as such, even when n is above what any kind
+    could draw from the field."""
+    with pytest.raises(InvalidSpec, match="unknown random kind"):
+        seeded_random(5, 1, PrimeField(3), "bogus")
+    with pytest.raises(CannotFill):
+        seeded_random(5, 1, PrimeField(3), "scalar")
+
+
 def test_seeded_random_planar_avoids_y_axis(any_field):
     pts = seeded_random(12, 3, any_field, "planar")
     assert all(p.coords[0] != 0 and p.is_affine for p in pts)

@@ -4,11 +4,12 @@ The oracles find the partner pairs of a quadruple by hash lookup, and the
 pencil oracle tallies intersections per anchor line.  The helpers below scan
 instead, one comparison per quadruple or one rescan of all lines per
 intersection, with the same per-quadruple tests; their pair values come from
-quotient and compose on AffineMaps, not from the oracles' pair path
-(_pair_keys), and test_affine checks the raw law under both against Scalar
-arithmetic.  On small sets both must give the same results.  The sets include rich lines,
-parallel families and collinear quadruples (grids, GP x AP products, small
-fields) and Q sets with unlike denominators.
+quotient and compose on AffineMaps, each result flattened to its flat key
+(affine.flatten), not from the oracles' pair pass (affine.pair_keys), and
+test_affine checks the flat-key law under both against Scalar and Fraction
+arithmetic.  On small sets both must give the same results.  The sets
+include rich lines, parallel families and collinear quadruples (grids,
+GP x AP products, small fields) and Q sets with unlike denominators.
 
 The rich-line chains read their energies off the pair kernel and their
 representation counts off the grid count.  The representation tallies and
@@ -29,6 +30,7 @@ from affine_energy import (
     PrimeField,
     RATIONALS,
     decompose_bruteforce,
+    decompose_by_C,
     energy,
     energy_asym_bruteforce,
     energy_bruteforce,
@@ -39,9 +41,9 @@ from affine_energy import (
     seeded_random,
     structure_report,
 )
-from affine_energy.affine import compose, quotient
-from affine_energy.energy import _blocks, _flat_key, _pair_energy, _pair_ids, _tally
-from affine_energy.fields import Scalar
+from affine_energy.affine import compose, flatten, quotient
+from affine_energy.energy import _blocks, _pair_energy, _pair_ids, _tally
+from affine_energy.fields import Scalar, cleared
 from affine_energy.generators import APSpec, AffProductSpec, GPSpec, GridSpec, generate
 from affine_energy.plane import _cross, _dot, _quadrangle_setup, _span_pass
 from affine_energy.projective import canon_int
@@ -53,8 +55,7 @@ FIELDS = [PrimeField(5), PrimeField(7), PrimeField(11), PrimeField(101), Q]
 
 def _map_keys(A, B, op):
     """Flat keys of op(g, h) over A x B, through the AffineMap law."""
-    char = A.field.characteristic
-    return [_flat_key(op(g, h).key(), char) for g in A for h in B]
+    return [flatten(op(g, h)) for g in A for h in B]
 
 
 def _energy_scan(A, mode="E"):
@@ -69,10 +70,9 @@ def _energy_asym_scan(A, B):
 
 def _decompose_scan(A):
     field = A.field
-    char = field.characteristic
     elems = list(A)
     n = len(elems)
-    qkey = [[_flat_key(quotient(g, h).key(), char) for h in elems] for g in elems]
+    qkey = [[flatten(quotient(g, h)) for h in elems] for g in elems]
     cval = [[field.mul(g.a.value, v.a.value) for v in elems] for g in elems]
     tally: Counter = Counter()
     for gi in range(n):
@@ -209,6 +209,21 @@ def test_decompose_oracle_matches_scan():
         assert decompose_bruteforce(A) == _decompose_scan(A)
 
 
+def test_decompose_oracle_merges_scaled_slope_pairs():
+    """Over Q one C = 1 comes from slope pairs of unlike scale, 2/3 * 3/2 and
+    1 * 1, and C = -1 from -1 * 1 and -2/3 * 3/2: the oracle's reduced int
+    pairs give each C one row, as the fast path and the scan do."""
+    F = Fraction
+    pairs = [(F(2, 3), F(-1, 5)), (F(3, 2), F(4)), (F(1), F(-7, 3)), (F(1), F(1, 2)), (F(-1), F(0)), (F(-2, 3), F(5, 6))]
+    A = AffineSet.from_pairs(Q, pairs)
+    dec = decompose_bruteforce(A)
+    assert dec == decompose_by_C(A) == _decompose_scan(A)
+    assert list(dec) == sorted(dec, key=lambda C: C.value)
+    assert sum(dec.values()) == energy(A)
+    for C in (1, -1):
+        assert Q.scalar(C) in dec and sum(1 for g in A for v in A if g.a.value * v.a.value == C) >= 4
+
+
 def test_quadrangles_oracle_matches_scan():
     planar = [seeded_random(n, seed, field, "planar") for field in FIELDS for n, seed in ((4, 7), (9, 8), (14, 9))]
     lines = {PlanePoint.affine(Q, x, 2 * x + 1) for x in range(1, 6)} | {PlanePoint.affine(Q, 3, y) for y in range(4)}
@@ -238,6 +253,20 @@ def test_oracles_stay_off_the_fast_paths(refuse):
                 fast()
 
 
+def test_flat_law_oracles_clear_no_denominators(refuse):
+    """The oracles on the flat-key law (E, E*, E(A,B), Q_C and the pencil)
+    use neither the kernel's clearing of denominators nor its id grid nor the
+    projective canonical form."""
+    sets = [(seeded_random(12, 21, field, "affine"), seeded_random(9, 22, field, "affine")) for field in (PrimeField(7), Q)]
+    for fn in (cleared, canon_int, _pair_ids):
+        refuse(fn, f"a flat-law oracle called {fn.__module__}.{fn.__name__}")
+    for A, B in sets:
+        assert energy_bruteforce(A, "E") == sum(decompose_bruteforce(A).values())
+        energy_bruteforce(A, "Estar")
+        energy_asym_bruteforce(A, B)
+        pencil_bruteforce(A)
+
+
 def _pencil_cases():
     """Random line sets, all of AG(2, 5)'s lines, a pencil whose first member
     is not the first line, a tie of negative fractions, parallel-only and
@@ -257,6 +286,9 @@ def _pencil_cases():
         + [(F(-1, 3), F(4, 9)), (F(5, 6), F(-11, 4))]
     )
     cases.append((AffineSet.from_pairs(Q, tied), ((F(-1, 2), F(2, 3)), 3)))
+    # every meet at a negative, non-integer x0; four lines through (-5/3, 7/4)
+    meets = through(F(-5, 3), F(7, 4), (F(-2), F(1, 3), F(5, 2), F(-7, 6))) + [(F(-3, 2), F(-5, 7)), (F(-1), F(1, 8))]
+    cases.append((AffineSet.from_pairs(Q, meets), ((F(-5, 3), F(7, 4)), 4)))
     cases.append((AffineSet.from_pairs(Q, [(3, 0), (3, 1), (3, -2)]), (None, 1)))
     cases.append((AffineSet.from_pairs(F5, [(2, 1), (4, 3)]), ((4, 4), 2)))
     return cases

@@ -253,6 +253,23 @@ def test_cli_incidence_checks_cthresh_first(tmp_path, monkeypatch):
         assert code == 2 and err == "error: --cthresh must be at least 2\n"
 
 
+@pytest.mark.parametrize(
+    "step, argv",
+    [("main_bound_report", ["energy", "--gen", "grid:3"]), ("_sweep_row", ["sweep", "--gen", "grid:N", "--range", "N=2..3"])],
+)
+def test_cli_memory_error_exits_2(monkeypatch, step, argv):
+    """A MemoryError inside a command exits 2 with one error line and no
+    traceback."""
+    import affine_energy.cli as cli_mod
+
+    def exhaust(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_mod, step, exhaust)
+    code, err = run_cli_err(*argv, "--field", "Q")
+    assert code == 2 and err == "error: out of memory\n"
+
+
 def test_cli_zero_line_exits_2():
     code, err = run_cli_err("shadow", "--gen", "grid:3", "--field", "Q", "--l1", "0:0:0")
     assert code == 2 and err == "error: projective coordinates cannot all vanish\n"
@@ -384,9 +401,10 @@ def test_cli_oracle_tallies_pair_keys_once(count_calls):
     """One oracle job takes E and the per-C table from one quotient_stats,
     and the E and Q_C oracles from one brute-force pass over g^{-1} o h: the
     E* oracle makes the only other one."""
-    from affine_energy.energy import _pair_keys, quotient_stats
+    from affine_energy.affine import pair_keys
+    from affine_energy.energy import quotient_stats
 
-    calls, brute = count_calls(quotient_stats), count_calls(_pair_keys)
+    calls, brute = count_calls(quotient_stats), count_calls(pair_keys)
     code, out = run_cli("oracle", "--gen", "randaff:12:seed=1", "--field", "Q")
     assert code == 0 and json.loads(out)["all_equal"] is True
     assert len(calls) == 1 and len(brute) == 2
